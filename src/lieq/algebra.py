@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from lieq.scalars import DEFAULT_SYMBOLS, Scalar
+from lieq.scalars import DEFAULT_SYMBOLS, LAURENT_SYMBOL, Scalar
 
 Generator = namedtuple("Generator", ["name", "index"])
 
@@ -112,9 +112,6 @@ class LieAlgebra:
 
     def generator(self, name):
         return Generator(name, self._gen_index(name))
-
-    def generator_list(self):
-        return [Generator(g, k) for k, g in enumerate(self.generators)]
 
     @property
     def dim(self):
@@ -349,15 +346,15 @@ class LieAlgebra:
 def _scalar_inverse(s):
     """Exact inverse of a Scalar if it is a unit in the ring, else None.
 
-    Units are single monomials with only eps powers and a nonzero
-    Gaussian-rational coefficient.
+    Units are single monomials with only powers of the contraction symbol
+    (eps) and a nonzero Gaussian-rational coefficient.
     """
     terms = s.items()
     if len(terms) != 1:
         return None
     (mono, (re, im)), = terms
     for sym, _ in mono:
-        if sym != "eps":
+        if sym != LAURENT_SYMBOL:
             return None
     norm = re * re + im * im
     out = Scalar.gaussian(re / norm, -im / norm)

@@ -1,5 +1,9 @@
 """Labeled Casimir elements for the catalog algebras, with ordering diagnostics.
 
+This module is the one registry of which groups carry which Casimir labels
+(_SPECS, listed as CASIMIR_GROUPS); the report and the observable layer read
+their groups and labels from here.
+
 The degree-4 invariants appear in the source tables as sums of products of
 noncommuting factors, printed without an ordering convention.  The catalog
 stores the grouped vector form
@@ -10,14 +14,14 @@ stores the grouped vector form
 Poincare family), which commutes with every generator exactly.
 casimir_variant exposes the other candidate orderings — the verbatim printed
 transcription and its Weyl (fully symmetrized) version in both cross-term
-orientations — and ordering_study runs is_casimir over all of them so reports
-can state which ordering each catalog entry uses and what the alternatives do.
+orientations — and ordering_study runs is_casimir once over each of them, the
+catalog element included, so reports can state which ordering each catalog
+entry uses, whether it commutes, and what the alternatives do.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from lieq.algebra import AlgebraError
 from lieq.catalog import AXES, catalog, eps3
@@ -25,7 +29,7 @@ from lieq.scalars import Scalar
 from lieq.uea import UEAElement, is_casimir, weyl_word
 
 CasimirEntry = namedtuple("CasimirEntry", ["label", "element", "ordering"])
-OrderingStep = namedtuple("OrderingStep", ["variant", "ok", "witness", "shift"])
+OrderingStep = namedtuple("OrderingStep", ["variant", "ok", "witness", "shift", "residue"])
 
 C4_VARIANTS = ("verbatim", "weyl", "weyl_mirrored", "factored")
 
@@ -46,6 +50,8 @@ _SPECS = {
     "full_nonrelativistic": dict(
         labels=("C1G", "C2G", "C4G", "C1U"), boost="KG", pref=("M",), jp=False),
 }
+
+CASIMIR_GROUPS = tuple(_SPECS)
 
 
 def _spec(name):
@@ -83,7 +89,7 @@ def _jdotp(alg):
     return sum((_word(alg, ("J" + ax, "P" + ax)) for ax in AXES), UEAElement.zero(alg))
 
 
-def _c2_element(name, alg, spec):
+def _c2_element(alg, spec):
     if spec["pref"] == ("M",):
         # M*H - P^2/2
         return _word(alg, ("M", "H")) - Scalar.rational(1, 2) * _dot_sq(alg, "P")
@@ -172,7 +178,7 @@ def casimir_catalog(name):
         elif label.startswith("C1"):
             entries.append(CasimirEntry(label, _gen(alg, "M"), "verbatim"))
         else:
-            entries.append(CasimirEntry(label, _c2_element(name, alg, spec), "verbatim"))
+            entries.append(CasimirEntry(label, _c2_element(alg, spec), "verbatim"))
     return tuple(entries)
 
 
@@ -182,30 +188,27 @@ def casimir_entries(name):
 
 
 def ordering_study(name):
-    """Run is_casimir over every ordering candidate of every labeled invariant.
+    """Run is_casimir once over every ordering candidate of every labeled invariant.
 
-    Returns {label: (OrderingStep, ...)}.  C1/C2 entries have a single
-    verbatim step; C4 entries get all four variants.  `shift` is the exact
-    difference variant - catalog element for passing variants (it is a
-    Casimir itself), None for failing ones.
+    Returns {label: (OrderingStep, ...)} in table order.  C1/C2 entries have
+    a single verbatim step; C4 entries get all four variants.  The last step
+    of every label checks the catalog element itself (its own ordering), so
+    steps[-1] is the verdict on the entry, residue included.  `shift` is the
+    exact difference variant - catalog element for passing variants (it is
+    a Casimir itself), None for failing ones.
     """
-    spec = _spec(name)
-    alg = catalog(name)
-    entries = casimir_entries(name)
     out = {}
-    for label in spec["labels"]:
-        if not label.startswith("C4"):
-            check = is_casimir(entries[label])
-            out[label] = (
-                OrderingStep("verbatim", check.ok, check.witness,
-                             entries[label] - entries[label] if check.ok else None),
-            )
-            continue
+    for entry in casimir_catalog(name):
+        candidates = [
+            (variant, casimir_variant(name, entry.label, variant))
+            for variant in C4_VARIANTS
+            if entry.label.startswith("C4") and variant != entry.ordering
+        ]
+        candidates.append((entry.ordering, entry.element))
         steps = []
-        for variant in C4_VARIANTS:
-            e = casimir_variant(name, label, variant)
+        for variant, e in candidates:
             check = is_casimir(e)
-            shift = e - entries[label] if check.ok else None
-            steps.append(OrderingStep(variant, check.ok, check.witness, shift))
-        out[label] = tuple(steps)
+            shift = e - entry.element if check.ok else None
+            steps.append(OrderingStep(variant, check.ok, check.witness, shift, check.residue))
+        out[entry.label] = tuple(steps)
     return out

@@ -96,17 +96,17 @@ def _build_poincare_trivial_ext():
     return _build_poincare().trivial_extension("M", name="poincare_trivial_ext")
 
 
+def shifted_energy_basis(ext):
+    """(matrix, names) of the basis change H -> Hb = H - M of an extended table."""
+    gens = ext.generators
+    matrix = [[Scalar.one() if r == c else Scalar.zero() for c in gens] for r in gens]
+    matrix[gens.index("H")][gens.index("M")] = -Scalar.one()
+    return matrix, tuple("Hb" if g == "H" else g for g in gens)
+
+
 def _build_poincare_trivial_ext_hbar():
     ext = _build_poincare_trivial_ext()
-    n = ext.dim
-    h = 0
-    m = n - 1
-    matrix = [
-        [Scalar.one() if r == c else Scalar.zero() for c in range(n)] for r in range(n)
-    ]
-    matrix[h][m] = -Scalar.one()  # Hb = H - M
-    names = tuple("Hb" if g == "H" else g for g in ext.generators)
-    return ext.change_basis(matrix, names, name="poincare_trivial_ext_hbar")
+    return ext.change_basis(*shifted_energy_basis(ext), name="poincare_trivial_ext_hbar")
 
 
 def _build_u1():
@@ -200,23 +200,30 @@ def algebra_from_json(text):
     missing = {"name", "generators"} - set(doc)
     if missing:
         raise AlgebraError("algebra file missing fields: %s" % sorted(missing))
+    for field in ("generators", "symbols"):
+        names = doc.get(field, [])
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise AlgebraError("%r must be a list of names, got %r" % (field, names))
+    if not isinstance(doc.get("brackets", []), list):
+        raise AlgebraError("'brackets' must be a list of entries")
     symbols = tuple(doc.get("symbols", ()))
     brackets = {}
     for entry in doc.get("brackets", ()):
         try:
             a, b, result = entry["a"], entry["b"], entry["result"]
+            items = [(item["gen"], item["coeff"]) for item in result]
+            ok = all(isinstance(v, str) for v in (a, b) + sum(items, ()))
         except (TypeError, KeyError):
-            raise AlgebraError("malformed bracket entry: %r" % (entry,)) from None
+            ok = False
+        if not ok:
+            raise AlgebraError("malformed bracket entry: %r" % (entry,))
         combo = {}
-        for item in result:
+        for gen, text in items:
             try:
-                coeff = parse_scalar(item["coeff"], symbols)
+                coeff = parse_scalar(text, symbols)
             except ExprError as e:
-                raise AlgebraError("bad coefficient %r: %s" % (item.get("coeff"), e)) from None
-            if item["gen"] in combo:
-                combo[item["gen"]] = combo[item["gen"]] + coeff
-            else:
-                combo[item["gen"]] = coeff
+                raise AlgebraError("bad coefficient %r: %s" % (text, e)) from None
+            combo[gen] = combo[gen] + coeff if gen in combo else coeff
         key = (a, b)
         if key in brackets:
             raise AlgebraError("bracket (%s,%s) given twice" % key)

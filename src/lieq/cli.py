@@ -27,30 +27,12 @@ from lieq.expr import ExprError, parse_element
 from lieq.limits import traditional_limit_report
 from lieq.mhi import MHIError, actual_valued_observables, n_particle_labels
 from lieq.report import report_paper
-from lieq.uea import TermBudgetExceeded, UEAError, is_casimir
+from lieq.uea import TermBudgetExceeded, UEAError, format_sum, is_casimir
 
 __all__ = ["run_command", "main"]
 
 
 # -- formatting helpers ----------------------------------------------------------
-
-def _combo_str(combo):
-    if not combo:
-        return "0"
-    parts = []
-    for name, coeff in combo.items():
-        s = str(coeff)
-        if s == "1":
-            parts.append(name)
-        elif s == "-1":
-            parts.append("-" + name)
-        elif len(coeff.items()) > 1:
-            parts.append("(%s)*%s" % (s, name))
-        else:
-            parts.append("%s*%s" % (s, name))
-    out = " + ".join(parts)
-    return out.replace("+ -", "- ")
-
 
 def _print_table(alg):
     print("algebra %s (dimension %d)" % (alg.name, alg.dim))
@@ -63,7 +45,7 @@ def _print_table(alg):
         for b in gens[i + 1:]:
             combo = alg.bracket(a, b)
             if combo:
-                print("[%s, %s] = %s" % (a, b, _combo_str(combo)))
+                print("[%s, %s] = %s" % (a, b, format_sum(combo.items())))
                 shown = True
     if not shown:
         print("(abelian: every bracket vanishes)")
@@ -148,7 +130,7 @@ def _cmd_validate(args):
 def _cmd_bracket(args):
     alg = catalog(args.name)
     combo = alg.bracket(args.gen_a, args.gen_b)
-    print("[%s, %s] = %s" % (args.gen_a, args.gen_b, _combo_str(combo)))
+    print("[%s, %s] = %s" % (args.gen_a, args.gen_b, format_sum(combo.items())))
     return 0
 
 
@@ -209,8 +191,8 @@ def _cmd_contract(args):
     print("tables differ in %d brackets:" % len(diff))
     for row in diff:
         print("  [%s, %s]: got %s, expected %s"
-              % (row.pair_b[0], row.pair_b[1], _combo_str(row.left),
-                 _combo_str(row.right)))
+              % (row.pair_b[0], row.pair_b[1], format_sum(row.left.items()),
+                 format_sum(row.right.items())))
     return 1
 
 

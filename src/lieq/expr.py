@@ -2,14 +2,15 @@
 
 expr   := term (('+' | '-') term)*
 term   := factor ('*' factor)*
-factor := '-' factor | power
-power  := primary ('^' ('-'? INT))?
+factor := '-'* primary ('^' ('-'? INT))?
 primary:= INT ('/' INT)? | IDENT | '(' expr ')'
 
 `i` is the imaginary literal; other identifiers resolve to declared symbols
 or (in element context) generators.  `*` is mandatory — no juxtaposition.
 Negative powers are allowed only on the bare contraction symbol eps.
 Whitespace (including newlines) is insignificant; errors carry line/column.
+Parentheses nest at most MAX_NESTING deep, which keeps the recursive
+descent (four frames per level) well inside Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ class ExprError(ValueError):
 
 
 _PUNCT = set("+-*^/()")
+MAX_NESTING = 190
 
 
 def _tokenize(text):
@@ -80,6 +82,7 @@ class _Parser:
     def __init__(self, tokens, algebra, symbols):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.algebra = algebra
         self.symbols = frozenset(symbols)
 
@@ -126,27 +129,21 @@ class _Parser:
         return value
 
     def factor(self):
-        if self.peek()[0] == "-":
+        negate = False
+        while self.peek()[0] == "-":
             self.next()
-            return -self.factor()
-        return self.power()
-
-    def power(self):
-        base, bare_name = self.primary()
-        if self.peek()[0] != "^":
-            return base
-        caret = self.next()
-        negative = False
-        if self.peek()[0] == "-":
-            self.next()
-            negative = True
-        tok = self.expect("INT")
-        n = tok[1]
-        if negative:
-            if bare_name != LAURENT_SYMBOL:
+            negate = not negate
+        value, bare_name = self.primary()
+        if self.peek()[0] == "^":
+            caret = self.next()
+            negative = self.peek()[0] == "-"
+            if negative:
+                self.next()
+            n = self.expect("INT")[1]
+            if negative and bare_name != LAURENT_SYMBOL:
                 self.fail("negative powers are only allowed on the bare symbol %r" % LAURENT_SYMBOL, caret)
-            return Scalar.symbol(LAURENT_SYMBOL, -n)
-        return base ** n
+            value = Scalar.symbol(LAURENT_SYMBOL, -n) if negative else value ** n
+        return -value if negate else value
 
     def primary(self):
         """Returns (value, bare_name): bare_name is set only for a lone identifier."""
@@ -174,8 +171,12 @@ class _Parser:
                     return UEAElement.gen(self.algebra, value), value
             self.fail("unknown identifier %r" % value, tok)
         if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                self.fail("parentheses nested deeper than %d" % MAX_NESTING, tok)
             inner = self.expr()
             self.expect(")")
+            self.depth -= 1
             return inner, None
         if kind == "END":
             self.fail("unexpected end of input", tok)

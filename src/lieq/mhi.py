@@ -3,14 +3,18 @@
 Each supported group gets a descriptor listing its Casimir operators next
 to the observable they realize and the eigenvalue label that observable
 carries on an irreducible state family (mass m or m0, internal energy w,
-spin s, charge e).  Square roots appearing in the n-particle observables
-stay symbolic strings; the enveloping algebra itself has no roots, and
-the division hiding in "W = C2/M" likewise lives only at the label level.
+spin s, charge e).  This module keeps only the per-label observable table
+and the list of supported groups; the rows follow the group's Casimir
+catalog (lieq.casimirs), the one registry of groups and labels.
+
+Square roots appearing in the n-particle observables stay symbolic strings;
+the enveloping algebra itself has no roots, and the division hiding in
+"W = C2/M" likewise lives only at the label level.
 """
 
 from collections import namedtuple
 
-from lieq.casimirs import casimir_entries
+from lieq.casimirs import casimir_catalog
 from lieq.scalars import Scalar
 
 __all__ = [
@@ -59,29 +63,21 @@ class NParticleLabels(
         return self.number.label
 
 
-# (casimir label, observable, eigenvalue, observable key) per group; the
-# element itself always comes from the Casimir catalog of that group.
-_GALILEI_LABELS = (
-    ("C1G", "M", "m", "M"),
-    ("C2G", "m*W", "m*w", "W"),
-    ("C4G", "m^2*S^2", "m^2*s*(s+1)", "S2"),
-)
-_EXTENDED_LABELS = (
-    ("C1PE", "M", "m0", "M"),
-    ("C2PE", "M^2", "m0^2", "M"),
-    ("C4PE", "m0^2*S^2", "m0^2*s*(s+1)", "S2"),
-)
-_U1_LABELS = (("C1U", "Q", "e", "Q"),)
-
-_GROUP_LABELS = {
-    "galilei_central": _GALILEI_LABELS,
-    "poincare_trivial_ext": _EXTENDED_LABELS,
-    "u1": _U1_LABELS,
-    "full_nonrelativistic": _GALILEI_LABELS + _U1_LABELS,
-    "full_relativistic": _EXTENDED_LABELS + _U1_LABELS,
+# Observable realized by each Casimir label: (observable, eigenvalue,
+# observable key).  Which group carries which labels, and the elements
+# themselves, come from the Casimir catalog.
+_OBSERVABLES = {
+    "C1G": ("M", "m", "M"),
+    "C2G": ("m*W", "m*w", "W"),
+    "C4G": ("m^2*S^2", "m^2*s*(s+1)", "S2"),
+    "C1PE": ("M", "m0", "M"),
+    "C2PE": ("M^2", "m0^2", "M"),
+    "C4PE": ("m0^2*S^2", "m0^2*s*(s+1)", "S2"),
+    "C1U": ("Q", "e", "Q"),
 }
 
-MHI_GROUPS = tuple(_GROUP_LABELS)
+MHI_GROUPS = ("galilei_central", "poincare_trivial_ext", "u1",
+              "full_nonrelativistic", "full_relativistic")
 
 _CHARGE_NOTE = (
     "mass scales with the particle number through the explicit N factor, "
@@ -91,17 +87,12 @@ _CHARGE_NOTE = (
 
 
 def actual_valued_observables(group):
-    """Descriptor of the group's actual-valued observables with labels."""
-    try:
-        labels = _GROUP_LABELS[group]
-    except KeyError:
-        raise MHIError(
-            "unknown group %r (known: %s)" % (group, ", ".join(MHI_GROUPS))
-        ) from None
-    entries = casimir_entries(group)
+    """Descriptor of the group's actual-valued observables, in catalog order."""
+    if group not in MHI_GROUPS:
+        raise MHIError("unknown group %r (known: %s)" % (group, ", ".join(MHI_GROUPS)))
     rows = tuple(
-        DescriptorRow(casimir, entries[casimir], observable, eigenvalue, key)
-        for casimir, observable, eigenvalue, key in labels
+        DescriptorRow(entry.label, entry.element, *_OBSERVABLES[entry.label])
+        for entry in casimir_catalog(group)
     )
     return GroupDescriptor(group, rows)
 

@@ -11,14 +11,15 @@ labels.  Failures never raise; they become report entries.
 import json
 import time
 from collections import namedtuple
+from functools import cached_property
 
-from lieq.algebra import LieAlgebra
-from lieq.casimirs import casimir_catalog, ordering_study
-from lieq.catalog import CATALOG_NAMES, catalog
+from lieq.casimirs import CASIMIR_GROUPS, casimir_entries, ordering_study
+from lieq.catalog import CATALOG_NAMES, catalog, shifted_energy_basis
 from lieq.contraction import (
     STD_FULL_MAP,
     STD_FULL_RENAME,
     STD_PE_MAP,
+    STD_PE_POWERS,
     STD_PE_RENAME,
     conceptual_limit_check,
     contract,
@@ -34,17 +35,6 @@ from lieq.uea import UEAElement, is_casimir, rename_element
 __all__ = ["Check", "Report", "report_paper"]
 
 Check = namedtuple("Check", ["name", "status", "detail", "residue"])
-
-_CASIMIR_ALGEBRAS = (
-    "galilei_central",
-    "poincare",
-    "poincare_trivial_ext",
-    "poincare_trivial_ext_hbar",
-    "u1",
-    "full_relativistic",
-    "full_nonrelativistic",
-)
-_EXPECTED_POWERS = {"C1PE": 2, "C2PE": 4, "C4PE": 4}
 
 
 class Report(namedtuple("Report", ["checks", "elapsed_seconds"])):
@@ -93,18 +83,19 @@ class Report(namedtuple("Report", ["checks", "elapsed_seconds"])):
 
 
 class _Builder:
-    def __init__(self):
+    """Checks of one report run plus the facts its stages share."""
+
+    def __init__(self, fault):
+        self.fault = fault
         self.checks = []
 
     def add(self, name, ok, detail="", residue=None):
         self.checks.append(Check(name, "pass" if ok else "fail", detail, residue))
 
-    def guard(self, name, fn):
-        """Run fn appending its checks; exceptions become a single fail entry."""
-        try:
-            fn()
-        except Exception as e:  # failures are report entries, never raises
-            self.add(name, False, "raised %s: %s" % (type(e).__name__, e))
+    @cached_property
+    def studies(self):
+        """One ordering study per Casimir group; steps[-1] is each entry's verdict."""
+        return {name: ordering_study(name) for name in CASIMIR_GROUPS}
 
 
 def _validation_detail(report):
@@ -125,21 +116,22 @@ def _validation_detail(report):
     return "; ".join(parts)
 
 
-def _ordering_detail(entry, steps):
+def _ordering_detail(steps):
     bits = []
     for step in steps:
         if step.ok:
             bits.append("%s passes" % step.variant)
         else:
             bits.append("%s fails at %s" % (step.variant, step.witness))
-    return "catalog uses %s ordering; %s" % (entry.ordering, ", ".join(bits))
+    return "catalog uses %s ordering; %s" % (steps[-1].variant, ", ".join(bits))
 
 
-def _check_validations(b, fault):
+def _check_validations(b):
+    fault = b.fault
     for name in CATALOG_NAMES:
         alg = catalog(name)
         if fault is not None and fault[0] == name:
-            alg = alg.flip_sign(fault[1], fault[2], fault[3])
+            alg = alg.flip_sign(*fault[1:])
         report = alg.validate()
         detail = _validation_detail(report)
         if fault is not None and fault[0] == name:
@@ -148,28 +140,20 @@ def _check_validations(b, fault):
 
 
 def _check_casimirs(b):
-    for name in _CASIMIR_ALGEBRAS:
-        study = ordering_study(name)
-        for entry in casimir_catalog(name):
-            verdict = is_casimir(entry.element)
+    for name, study in b.studies.items():
+        for label, steps in study.items():
+            verdict = steps[-1]
             b.add(
-                "casimir %s %s" % (name, entry.label),
+                "casimir %s %s" % (name, label),
                 verdict.ok,
-                _ordering_detail(entry, study[entry.label]),
+                _ordering_detail(steps),
                 None if verdict.ok else str(verdict.residue),
             )
 
 
 def _check_basis_change(b):
     ext = catalog("poincare_trivial_ext")
-    n = ext.dim
-    matrix = [
-        [Scalar.one() if r == c else Scalar.zero() for c in range(n)]
-        for r in range(n)
-    ]
-    matrix[0][n - 1] = -Scalar.one()  # shifted energy = H - M
-    names = tuple("Hb" if g == "H" else g for g in ext.generators)
-    shifted = ext.change_basis(matrix, names)
+    shifted = ext.change_basis(*shifted_energy_basis(ext))
     b.add(
         "basis change to the shifted energy",
         shifted == catalog("poincare_trivial_ext_hbar"),
@@ -201,16 +185,12 @@ def _check_contraction(b):
 
 
 def _check_casimir_contraction(b):
-    from lieq.casimirs import casimir_entries
-
     gc = catalog("galilei_central")
-    con = contract(catalog("poincare_trivial_ext_hbar"), STD_PE_MAP)
     entries = casimir_entries("poincare_trivial_ext_hbar")
     results = {}
-    for label in ("C1PE", "C2PE", "C4PE"):
+    for label, expected in STD_PE_POWERS.items():
         element, power = contract_casimir(entries[label], STD_PE_MAP, "auto")
         results[label] = element
-        expected = _EXPECTED_POWERS[label]
         verdict = is_casimir(element)
         b.add(
             "contract %s with automatic power" % label,
@@ -218,6 +198,7 @@ def _check_casimir_contraction(b):
             "power %d (expected %d); the limit %s a Casimir of the contracted algebra"
             % (power, expected, "is" if verdict.ok else "is not"),
         )
+    con = results["C1PE"].algebra
     b.add(
         "contracted C1 is the central mass",
         results["C1PE"] == UEAElement.gen(con, "Mp"),
@@ -263,10 +244,10 @@ def _check_full_groups(b):
 def _check_mhi(b):
     for group in MHI_GROUPS:
         descriptor = actual_valued_observables(group)
-        ok = all(is_casimir(row.element).ok for row in descriptor.rows)
+        verdicts = b.studies[group]
         b.add(
             "observables %s" % group,
-            ok,
+            all(verdicts[row.casimir][-1].ok for row in descriptor.rows),
             "keys: %s" % ", ".join(descriptor.observables()),
         )
     b.add(
@@ -304,6 +285,20 @@ def _check_nparticle(b):
     )
 
 
+_STAGES = (
+    ("catalog validations", _check_validations),
+    ("casimir verifications", _check_casimirs),
+    ("basis change", _check_basis_change),
+    ("contraction", _check_contraction),
+    ("casimir contraction", _check_casimir_contraction),
+    ("conceptual limit", _check_conceptual),
+    ("traditional limit", _check_traditional),
+    ("full-group contraction", _check_full_groups),
+    ("observable descriptors", _check_mhi),
+    ("n-particle labels", _check_nparticle),
+)
+
+
 def report_paper(fault=None):
     """Run the full pipeline; fault=(algebra, a, b, d) negates one constant.
 
@@ -311,15 +306,10 @@ def report_paper(fault=None):
     validation step only; it exists for exercising the failure paths.
     """
     start = time.monotonic()
-    b = _Builder()
-    b.guard("catalog validations", lambda: _check_validations(b, fault))
-    b.guard("casimir verifications", lambda: _check_casimirs(b))
-    b.guard("basis change", lambda: _check_basis_change(b))
-    b.guard("contraction", lambda: _check_contraction(b))
-    b.guard("casimir contraction", lambda: _check_casimir_contraction(b))
-    b.guard("conceptual limit", lambda: _check_conceptual(b))
-    b.guard("traditional limit", lambda: _check_traditional(b))
-    b.guard("full-group contraction", lambda: _check_full_groups(b))
-    b.guard("observable descriptors", lambda: _check_mhi(b))
-    b.guard("n-particle labels", lambda: _check_nparticle(b))
+    b = _Builder(fault)
+    for stage, check in _STAGES:
+        try:
+            check(b)
+        except Exception as e:  # failures are report entries, never raises
+            b.add(stage, False, "raised %s: %s" % (type(e).__name__, e))
     return Report(tuple(b.checks), time.monotonic() - start)

@@ -48,24 +48,20 @@ def _mono_mul(m1, m2):
     return tuple(sorted(exps.items()))
 
 
-def _frac_str(f):
-    return str(f)
-
-
 def _gauss_str(re, im):
     """Render a Gaussian rational; the result is a safe product prefix."""
     if im == 0:
-        return _frac_str(re)
+        return str(re)
     if re == 0:
         if im == _ONE:
             return "i"
         if im == -_ONE:
             return "-i"
-        return _frac_str(im) + "*i"
+        return str(im) + "*i"
     ia = -im if im < 0 else im
-    i_part = "i" if ia == _ONE else _frac_str(ia) + "*i"
+    i_part = "i" if ia == _ONE else str(ia) + "*i"
     sign = "-" if im < 0 else "+"
-    return "(%s%s%s)" % (_frac_str(re), sign, i_part)
+    return "(%s%s%s)" % (re, sign, i_part)
 
 
 class Scalar:

@@ -38,7 +38,14 @@ def _term_cap(cap=None):
     if cap is not None:
         return cap
     env = os.environ.get("LIEQ_TERM_CAP")
-    return int(env) if env else DEFAULT_TERM_CAP
+    if not env:
+        return DEFAULT_TERM_CAP
+    try:
+        if int(env) > 0:
+            return int(env)
+    except ValueError:
+        pass
+    raise UEAError("LIEQ_TERM_CAP must be a positive integer, got %r" % env)
 
 
 def _normalize(alg, raw, cap=None):
@@ -223,23 +230,7 @@ class UEAElement:
         return self._hash
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for names, coeff in self.terms():
-            word = _word_str(names)
-            if not word:
-                parts.append(_coeff_prefix(coeff, standalone=True))
-            else:
-                prefix = _coeff_prefix(coeff, standalone=False)
-                parts.append(prefix + word)
-        out = parts[0]
-        for p in parts[1:]:
-            if p.startswith("-"):
-                out += " - " + p[1:]
-            else:
-                out += " + " + p
-        return out
+        return format_sum((_word_str(names), coeff) for names, coeff in self.terms())
 
     def __repr__(self):
         return "UEAElement(%r, %s)" % (self.algebra.name, self)
@@ -251,6 +242,21 @@ def _word_str(names):
         n = len(tuple(run))
         groups.append(name if n == 1 else "%s^%d" % (name, n))
     return "*".join(groups)
+
+
+def format_sum(terms):
+    """Render (word text, Scalar) pairs as a signed sum, "0" when empty.
+
+    The one printer for elements and for bracket results ({name: Scalar});
+    an empty word text stands for the unit.
+    """
+    parts = [_coeff_prefix(coeff, standalone=not word) + word for word, coeff in terms]
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
 
 
 def _coeff_prefix(coeff, standalone):

@@ -14,6 +14,7 @@ import pytest
 from lieq.algebra import AlgebraError
 from lieq.casimirs import (
     C4_VARIANTS,
+    CASIMIR_GROUPS,
     CasimirEntry,
     casimir_catalog,
     casimir_entries,
@@ -234,6 +235,17 @@ def test_ordering_study_shape():
 
     study = ordering_study("u1")
     assert [s.variant for s in study["C1U"]] == ["verbatim"]
+
+
+@pytest.mark.parametrize("name", CASIMIR_GROUPS)
+def test_study_verdict_is_the_entry_check(name):
+    study = ordering_study(name)
+    assert list(study) == [e.label for e in casimir_catalog(name)]
+    for entry in casimir_catalog(name):
+        own = study[entry.label][-1]
+        assert own.variant == entry.ordering
+        check = is_casimir(entry.element)
+        assert (own.ok, own.witness, own.residue) == tuple(check), entry.label
 
 
 def test_catalog_is_parse_stable():

@@ -102,6 +102,10 @@ def test_casimir_verify_expr(capsys):
                        "--expr", "H^2 - Px*Px - Py*Py - Pz*Pz")
     assert code == 0 and "commutes" in out
 
+    code, out, _ = run(capsys, "casimir", "verify", "galilei_central",
+                       "--expr", "(" * 190 + "M" + ")" * 190)
+    assert code == 0 and "commutes" in out  # the deepest nesting accepted
+
     code, out, _ = run(capsys, "casimir", "verify", "galilei_central", "--expr", "H")
     assert code == 1
     assert "KGx" in out  # witness
@@ -234,6 +238,30 @@ def test_term_cap_env(capsys, monkeypatch):
     code, out, _ = run(capsys, "casimir", "verify", "galilei_central", "--all")
     assert code == 1
     assert "cap" in out.lower()
+
+
+def _algebra_file(tmp_path, **fields):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(dict(GOOD_ALGEBRA, **fields)))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["term_cap", "no_coeff", "deep_nesting", "string_generators"])
+def test_bad_inputs_exit_2_with_one_line(case, capsys, monkeypatch, tmp_path):
+    if case == "term_cap":
+        monkeypatch.setenv("LIEQ_TERM_CAP", "abc")
+        argv = ["casimir", "verify", "galilei_central", "--all"]
+    elif case == "no_coeff":
+        brackets = [{"a": "A", "b": "B", "result": [{"gen": "C"}]}]
+        argv = ["validate", _algebra_file(tmp_path, brackets=brackets)]
+    elif case == "deep_nesting":
+        argv = ["casimir", "verify", "galilei_central", "--expr", "(" * 200 + "M" + ")" * 200]
+    else:
+        argv = ["validate", _algebra_file(tmp_path, generators="ABC")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_usage_errors(capsys):

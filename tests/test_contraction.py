@@ -185,6 +185,19 @@ def test_contract_casimir_explicit_powers():
     assert p == 5 and e.is_zero()
 
 
+@pytest.mark.parametrize("flip", [
+    ("KPx", "KPy", "Jz"), ("KPx", "Px", "M"), ("Jx", "Jy", "Jz"), ("KPx", "Px", "Hb"),
+])
+def test_contract_casimir_rejects_sign_flips(flip):
+    # (KPx, KPy, Jz) and (KPx, Px, Hb) only touch terms that vanish in the
+    # limit, so only the check of the source table can catch them
+    broken = PEB.flip_sign(*flip)
+    with pytest.raises(ContractionError):
+        contract_casimir(UEAElement.gen(broken, "M"), STD_PE_MAP, "auto")
+    with pytest.raises(ContractionError):
+        contract(broken, STD_PE_MAP)
+
+
 def test_auto_power_window():
     free = LieAlgebra("free1", ("A",), {})
     with pytest.raises(ContractionError):

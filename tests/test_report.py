@@ -1,10 +1,14 @@
 """Full-pipeline report: ordering, determinism, fault injection."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from lieq.report import Check, Report, report_paper
+
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden_report.json"
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +80,13 @@ def test_json_deterministic_modulo_timing(pristine):
     for entry in doc["checks"]:
         assert set(entry) == {"name", "status", "detail", "residue"}
         assert entry["status"] in ("pass", "fail", "warn")
+
+
+def test_json_matches_golden_report(pristine):
+    # the same normalization the benchmark applies before its golden check
+    text = re.sub(r'"elapsed_seconds": [-+.0-9eE]+', '"elapsed_seconds": 0',
+                  pristine.to_json())
+    assert text == GOLDEN.read_text()
 
 
 def test_fault_injection_names_the_bracket():
