@@ -19,7 +19,6 @@ from lieq.contraction import (
     DivergentContraction,
     DivergentLimit,
     ZeroLimitWarning,
-    conceptual_limit_check,
     contract,
     contract_casimir,
     rescale_algebra,
@@ -27,7 +26,7 @@ from lieq.contraction import (
     tables_equal,
 )
 from lieq.expr import ExprError, parse_element, parse_scalar
-from lieq.limits import boost_elements, traditional_limit_report
+from lieq.limits import boost_elements, conceptual_limit_check, traditional_limit_report
 from lieq.mhi import MHIError, actual_valued_observables, n_particle_labels
 from lieq.report import report_paper
 from lieq.scalars import Scalar, ScalarError

@@ -34,20 +34,6 @@ class ValidationReport:
     def ok(self):
         return not self.jacobi and not self.issues
 
-    def lines(self):
-        out = []
-        for issue in self.issues:
-            out.append("issue: %s" % issue)
-        for (a, b, c), residue in self.jacobi:
-            terms = " + ".join("(%s)*%s" % (coeff, d) for d, coeff in residue.items())
-            out.append("jacobi violated on (%s,%s,%s): residue %s" % (a, b, c, terms))
-        if not out:
-            out.append("ok")
-        return out
-
-    def __str__(self):
-        return "\n".join(self.lines())
-
 
 class InvalidCocycle(AlgebraError):
     """Central-extension overrides broke the Jacobi identity."""
@@ -206,9 +192,6 @@ class LieAlgebra:
             out[pair] = {self.generators[d]: coeff for d, coeff in entry.items()}
         return out
 
-    def with_name(self, name):
-        return LieAlgebra(name, self.generators, self._bracket_names(), self.symbols)
-
     def with_bracket(self, a, b, combo):
         """Copy with the bracket [a,b] replaced (no validation — test/mutation aid)."""
         self._gen_index(a), self._gen_index(b)
@@ -252,12 +235,13 @@ class LieAlgebra:
         The modified table is revalidated exhaustively; InvalidCocycle carries
         the report when the replacement breaks Jacobi.
         """
-        ext = self.trivial_extension(central, name=name or self.name + "_central")
+        name = name or self.name + "_central"
+        ext = self.trivial_extension(central)
         for (a, b), combo in overrides.items():
             if a == central or b == central:
                 raise AlgebraError("overrides must pair existing generators")
             ext = ext.with_bracket(a, b, combo)
-        ext = ext.with_name(name or self.name + "_central")
+        ext = ext.rename({}, name)
         report = ext.validate()
         if not report.ok:
             raise InvalidCocycle("central extension by %r fails Jacobi" % central, report)
@@ -331,10 +315,6 @@ class LieAlgebra:
             and self.symbols == other.symbols
             and self._table == other._table
         )
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self):
         return hash((self.generators, self.symbols))

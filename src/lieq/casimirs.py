@@ -160,13 +160,18 @@ def casimir_variant(name, label, variant):
     raise AlgebraError("unknown variant %r (have: %s)" % (variant, ", ".join(C4_VARIANTS)))
 
 
+_CATALOG_CACHE = {}
+
+
 def casimir_catalog(name):
-    """Labeled invariants of the named algebra, in table order.
+    """Labeled invariants of the named algebra, in table order (cached, immutable).
 
     Every returned element commutes with all generators; the `ordering`
     field records whether the printed ordering was usable as-is (verbatim)
     or the grouped vector form replaced it (factored).
     """
+    if name in _CATALOG_CACHE:
+        return _CATALOG_CACHE[name]
     spec = _spec(name)
     alg = catalog(name)
     entries = []
@@ -179,7 +184,8 @@ def casimir_catalog(name):
             entries.append(CasimirEntry(label, _gen(alg, "M"), "verbatim"))
         else:
             entries.append(CasimirEntry(label, _c2_element(alg, spec), "verbatim"))
-    return tuple(entries)
+    _CATALOG_CACHE[name] = tuple(entries)
+    return _CATALOG_CACHE[name]
 
 
 def casimir_entries(name):

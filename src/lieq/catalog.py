@@ -149,7 +149,7 @@ _CACHE = {}
 
 
 def catalog(name):
-    """Return the named catalog algebra (validated, cached, immutable)."""
+    """Return the named catalog algebra: built once, cached, immutable, not validated."""
     if name not in _BUILDERS:
         raise AlgebraError(
             "unknown catalog algebra %r (known: %s)" % (name, ", ".join(CATALOG_NAMES))
@@ -193,7 +193,7 @@ def algebra_from_json(text):
 
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also too-deep nesting, too-long integers
         raise AlgebraError("algebra file is not valid JSON: %s" % e) from None
     if not isinstance(doc, dict):
         raise AlgebraError("algebra file must be a JSON object")

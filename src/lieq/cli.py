@@ -51,33 +51,29 @@ def _print_table(alg):
         print("(abelian: every bracket vanishes)")
 
 
-def _load_json(path):
+def _read_text(path):
     try:
-        text = Path(path).read_text()
-    except OSError as e:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
         raise AlgebraError("cannot read %s: %s" % (path, e)) from None
+
+
+def _load_json(path):
+    text = _read_text(path)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also too-deep nesting, too-long integers
         raise AlgebraError("%s is not valid JSON: %s" % (path, e)) from None
 
 
-def _load_int_map(path):
+def _load_map(path, value_type, what):
+    """A JSON object from generator names to value_type values (bools rejected)."""
     doc = _load_json(path)
     if not isinstance(doc, dict) or not all(
-        isinstance(k, str) and isinstance(v, int) and not isinstance(v, bool)
+        isinstance(k, str) and isinstance(v, value_type) and not isinstance(v, bool)
         for k, v in doc.items()
     ):
-        raise AlgebraError("%s must map generator names to integers" % path)
-    return doc
-
-
-def _load_str_map(path):
-    doc = _load_json(path)
-    if not isinstance(doc, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in doc.items()
-    ):
-        raise AlgebraError("%s must map generator names to generator names" % path)
+        raise AlgebraError("%s must map generator names to %s" % (path, what))
     return doc
 
 
@@ -109,7 +105,7 @@ def _cmd_validate(args):
     if target in CATALOG_NAMES:
         alg = catalog(target)
     elif Path(target).is_file():
-        alg = algebra_from_json(Path(target).read_text())
+        alg = algebra_from_json(_read_text(target))
     else:
         print("error: %r is neither a catalog algebra nor a file" % target,
               file=sys.stderr)
@@ -176,14 +172,14 @@ def _cmd_contract(args):
     if args.check_against is not None and args.rename is None:
         print("error: --check-against requires --rename", file=sys.stderr)
         return 2
-    mapping = _load_int_map(args.map)
+    mapping = _load_map(args.map, int, "integers")
     alg = _resolve_contraction_source(args.name, mapping)
     con = contract(alg, mapping)
     if args.check_against is None:
         _print_table(con)
         return 0
     target = catalog(args.check_against)
-    renaming = _load_str_map(args.rename)
+    renaming = _load_map(args.rename, str, "generator names")
     ok, diff = tables_equal(con, target, renaming)
     if ok:
         print("tables match: %s contracts onto %s" % (alg.name, target.name))
@@ -197,7 +193,7 @@ def _cmd_contract(args):
 
 
 def _cmd_casimir_contract(args):
-    mapping = _load_int_map(args.map)
+    mapping = _load_map(args.map, int, "integers")
     alg = _resolve_contraction_source(args.name, mapping)
     element = _element_arg(alg, args.expr)
     with warnings.catch_warnings(record=True) as caught:
@@ -346,11 +342,20 @@ def _build_parser():
     return parser
 
 
+def _glue_expr_values(argv):
+    """Rewrite each `--expr VALUE` as `--expr=VALUE`, so VALUE may start with "-"."""
+    argv = list(argv)
+    for k in range(len(argv) - 2, -1, -1):
+        if argv[k] == "--expr":
+            argv[k:k + 2] = ["--expr=" + argv[k + 1]]
+    return argv
+
+
 def run_command(argv):
     """Parse argv and execute; returns the process exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_expr_values(argv))
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:

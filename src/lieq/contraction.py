@@ -13,14 +13,17 @@ of the source, so it is valid exactly when the source is; a finite limit of
 a valid table is valid by construction and is not checked again.  Checking
 the limit alone would miss faults that the limit hides, such as a wrong
 sign on a bracket whose every term vanishes as eps -> 0.
+
+This module is the engine and the standard maps (STD_*) only; the paper's
+limit claims built on it live in lieq.limits.
 """
 
 import warnings
 from collections import namedtuple
 
 from lieq.algebra import LieAlgebra
-from lieq.scalars import LAURENT_SYMBOL, Scalar
-from lieq.uea import UEAElement, rename_element, scalar_substitute, substitute
+from lieq.scalars import LAURENT_SYMBOL
+from lieq.uea import UEAElement
 
 __all__ = [
     "ContractionError",
@@ -28,7 +31,6 @@ __all__ = [
     "DivergentLimit",
     "ZeroLimitWarning",
     "TableDiff",
-    "LimitRow",
     "AUTO_POWER_WINDOW",
     "STD_PE_MAP",
     "STD_PE_RENAME",
@@ -40,7 +42,6 @@ __all__ = [
     "tables_equal",
     "rescale_element",
     "contract_casimir",
-    "conceptual_limit_check",
 ]
 
 
@@ -79,7 +80,6 @@ class ZeroLimitWarning(UserWarning):
 
 
 TableDiff = namedtuple("TableDiff", ["pair_a", "pair_b", "left", "right"])
-LimitRow = namedtuple("LimitRow", ["name", "ok", "detail"])
 
 AUTO_POWER_WINDOW = 10
 
@@ -146,24 +146,25 @@ def _rescaled_constants(algebra, exponents):
                 yield a, b, d, coeff.mul_power(LAURENT_SYMBOL, shift)
 
 
-def _primed_algebra(algebra, brackets, name):
+def _primed_algebra(algebra, brackets, suffix):
     symbols = tuple(algebra.symbols)
     if LAURENT_SYMBOL not in symbols:
         symbols = symbols + (LAURENT_SYMBOL,)
-    return LieAlgebra(name, tuple(_primed(g) for g in algebra.generators), brackets, symbols)
+    return LieAlgebra(algebra.name + suffix, tuple(_primed(g) for g in algebra.generators),
+                      brackets, symbols)
 
 
-def rescale_algebra(algebra, exponents, name=None):
+def rescale_algebra(algebra, exponents):
     """Rescaled algebra on primed generators; constants gain eps powers."""
     _check_map(algebra, exponents)
     brackets = {}
     for a, b, d, scaled in _rescaled_constants(algebra, exponents):
         brackets.setdefault((_primed(a), _primed(b)), {})[_primed(d)] = scaled
     _assert_valid(algebra)
-    return _primed_algebra(algebra, brackets, name or algebra.name + "_rescaled")
+    return _primed_algebra(algebra, brackets, "_rescaled")
 
 
-def contract(algebra, exponents, name=None):
+def contract(algebra, exponents):
     """eps -> 0 limit of the rescaled algebra (DivergentContraction on poles)."""
     _check_map(algebra, exponents)
     brackets = {}
@@ -179,7 +180,7 @@ def contract(algebra, exponents, name=None):
     if offenders:
         raise DivergentContraction(offenders)
     _assert_valid(algebra)
-    return _primed_algebra(algebra, brackets, name or algebra.name + "_contracted")
+    return _primed_algebra(algebra, brackets, "_contracted")
 
 
 # -- table comparison ----------------------------------------------------------
@@ -222,15 +223,13 @@ def _rescaled_terms(element, exponents):
     }
 
 
-def rescale_element(element, exponents, target=None):
+def rescale_element(element, exponents):
     """Rewrite an enveloping-algebra element in the primed generators.
 
     Inverting G_a' = eps**k_a G_a gives G_a = eps**(-k_a) G_a', so each
     word picks up eps**(-sum of its letters' exponents).
     """
-    _check_map(element.algebra, exponents)
-    if target is None:
-        target = rescale_algebra(element.algebra, exponents)
+    target = rescale_algebra(element.algebra, exponents)
     return UEAElement.from_terms(target, _rescaled_terms(element, exponents))
 
 
@@ -275,69 +274,3 @@ def contract_casimir(element, exponents, power="auto"):
         return UEAElement.zero(contracted), used
     return UEAElement.from_terms(contracted, terms), used
 
-
-# -- conceptual check ----------------------------------------------------------
-
-def conceptual_limit_check():
-    """Contract the extended-algebra Casimirs and compare against the catalog.
-
-    Returns LimitRow entries: the operator identities for the contracted
-    C1/C2/C4, plus rest-frame label comparisons (P -> 0, energy -> w,
-    central mass -> m, then m = w = m0).
-    """
-    from lieq.casimirs import casimir_entries
-    from lieq.catalog import catalog
-
-    target = catalog("galilei_central")
-    pe = casimir_entries("poincare_trivial_ext_hbar")
-    gal = casimir_entries("galilei_central")
-
-    c1, p1 = contract_casimir(pe["C1PE"], STD_PE_MAP, "auto")
-    c2, p2 = contract_casimir(pe["C2PE"], STD_PE_MAP, "auto")
-    c4, p4 = contract_casimir(pe["C4PE"], STD_PE_MAP, "auto")
-
-    rows = []
-    mass = UEAElement.gen(c1.algebra, "Mp")
-    rows.append(LimitRow(
-        "contracted C1 equals the central mass",
-        p1 == STD_PE_POWERS["C1PE"] and c1 == mass,
-        "power %d, result %s" % (p1, c1),
-    ))
-    rows.append(LimitRow(
-        "contracted C2 equals contracted C1 squared",
-        p2 == STD_PE_POWERS["C2PE"] and c2 == c1 * c1,
-        "power %d, result %s" % (p2, c2),
-    ))
-    c4_renamed = rename_element(c4, target, STD_PE_RENAME)
-    rows.append(LimitRow(
-        "contracted C4 equals the Galilei quartic under renaming",
-        p4 == STD_PE_POWERS["C4PE"] and c4_renamed == gal["C4G"],
-        "power %d, %d normal-ordered terms" % (p4, c4.term_count()),
-    ))
-
-    m = Scalar.symbol("m")
-    w = Scalar.symbol("w")
-    m0 = Scalar.symbol("m0")
-    at_m0 = {"m": m0, "w": m0}
-    rest = {"Px": Scalar.zero(), "Py": Scalar.zero(), "Pz": Scalar.zero(),
-            "H": w, "M": m}
-
-    def rest_frame(e):
-        return scalar_substitute(substitute(e, rest, formal=True), at_m0)
-
-    hat2 = rest_frame(rename_element(c2, target, STD_PE_RENAME))
-    cat2 = rest_frame(gal["C2G"])
-    rows.append(LimitRow(
-        "rest-frame labels of C2 agree at m = w = m0",
-        hat2 == cat2,
-        "contracted gives %s, catalog gives %s" % (hat2, cat2),
-    ))
-    hat4 = rest_frame(c4_renamed)
-    cat4 = rest_frame(gal["C4G"])
-    rows.append(LimitRow(
-        "rest-frame labels of C4 agree at m = w = m0",
-        hat4 == cat4,
-        "both reduce to the squared-rotation form" if hat4 == cat4
-        else "contracted gives %s, catalog gives %s" % (hat4, cat4),
-    ))
-    return tuple(rows)

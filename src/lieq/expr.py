@@ -55,11 +55,15 @@ def _tokenize(text):
             col += 1
             k += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = k
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(("INT", int(text[k:j]), line, col))
+            try:
+                value = int(text[k:j])
+            except ValueError:  # beyond the interpreter's integer-string limit
+                raise ExprError("integer of %d digits is too long" % (j - k), line, col) from None
+            tokens.append(("INT", value, line, col))
             col += j - k
             k = j
             continue

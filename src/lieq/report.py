@@ -21,13 +21,11 @@ from lieq.contraction import (
     STD_PE_MAP,
     STD_PE_POWERS,
     STD_PE_RENAME,
-    conceptual_limit_check,
     contract,
-    contract_casimir,
     rescale_algebra,
     tables_equal,
 )
-from lieq.limits import traditional_limit_report
+from lieq.limits import conceptual_limit_rows, standard_casimir_limits, traditional_limit_report
 from lieq.mhi import MHI_GROUPS, actual_valued_observables, n_particle_labels
 from lieq.scalars import Scalar
 from lieq.uea import UEAElement, is_casimir, rename_element
@@ -96,6 +94,11 @@ class _Builder:
     def studies(self):
         """One ordering study per Casimir group; steps[-1] is each entry's verdict."""
         return {name: ordering_study(name) for name in CASIMIR_GROUPS}
+
+    @cached_property
+    def casimir_limits(self):
+        """The standard Casimir limits, shared by the contraction and conceptual stages."""
+        return standard_casimir_limits()
 
 
 def _validation_detail(report):
@@ -185,12 +188,9 @@ def _check_contraction(b):
 
 
 def _check_casimir_contraction(b):
-    gc = catalog("galilei_central")
-    entries = casimir_entries("poincare_trivial_ext_hbar")
-    results = {}
+    limits = b.casimir_limits
     for label, expected in STD_PE_POWERS.items():
-        element, power = contract_casimir(entries[label], STD_PE_MAP, "auto")
-        results[label] = element
+        element, power = limits[label]
         verdict = is_casimir(element)
         b.add(
             "contract %s with automatic power" % label,
@@ -198,27 +198,21 @@ def _check_casimir_contraction(b):
             "power %d (expected %d); the limit %s a Casimir of the contracted algebra"
             % (power, expected, "is" if verdict.ok else "is not"),
         )
-    con = results["C1PE"].algebra
-    b.add(
-        "contracted C1 is the central mass",
-        results["C1PE"] == UEAElement.gen(con, "Mp"),
-        "limit element is M'",
-    )
-    b.add(
-        "contracted C2 is the squared central mass",
-        results["C2PE"] == UEAElement.gen(con, "Mp") ** 2,
-        "limit element is M'^2",
-    )
+    c1, c2, c4 = (limits[label][0] for label in ("C1PE", "C2PE", "C4PE"))
+    mass = UEAElement.gen(c1.algebra, "Mp")
+    b.add("contracted C1 is the central mass", c1 == mass, "limit element is M'")
+    b.add("contracted C2 is the squared central mass", c2 == mass ** 2,
+          "limit element is M'^2")
     b.add(
         "contracted C4 matches the catalog quartic",
-        rename_element(results["C4PE"], gc, STD_PE_RENAME)
+        rename_element(c4, catalog("galilei_central"), STD_PE_RENAME)
         == casimir_entries("galilei_central")["C4G"],
         "limit element equals C4G under the standard renaming",
     )
 
 
 def _check_conceptual(b):
-    for row in conceptual_limit_check():
+    for row in conceptual_limit_rows(b.casimir_limits):
         b.add("conceptual: %s" % row.name, row.ok, row.detail)
 
 
@@ -242,8 +236,8 @@ def _check_full_groups(b):
 
 
 def _check_mhi(b):
-    for group in MHI_GROUPS:
-        descriptor = actual_valued_observables(group)
+    descriptors = {group: actual_valued_observables(group) for group in MHI_GROUPS}
+    for group, descriptor in descriptors.items():
         verdicts = b.studies[group]
         b.add(
             "observables %s" % group,
@@ -252,13 +246,13 @@ def _check_mhi(b):
         )
     b.add(
         "nonrelativistic observable set",
-        actual_valued_observables("full_nonrelativistic").observables()
+        descriptors["full_nonrelativistic"].observables()
         == ("M", "W", "S2", "Q"),
         "mass, internal energy, spin, charge",
     )
     b.add(
         "relativistic observable set",
-        actual_valued_observables("full_relativistic").observables()
+        descriptors["full_relativistic"].observables()
         == ("M", "S2", "Q"),
         "mass, spin, charge",
     )

@@ -64,6 +64,16 @@ def _gauss_str(re, im):
     return "(%s%s%s)" % (re, sign, i_part)
 
 
+def signed_sum(parts):
+    """Join rendered terms as "a + b - c" (a leading "-" becomes " - "); "0" when empty."""
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
 class Scalar:
     """Canonical-form Gaussian-rational Laurent polynomial."""
 
@@ -249,18 +259,12 @@ class Scalar:
             return NotImplemented
         return self._terms == other._terms
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         if self._hash is None:
             self._hash = hash(tuple(sorted(self._terms.items())))
         return self._hash
 
     def __str__(self):
-        if not self._terms:
-            return "0"
         parts = []
         for mono in sorted(self._terms):
             re, im = self._terms[mono]
@@ -274,13 +278,7 @@ class Scalar:
                 parts.append("-" + syms)
             else:
                 parts.append(_gauss_str(re, im) + "*" + syms)
-        out = parts[0]
-        for p in parts[1:]:
-            if p.startswith("-"):
-                out += " - " + p[1:]
-            else:
-                out += " + " + p
-        return out
+        return signed_sum(parts)
 
     def __repr__(self):
         return "Scalar(%s)" % self

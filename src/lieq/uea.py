@@ -18,7 +18,7 @@ import os
 from collections import namedtuple
 from fractions import Fraction
 
-from lieq.scalars import Scalar
+from lieq.scalars import Scalar, signed_sum
 
 DEFAULT_TERM_CAP = 10 ** 6
 
@@ -34,9 +34,7 @@ class TermBudgetExceeded(UEAError):
 CasimirCheck = namedtuple("CasimirCheck", ["ok", "witness", "residue"])
 
 
-def _term_cap(cap=None):
-    if cap is not None:
-        return cap
+def _term_cap():
     env = os.environ.get("LIEQ_TERM_CAP")
     if not env:
         return DEFAULT_TERM_CAP
@@ -48,9 +46,9 @@ def _term_cap(cap=None):
     raise UEAError("LIEQ_TERM_CAP must be a positive integer, got %r" % env)
 
 
-def _normalize(alg, raw, cap=None):
+def _normalize(alg, raw):
     """Straighten {word(index tuple): Scalar} into PBW normal form."""
-    budget = _term_cap(cap)
+    budget = _term_cap()
     out = {}
     work = [(w, c) for w, c in raw.items() if not c.is_zero()]
     while work:
@@ -116,20 +114,20 @@ class UEAElement:
         return UEAElement(algebra, {(idx,): Scalar.one()})
 
     @staticmethod
-    def word(algebra, names, coeff=None, cap=None):
+    def word(algebra, names, coeff=None):
         """coeff * G_n1 G_n2 ..., normalized."""
         coeff = Scalar.one() if coeff is None else coeff
         idx = tuple(algebra.generator(n).index for n in names)
-        return UEAElement(algebra, _normalize(algebra, {idx: coeff}, cap))
+        return UEAElement(algebra, _normalize(algebra, {idx: coeff}))
 
     @staticmethod
-    def from_terms(algebra, terms, cap=None):
+    def from_terms(algebra, terms):
         """terms: {name tuple: Scalar}; normalized on construction."""
         raw = {}
         for names, coeff in terms.items():
             idx = tuple(algebra.generator(n).index for n in names)
             raw[idx] = raw.get(idx, Scalar.zero()) + coeff
-        return UEAElement(algebra, _normalize(algebra, raw, cap))
+        return UEAElement(algebra, _normalize(algebra, raw))
 
     # -- inspection ----------------------------------------------------------
 
@@ -220,10 +218,6 @@ class UEAElement:
             return NotImplemented
         return self.algebra == other.algebra and self._terms == other._terms
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         if self._hash is None:
             self._hash = hash((self.algebra, tuple(sorted(self._terms.items(), key=lambda t: t[0]))))
@@ -250,13 +244,7 @@ def format_sum(terms):
     The one printer for elements and for bracket results ({name: Scalar});
     an empty word text stands for the unit.
     """
-    parts = [_coeff_prefix(coeff, standalone=not word) + word for word, coeff in terms]
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+    return signed_sum([_coeff_prefix(coeff, standalone=not word) + word for word, coeff in terms])
 
 
 def _coeff_prefix(coeff, standalone):
@@ -275,13 +263,9 @@ def _coeff_prefix(coeff, standalone):
 # operations
 
 
-def normal_form(e, cap=None):
+def normal_form(e):
     """Re-run straightening; a fixed point for any constructed element."""
-    return UEAElement(e.algebra, _normalize(e.algebra, dict(e._terms), cap))
-
-
-def product(a, b):
-    return a * b
+    return UEAElement(e.algebra, _normalize(e.algebra, dict(e._terms)))
 
 
 def commutator(a, b):

@@ -248,6 +248,11 @@ def test_study_verdict_is_the_entry_check(name):
         assert (own.ok, own.witness, own.residue) == tuple(check), entry.label
 
 
+@pytest.mark.parametrize("name", CASIMIR_GROUPS)
+def test_casimir_catalog_is_built_once(name):
+    assert casimir_catalog(name) is casimir_catalog(name)
+
+
 def test_catalog_is_parse_stable():
     for name in ("galilei_central", "poincare", "poincare_trivial_ext",
                  "poincare_trivial_ext_hbar", "u1",

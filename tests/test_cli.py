@@ -121,6 +121,16 @@ def test_casimir_verify_expr(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, expected", [
+    (("verify", "galilei_central"), "PASS: element commutes"),
+    (("contract", "poincare_trivial_ext_hbar", "--map", str(DATA / "std.json")), "limit = -Mp"),
+])
+def test_expr_value_may_start_with_minus(command, expected, capsys):
+    code, out, err = run(capsys, "casimir", *command, "--expr", "-M")
+    assert code == 0 and err == ""
+    assert expected in out
+
+
 def test_casimir_expr_accepts_catalog_labels(capsys):
     code, out, _ = run(capsys, "casimir", "verify", "poincare", "--expr", "C4P")
     assert code == 0 and "commutes" in out

@@ -17,7 +17,6 @@ from lieq.contraction import (
     DivergentContraction,
     DivergentLimit,
     ZeroLimitWarning,
-    conceptual_limit_check,
     contract,
     contract_casimir,
     rescale_algebra,
@@ -211,18 +210,6 @@ def test_full_group_contraction():
     ok, diff = tables_equal(con, FNR, STD_FULL_RENAME)
     assert ok and diff == ()
     assert con.bracket("Qp", "Mp") == {}
-
-
-def test_conceptual_limit_check_all_pass():
-    rows = conceptual_limit_check()
-    assert [r.name for r in rows] == [
-        "contracted C1 equals the central mass",
-        "contracted C2 equals contracted C1 squared",
-        "contracted C4 equals the Galilei quartic under renaming",
-        "rest-frame labels of C2 agree at m = w = m0",
-        "rest-frame labels of C4 agree at m = w = m0",
-    ]
-    assert all(r.ok for r in rows)
 
 
 def test_shipped_map_files_match_constants():

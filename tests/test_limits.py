@@ -1,7 +1,14 @@
-"""Low-velocity boost realization over canonical position-momentum pairs."""
+"""The paper's limit checks: the low-velocity boost realization and the Casimir contraction."""
 
 from lieq.catalog import catalog
-from lieq.limits import CheckRow, boost_elements, traditional_limit_report
+from lieq.limits import (
+    CheckRow,
+    boost_elements,
+    conceptual_limit_check,
+    conceptual_limit_rows,
+    standard_casimir_limits,
+    traditional_limit_report,
+)
 from lieq.scalars import Scalar
 from lieq.uea import UEAElement, commutator, substitute
 
@@ -77,3 +84,26 @@ def test_report_shape_and_global_pass():
     assert "[Kx, Py] = 0" in names
     assert "[Kx, 2*m0*H] = 2*i*m0*Px" in names
     assert len(set(names)) == 24
+
+
+def test_conceptual_limit_check_all_pass():
+    rows = conceptual_limit_check()
+    assert [r.name for r in rows] == [
+        "contracted C1 equals the central mass",
+        "contracted C2 equals contracted C1 squared",
+        "contracted C4 equals the Galilei quartic under renaming",
+        "rest-frame labels of C2 agree at m = w = m0",
+        "rest-frame labels of C4 agree at m = w = m0",
+    ]
+    assert all(r.ok for r in rows)
+
+
+def test_conceptual_rows_read_the_given_limits():
+    limits = standard_casimir_limits()
+    assert {label: power for label, (_, power) in limits.items()} == {
+        "C1PE": 2, "C2PE": 4, "C4PE": 4}
+    assert conceptual_limit_rows(limits) == conceptual_limit_check()
+    c1, _ = limits["C1PE"]
+    broken = dict(limits, C2PE=(c1, 4))  # C1's limit in place of C2's
+    rows = conceptual_limit_rows(broken)
+    assert [r.ok for r in rows] == [True, False, True, False, True]
