@@ -263,8 +263,18 @@ def _power_arg(text):
             "power must be an integer or 'auto', got %r" % text) from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one stderr line, "error: <message>", and exit 2.
+
+    Subparsers are made with the same class, so the rule holds at every level.
+    """
+
+    def error(self, message):
+        self.exit(2, "error: %s\n" % " ".join(message.splitlines()))
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lieq",
         description="Exact kinematical Lie algebra toolkit: tables, Casimir "
                     "checks, contractions, and the full reproduction report.",

@@ -7,8 +7,22 @@ coefficients — so equality of elements is literal equality of term maps.
 
 Straightening uses the leftmost descent: b·a with index(b) > index(a) is
 replaced by a·b + [b,a].  Termination is the usual filtration argument
-(each step lowers word length or the inversion count).  A term-count budget
-(LIEQ_TERM_CAP, default 10**6) guards against runaway inputs.
+(each step lowers word length or the inversion count).  Pending words merge:
+each is held once with the sum of its contributions, and words are rewritten
+longest first, then in descending lexicographic order.  Rewriting w yields
+w with b·a turned into a·b, of the same length and lexicographically
+smaller, and w with b·a replaced by the terms of [b,a], which are shorter;
+so every contribution to a word arrives before the word is rewritten, and
+the work grows with the number of distinct words, not of rewrite paths.
+PBW rewriting is confluent (Bergman, "The diamond lemma for ring theory",
+Adv. Math. 29, 1978), so merging cannot change a normal form.  A product is
+straightened one term of its right factor at a time, so only one row's
+pending words are held at once.  A term-count budget (LIEQ_TERM_CAP,
+default 10**6) bounds the live terms of each straightening.
+
+is_casimir straightens [e, G] from the derivation
+[w, G] = sum_k w[:k]·[w_k, G]·w[k+1:], one term of e at a time, instead of
+straightening both e·G and G·e and letting their leading terms cancel.
 """
 
 from __future__ import annotations
@@ -17,6 +31,8 @@ import itertools
 import os
 from collections import namedtuple
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import neg
 
 from lieq.scalars import Scalar, signed_sum
 
@@ -28,7 +44,19 @@ class UEAError(ValueError):
 
 
 class TermBudgetExceeded(UEAError):
-    """Normalization exceeded the term budget (see LIEQ_TERM_CAP)."""
+    """Normalization exceeded the term budget (see LIEQ_TERM_CAP).
+
+    budget is the cap, live the live-term count when it tripped, and word
+    the generator names of the word being rewritten at that moment.
+    """
+
+    def __init__(self, budget, live, word):
+        super().__init__(
+            "normalization exceeded %d live terms (set LIEQ_TERM_CAP to raise)" % budget
+        )
+        self.budget = budget
+        self.live = live
+        self.word = word
 
 
 CasimirCheck = namedtuple("CasimirCheck", ["ok", "witness", "residue"])
@@ -46,35 +74,59 @@ def _term_cap():
     raise UEAError("LIEQ_TERM_CAP must be a positive integer, got %r" % env)
 
 
-def _normalize(alg, raw):
-    """Straighten {word(index tuple): Scalar} into PBW normal form."""
-    budget = _term_cap()
+def _accumulate(terms, word, coeff):
+    cur = terms.get(word)
+    cur = coeff if cur is None else cur + coeff
+    if cur.is_zero():
+        terms.pop(word, None)
+    else:
+        terms[word] = cur
+
+
+def _normalize(alg, raw, budget=None):
+    """Straighten {word(index tuple): Scalar} into PBW normal form.
+
+    Pending words are keyed by (-len(w), -w[0], -w[1], ...), which is also
+    their min-heap entry: longest first, then descending lexicographic.
+    """
+    if budget is None:
+        budget = _term_cap()
     out = {}
-    work = [(w, c) for w, c in raw.items() if not c.is_zero()]
-    while work:
-        word, coeff = work.pop()
-        pos = -1
-        for k in range(len(word) - 1):
-            if word[k] > word[k + 1]:
-                pos = k
-                break
-        if pos < 0:
-            cur = out.get(word)
-            cur = coeff if cur is None else cur + coeff
-            if cur.is_zero():
-                out.pop(word, None)
-            else:
-                out[word] = cur
+    pending = {}
+    for word, coeff in raw.items():
+        if not coeff.is_zero():
+            pending[(-len(word),) + tuple(map(neg, word))] = coeff
+    heap = list(pending)
+    heapify(heap)
+    while heap:
+        key = heappop(heap)
+        coeff = pending.pop(key)
+        if coeff.is_zero():
             continue
-        b, a = word[pos], word[pos + 1]
-        head, tail = word[:pos], word[pos + 2:]
-        work.append((head + (a, b) + tail, coeff))
-        for d, c in alg.bracket_index(b, a).items():
-            work.append((head + (d,) + tail, coeff * c))
-        if len(work) + len(out) > budget:
-            raise TermBudgetExceeded(
-                "normalization exceeded %d live terms (set LIEQ_TERM_CAP to raise)" % budget
-            )
+        # key[k] < key[k + 1] is a descent of the word at k - 1
+        for pos in range(1, len(key) - 1):
+            if key[pos] < key[pos + 1]:
+                break
+        else:
+            out[tuple(map(neg, key[1:]))] = coeff
+            continue
+        nb, na = key[pos], key[pos + 1]
+        tail = key[pos + 2:]
+        new = [(key[:pos] + (na, nb) + tail, coeff)]
+        shorter = (key[0] + 1,) + key[1:pos]
+        for d, c in alg.bracket_index(-nb, -na).items():
+            new.append((shorter + (-d,) + tail, coeff * c))
+        for nkey, c in new:
+            cur = pending.get(nkey)
+            if cur is None:
+                pending[nkey] = c
+                heappush(heap, nkey)
+            else:
+                pending[nkey] = cur + c
+        live = len(pending) + len(out)
+        if live > budget:
+            gens = alg.generators
+            raise TermBudgetExceeded(budget, live, tuple(gens[-x] for x in key[1:]))
     return out
 
 
@@ -163,12 +215,7 @@ class UEAElement:
         self._check_same(other)
         terms = dict(self._terms)
         for word, coeff in other._terms.items():
-            cur = terms.get(word)
-            cur = coeff if cur is None else cur + coeff
-            if cur.is_zero():
-                terms.pop(word, None)
-            else:
-                terms[word] = cur
+            _accumulate(terms, word, coeff)
         return UEAElement(self.algebra, terms)
 
     def __neg__(self):
@@ -188,14 +235,13 @@ class UEAElement:
         if not isinstance(other, UEAElement):
             return NotImplemented
         self._check_same(other)
-        raw = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                word = w1 + w2
-                cur = raw.get(word)
-                prod = c1 * c2
-                raw[word] = prod if cur is None else cur + prod
-        return UEAElement(self.algebra, _normalize(self.algebra, raw))
+        budget = _term_cap()
+        terms = {}
+        for w2, c2 in other._terms.items():
+            raw = {w1 + w2: c1 * c2 for w1, c1 in self._terms.items()}
+            for w, c in _normalize(self.algebra, raw, budget).items():
+                _accumulate(terms, w, c)
+        return UEAElement(self.algebra, terms)
 
     def __rmul__(self, other):
         scalar = _coerce_scalar(other)
@@ -277,13 +323,24 @@ def is_casimir(e):
     """Check [e, G] = 0 for every generator, in basis order.
 
     Returns CasimirCheck(ok, witness, residue): witness is the first
-    offending generator name and residue the nonzero commutator.
+    offending generator name and residue the nonzero commutator.  Each
+    [e, G] is straightened from the derivation
+    [w, G] = sum_k w[:k] [w_k, G] w[k+1:], one term of e at a time.
     """
     alg = e.algebra
-    for name in alg.generators:
-        r = commutator(e, UEAElement.gen(alg, name))
-        if not r.is_zero():
-            return CasimirCheck(False, name, r)
+    budget = _term_cap()
+    for g, name in enumerate(alg.generators):
+        residue = {}
+        for word, coeff in e._terms.items():
+            raw = {}
+            for k, letter in enumerate(word):
+                for d, c in alg.bracket_index(letter, g).items():
+                    _accumulate(raw, word[:k] + (d,) + word[k + 1:], c * coeff)
+            if raw:
+                for w, c in _normalize(alg, raw, budget).items():
+                    _accumulate(residue, w, c)
+        if residue:
+            return CasimirCheck(False, name, UEAElement(alg, residue))
     return CasimirCheck(True, None, UEAElement.zero(alg))
 
 

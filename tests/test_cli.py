@@ -278,3 +278,17 @@ def test_usage_errors(capsys):
     assert run(capsys, )[0] == 2
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "catalog")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["casimir", "contract", "poincare", "--map", str(DATA / "std.json"), "--expr", "M",
+     "--power", "two"],
+    ["contract", "poincare"],
+    [],
+], ids=["bad_power", "missing_map", "missing_command"])
+def test_usage_errors_are_one_line(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")

@@ -1,10 +1,9 @@
 """Fuzzed CLI inputs end in exit 0, 1 or 2, with no traceback and one stderr line at most.
 
 Hypothesis drives run_command with mutated algebra JSON files, mutated
-rescaling and renaming map files, and random --expr strings.  Every argv is
-well formed for the argument parser, whose own usage errors print a usage
-line plus an error line by design; what varies is the content that lieq
-reads.
+rescaling and renaming map files, and random --expr strings.  Some argv are
+malformed too: one word dropped or one junk word inserted, so the argument
+parser's own usage errors are drawn as well.
 
 Exponents after "^" are bounded to at most 4, and an expression carries one
 of them at most (a junk "^" can add a second, on the literal 2 at most).  Straightening time is still unbounded (there is no
@@ -60,6 +59,9 @@ NAMES = st.sampled_from(("poincare_trivial_ext_hbar",) * 4 + CATALOG_NAMES + ("n
 TARGETS = st.sampled_from(("galilei_central",) * 4 + CATALOG_NAMES + ("nope",))
 # Tokens that break an expression; a junk "^" meets at most the literal 2.
 JUNK = ("+", "-", "*", "(", ")", "/", "^", "$", "\n", "2\u00b2", "x", "1/0")
+# Words that break a command line.
+ARGV_JUNK = ("--bogus", "-x", "--map", "--expr", "--power", "--all", "--rename", "--", "-",
+             "", "two", "a\nb", "a\u2028b", "nope")
 
 
 @st.composite
@@ -107,8 +109,28 @@ def expressions(draw, name):
 
 
 @st.composite
+def malformed(draw, argv):
+    """argv with one word dropped or one junk word inserted."""
+    argv = list(argv)
+    if argv and draw(st.booleans()):
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    else:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(ARGV_JUNK)))
+    return argv
+
+
+@st.composite
 def invocations(draw):
-    """(argv, {placeholder: bytes}): file arguments are placeholders until written."""
+    """(argv, {placeholder: bytes}), argv malformed one time in four; file
+    arguments are placeholders until written."""
+    argv, files = draw(well_formed_invocations())
+    if draw(st.sampled_from((False, False, False, True))):
+        argv = draw(malformed(argv))
+    return argv, files
+
+
+@st.composite
+def well_formed_invocations(draw):
     command = draw(st.sampled_from(("validate", "contract", "check", "verify", "casimir_contract")))
     name = draw(NAMES)
     files = {"map": draw(mutated_file(STD_PE_MAP))}

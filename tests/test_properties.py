@@ -1,14 +1,31 @@
-"""Randomized property suites: confluence, derivation law, substitution."""
+"""Randomized property suites: confluence, derivation law, substitution, Casimir checks."""
 
 import random
 from fractions import Fraction
 
+from lieq.casimirs import CASIMIR_GROUPS, casimir_catalog
 from lieq.catalog import catalog
 from lieq.scalars import Scalar
-from lieq.uea import UEAElement, commutator, substitute
+from lieq.uea import CasimirCheck, UEAElement, commutator, is_casimir, substitute
 
 GC = catalog("galilei_central")
 DIM = GC.dim
+
+
+def _symbolic_algebra():
+    """poincare_trivial_ext_hbar after a unitriangular basis change with entries
+    in c and eps^-1, so its structure constants carry both symbols."""
+    base = catalog("poincare_trivial_ext_hbar")
+    c, pole = Scalar.symbol("c"), Scalar.symbol("eps", -1)
+    upper = {(0, 4): c, (1, 5): c + pole, (4, 7): pole, (5, 10): c * pole, (7, 9): -c}
+    matrix = [
+        [Scalar.one() if r == k else upper.get((r, k), Scalar.zero()) for k in range(base.dim)]
+        for r in range(base.dim)
+    ]
+    return base.change_basis(matrix, base.generators, name="pte_hbar_symbolic")
+
+
+SYMBOLIC = _symbolic_algebra()
 
 
 def _acc(target, word, coeff):
@@ -58,19 +75,50 @@ def random_scalar(rng):
     )
 
 
-def random_raw_terms(rng, max_len, n_words):
+def random_raw_terms(rng, max_len, n_words, letters=tuple(range(DIM))):
     terms = {}
     for _ in range(n_words):
-        word = tuple(rng.randrange(DIM) for _ in range(rng.randint(0, max_len)))
+        word = tuple(letters[rng.randrange(len(letters))] for _ in range(rng.randint(0, max_len)))
         _acc(terms, word, random_scalar(rng))
     return terms
 
 
-def to_element(raw):
+def cancelling_raw_terms(rng, alg, max_len):
+    """c*w - c*w' + one random word, where w' is w with its leftmost descent
+    swapped: rewriting w first sends c*w' to the pending w', which then
+    holds zero and must be dropped."""
+    while True:
+        word = tuple(rng.randrange(alg.dim) for _ in range(rng.randint(2, max_len)))
+        descents = [k for k in range(len(word) - 1) if word[k] > word[k + 1]]
+        if descents:
+            break
+    k = descents[0]
+    coeff = random_scalar(rng)
+    terms = {word: coeff}
+    _acc(terms, word[:k] + (word[k + 1], word[k]) + word[k + 2:], -coeff)
+    extra = tuple(rng.randrange(alg.dim) for _ in range(rng.randint(0, max_len)))
+    _acc(terms, extra, random_scalar(rng))
+    return terms
+
+
+def to_element(raw, alg=GC):
     names = {
-        tuple(GC.generators[k] for k in word): coeff for word, coeff in raw.items()
+        tuple(alg.generators[k] for k in word): coeff for word, coeff in raw.items()
     }
-    return UEAElement.from_terms(GC, names)
+    return UEAElement.from_terms(alg, names)
+
+
+def assert_matches_brute_force(alg, raw, memo):
+    expected = {}
+    for word, coeff in raw.items():
+        for w2, c2 in brute_normal_form(alg, word, memo).items():
+            _acc(expected, w2, c2 * coeff)
+    got = dict(to_element(raw, alg).terms())
+    want = {
+        tuple(alg.generators[k] for k in word): coeff
+        for word, coeff in expected.items()
+    }
+    assert got == want
 
 
 def test_pbw_confluence_against_brute_force():
@@ -78,16 +126,25 @@ def test_pbw_confluence_against_brute_force():
     memo = {}
     for _ in range(200):
         raw = random_raw_terms(rng, max_len=4, n_words=rng.randint(1, 3))
-        expected = {}
-        for word, coeff in raw.items():
-            for w2, c2 in brute_normal_form(GC, word, memo).items():
-                _acc(expected, w2, c2 * coeff)
-        got = dict(to_element(raw).terms())
-        want = {
-            tuple(GC.generators[k] for k in word): coeff
-            for word, coeff in expected.items()
-        }
-        assert got == want
+        assert_matches_brute_force(GC, raw, memo)
+
+
+def test_pbw_confluence_long_words_and_symbolic_constants():
+    rng = random.Random(4111)
+    for alg in (GC, SYMBOLIC):
+        memo = {}
+        letters = tuple(range(alg.dim))
+        for _ in range(40):
+            raw = random_raw_terms(rng, max_len=6, n_words=rng.randint(1, 2), letters=letters)
+            assert_matches_brute_force(alg, raw, memo)
+
+
+def test_pending_coefficients_that_cancel_are_dropped():
+    rng = random.Random(3329)
+    for alg in (GC, SYMBOLIC):
+        memo = {}
+        for _ in range(60):
+            assert_matches_brute_force(alg, cancelling_raw_terms(rng, alg, max_len=6), memo)
 
 
 def test_commutator_is_a_derivation():
@@ -112,3 +169,33 @@ def test_substitute_is_linear():
         assert substitute(s * a, mapping, formal=True) == (
             s * substitute(a, mapping, formal=True)
         )
+
+
+def two_sided_casimir_check(e):
+    """The definition: the first generator G, in basis order, with e*G - G*e != 0."""
+    alg = e.algebra
+    for name in alg.generators:
+        residue = commutator(e, UEAElement.gen(alg, name))
+        if not residue.is_zero():
+            return CasimirCheck(False, name, residue)
+    return CasimirCheck(True, None, UEAElement.zero(alg))
+
+
+def test_is_casimir_matches_the_two_sided_definition():
+    rng = random.Random(7121)
+    samples = []
+    for name in ("poincare", "galilei_central", "heisenberg3"):
+        alg = catalog(name)
+        for _ in range(40):
+            # words over a random subset of letters, so the witness varies
+            letters = tuple(rng.sample(range(alg.dim), rng.randint(1, alg.dim)))
+            raw = random_raw_terms(rng, max_len=3, n_words=rng.randint(1, 3), letters=letters)
+            samples.append(to_element(raw, alg))
+    for group in CASIMIR_GROUPS:
+        for entry in casimir_catalog(group):
+            samples.append(entry.element)
+            alg = entry.element.algebra
+            letter = UEAElement.gen(alg, alg.generators[rng.randrange(alg.dim)])
+            samples.append(entry.element * letter)
+    for e in samples:
+        assert is_casimir(e) == two_sided_casimir_check(e), e

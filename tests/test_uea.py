@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from lieq.algebra import LieAlgebra
 from lieq.catalog import catalog
 from lieq.scalars import Scalar
 from lieq.uea import (
@@ -158,6 +159,34 @@ def test_term_budget(monkeypatch):
         UEAElement.word(GC, ("Px", "KGx"))
     monkeypatch.delenv("LIEQ_TERM_CAP")
     assert UEAElement.word(GC, ("Px", "KGx"))  # default cap is plenty
+
+
+def test_term_budget_carries_its_context(monkeypatch):
+    monkeypatch.setenv("LIEQ_TERM_CAP", "1")
+    with pytest.raises(TermBudgetExceeded) as info:
+        UEAElement.word(GC, ("Px", "KGx"))
+    err = info.value
+    # one rewrite of Px*KGx leaves KGx*Px and -i*M pending
+    assert (err.budget, err.live, err.word) == (1, 2, ("Px", "KGx"))
+    assert str(err) == "normalization exceeded 1 live terms (set LIEQ_TERM_CAP to raise)"
+
+
+def test_straightening_merges_equal_words(monkeypatch):
+    # Equal intermediate words merge before they are rewritten, so one product
+    # step costs rewrites per distinct word, not per rewrite path: 675 table
+    # lookups here, where a worklist that never merges makes 63,053.
+    calls = []
+    lookup = LieAlgebra.bracket_index
+
+    def counting(self, ia, ib):
+        calls.append((ia, ib))
+        return lookup(self, ia, ib)
+
+    x = gen(POI, "KPx") + gen(POI, "Px")
+    power = x ** 10
+    monkeypatch.setattr(LieAlgebra, "bracket_index", counting)
+    assert (power * x).term_count() == 107
+    assert len(calls) <= 1000
 
 
 def test_printing_roundtrip_shape():
