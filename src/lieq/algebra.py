@@ -1,10 +1,13 @@
 """Lie algebras as sparse structure-constant tables over the exact scalar ring.
 
 Conventions: [G_a, G_b] = sum_d c_ab^d G_d with the imaginary unit kept
-explicit in the constants (Hermitian-generator convention).  The table stores
-only pairs with index(a) < index(b); the other triangle is derived by
-antisymmetry, so antisymmetry cannot be broken by transcription.  Generator
-order is significant — it doubles as the PBW basis order in lieq.uea.
+explicit in the constants (Hermitian-generator convention).  Each pair is
+given once, in either order; the constructor derives the other triangle by
+antisymmetry once, so antisymmetry cannot be broken by transcription.  Every
+nonzero entry of both triangles is stored as a read-only mapping, so a
+lookup is one dictionary read.  Generator order is significant — it doubles
+as the PBW basis order in lieq.uea — and nonzero_brackets lists the table in
+it: by pair, then by result generator.
 
 All values are immutable; operations return new algebras.
 """
@@ -12,10 +15,13 @@ All values are immutable; operations return new algebras.
 from __future__ import annotations
 
 from collections import namedtuple
+from types import MappingProxyType
 
-from lieq.scalars import DEFAULT_SYMBOLS, LAURENT_SYMBOL, Scalar
+from lieq.scalars import DEFAULT_SYMBOLS, LAURENT_SYMBOL, Scalar, _accumulate
 
 Generator = namedtuple("Generator", ["name", "index"])
+
+_EMPTY = MappingProxyType({})
 
 
 class AlgebraError(ValueError):
@@ -43,15 +49,6 @@ class InvalidCocycle(AlgebraError):
         self.report = report
 
 
-def _combine(target, d, coeff):
-    cur = target.get(d)
-    cur = coeff if cur is None else cur + coeff
-    if cur.is_zero():
-        target.pop(d, None)
-    else:
-        target[d] = cur
-
-
 class LieAlgebra:
     __slots__ = ("name", "generators", "symbols", "_index", "_table")
 
@@ -66,7 +63,7 @@ class LieAlgebra:
             if g in self.symbols or g == "i":
                 raise AlgebraError("generator name %r collides with a scalar symbol" % g)
         self._index = {g: k for k, g in enumerate(self.generators)}
-        table = {}
+        upper = {}
         for (a, b), combo in brackets.items():
             ia, ib = self._gen_index(a), self._gen_index(b)
             entry = {}
@@ -74,7 +71,7 @@ class LieAlgebra:
                 if not isinstance(coeff, Scalar):
                     raise AlgebraError("structure constant for [%s,%s] is not a Scalar" % (a, b))
                 if not coeff.is_zero():
-                    _combine(entry, self._gen_index(d), coeff)
+                    _accumulate(entry, self._gen_index(d), coeff)
             if ia == ib:
                 if entry:
                     raise AlgebraError("nonzero bracket [%s,%s]" % (a, a))
@@ -82,11 +79,16 @@ class LieAlgebra:
             if ia > ib:
                 ia, ib = ib, ia
                 entry = {d: -coeff for d, coeff in entry.items()}
-            if (ia, ib) in table:
+            if (ia, ib) in upper:
                 raise AlgebraError("bracket (%s,%s) given twice" % (a, b))
             if entry:
-                table[(ia, ib)] = entry
-        self._table = table
+                upper[(ia, ib)] = entry
+        # {(ia, ib): read-only {d: c}} for both triangles, upper pairs in basis order
+        self._table = {}
+        for (ia, ib) in sorted(upper):
+            entry = dict(sorted(upper[(ia, ib)].items()))
+            self._table[(ia, ib)] = MappingProxyType(entry)
+            self._table[(ib, ia)] = MappingProxyType({d: -coeff for d, coeff in entry.items()})
 
     # -- lookups --------------------------------------------------------------
 
@@ -104,13 +106,8 @@ class LieAlgebra:
         return len(self.generators)
 
     def bracket_index(self, ia, ib):
-        """[G_ia, G_ib] as {index: Scalar}, antisymmetry applied."""
-        if ia == ib:
-            return {}
-        if ia < ib:
-            return dict(self._table.get((ia, ib), {}))
-        entry = self._table.get((ib, ia), {})
-        return {d: -coeff for d, coeff in entry.items()}
+        """[G_ia, G_ib] as a read-only {index: Scalar}, empty when it vanishes."""
+        return self._table.get((ia, ib), _EMPTY)
 
     def bracket(self, x, y):
         """Bilinear bracket of generator names or {name: Scalar} combinations."""
@@ -123,7 +120,7 @@ class LieAlgebra:
                 if w.is_zero():
                     continue
                 for d, coeff in self.bracket_index(ia, ib).items():
-                    _combine(out, d, w * coeff)
+                    _accumulate(out, d, w * coeff)
         return {self.generators[d]: coeff for d, coeff in sorted(out.items())}
 
     def _as_combo(self, x):
@@ -131,51 +128,46 @@ class LieAlgebra:
             return {self._gen_index(x): Scalar.one()}
         combo = {}
         for name, coeff in x.items():
-            _combine(combo, self._gen_index(name), coeff)
+            _accumulate(combo, self._gen_index(name), coeff)
         return combo
 
+    def nonzero_brackets(self):
+        """Yield ((a, b), {d: c_ab^d}) for every nonzero bracket, a listed before b.
+
+        Basis order: by pair, then by result generator.  Each dict is a fresh
+        copy, and the pairs with their dicts are a valid constructor table.
+        """
+        gens = self.generators
+        for (ia, ib), entry in self._table.items():
+            if ia < ib:
+                yield (gens[ia], gens[ib]), {gens[d]: coeff for d, coeff in entry.items()}
+
     def nonzero_constants(self):
-        """All stored (a, b, d) name triples with nonzero c_ab^d."""
-        out = []
-        for (ia, ib) in sorted(self._table):
-            for d in sorted(self._table[(ia, ib)]):
-                out.append((self.generators[ia], self.generators[ib], self.generators[d]))
-        return out
+        """All (a, b, d) name triples with nonzero c_ab^d, a listed before b."""
+        return [(a, b, d) for (a, b), combo in self.nonzero_brackets() for d in combo]
 
     # -- validation ------------------------------------------------------------
-
-    def _bracket_combo_index(self, combo, ic):
-        out = {}
-        for ia, ca in combo.items():
-            for d, coeff in self.bracket_index(ia, ic).items():
-                _combine(out, d, ca * coeff)
-        return out
 
     def validate(self):
         """Exhaustive antisymmetry/Jacobi check; violations are report content."""
         issues = []
         declared = set(self.symbols)
-        for (ia, ib), entry in self._table.items():
-            for d, coeff in entry.items():
+        for (a, b), combo in self.nonzero_brackets():
+            for coeff in combo.values():
                 extra = coeff.symbols() - declared
                 if extra:
-                    issues.append(
-                        "undeclared symbols %s in [%s,%s]"
-                        % (sorted(extra), self.generators[ia], self.generators[ib])
-                    )
+                    issues.append("undeclared symbols %s in [%s,%s]" % (sorted(extra), a, b))
         jacobi = []
         n = self.dim
         for a in range(n):
             for b in range(a + 1, n):
-                ab = self.bracket_index(a, b)
                 for c in range(b + 1, n):
+                    # [[a,b],c] + [[b,c],a] + [[c,a],b]
                     residue = {}
-                    for d, coeff in self._bracket_combo_index(ab, c).items():
-                        _combine(residue, d, coeff)
-                    for d, coeff in self._bracket_combo_index(self.bracket_index(b, c), a).items():
-                        _combine(residue, d, coeff)
-                    for d, coeff in self._bracket_combo_index(self.bracket_index(c, a), b).items():
-                        _combine(residue, d, coeff)
+                    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                        for e, ce in self.bracket_index(x, y).items():
+                            for d, coeff in self.bracket_index(e, z).items():
+                                _accumulate(residue, d, ce * coeff)
                     if residue:
                         names = (self.generators[a], self.generators[b], self.generators[c])
                         jacobi.append(
@@ -185,17 +177,10 @@ class LieAlgebra:
 
     # -- constructions -----------------------------------------------------------
 
-    def _bracket_names(self):
-        out = {}
-        for (ia, ib), entry in self._table.items():
-            pair = (self.generators[ia], self.generators[ib])
-            out[pair] = {self.generators[d]: coeff for d, coeff in entry.items()}
-        return out
-
     def with_bracket(self, a, b, combo):
         """Copy with the bracket [a,b] replaced (no validation — test/mutation aid)."""
         self._gen_index(a), self._gen_index(b)
-        brackets = self._bracket_names()
+        brackets = dict(self.nonzero_brackets())
         brackets.pop((a, b), None)
         brackets.pop((b, a), None)
         brackets[(a, b)] = combo
@@ -213,7 +198,7 @@ class LieAlgebra:
         """Rename generators via a (partial) injective mapping."""
         new_names = tuple(mapping.get(g, g) for g in self.generators)
         brackets = {}
-        for (a, b), combo in self._bracket_names().items():
+        for (a, b), combo in self.nonzero_brackets():
             brackets[(mapping.get(a, a), mapping.get(b, b))] = {
                 mapping.get(d, d): coeff for d, coeff in combo.items()
             }
@@ -225,7 +210,7 @@ class LieAlgebra:
         return LieAlgebra(
             name or self.name + "_ext",
             self.generators + (new_gen,),
-            self._bracket_names(),
+            dict(self.nonzero_brackets()),
             self.symbols,
         )
 
@@ -255,8 +240,8 @@ class LieAlgebra:
                 if mapping[g] in self._index:
                     raise AlgebraError("cannot disambiguate clashing generator %r" % g)
         b = other.rename(mapping) if mapping else other
-        brackets = self._bracket_names()
-        brackets.update(b._bracket_names())
+        brackets = dict(self.nonzero_brackets())
+        brackets.update(b.nonzero_brackets())
         symbols = self.symbols + tuple(s for s in b.symbols if s not in self.symbols)
         return LieAlgebra(
             name or "%s_x_%s" % (self.name, other.name),
@@ -291,13 +276,13 @@ class LieAlgebra:
                             continue
                         w = ac * bd
                         for e, coeff in self.bracket_index(c, d).items():
-                            _combine(old, e, w * coeff)
+                            _accumulate(old, e, w * coeff)
                 entry = {}
                 for e, coeff in old.items():
                     for f in range(n):
                         w = inv[e][f]
                         if not w.is_zero():
-                            _combine(entry, f, coeff * w)
+                            _accumulate(entry, f, coeff * w)
                 if entry:
                     table[(new_names[a], new_names[b])] = {
                         new_names[f]: coeff for f, coeff in entry.items()

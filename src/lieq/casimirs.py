@@ -62,16 +62,8 @@ def _spec(name):
     return _SPECS[name]
 
 
-def _gen(alg, n):
-    return UEAElement.gen(alg, n)
-
-
-def _word(alg, names, coeff=None):
-    return UEAElement.word(alg, names, coeff)
-
-
 def _dot_sq(alg, prefix):
-    return sum((_gen(alg, prefix + ax) ** 2 for ax in AXES), UEAElement.zero(alg))
+    return sum((UEAElement.gen(alg, prefix + ax) ** 2 for ax in AXES), UEAElement.zero(alg))
 
 
 def _cross(alg, boost, i):
@@ -81,33 +73,33 @@ def _cross(alg, boost, i):
         for k in AXES:
             e = eps3(i, j, k)
             if e:
-                out = out + _word(alg, (boost + j, "P" + k), Scalar.from_int(e))
+                out = out + UEAElement.word(alg, (boost + j, "P" + k), Scalar.from_int(e))
     return out
 
 
 def _jdotp(alg):
-    return sum((_word(alg, ("J" + ax, "P" + ax)) for ax in AXES), UEAElement.zero(alg))
+    return sum((UEAElement.word(alg, ("J" + ax, "P" + ax)) for ax in AXES), UEAElement.zero(alg))
 
 
 def _c2_element(alg, spec):
     if spec["pref"] == ("M",):
         # M*H - P^2/2
-        return _word(alg, ("M", "H")) - Scalar.rational(1, 2) * _dot_sq(alg, "P")
+        return UEAElement.word(alg, ("M", "H")) - Scalar.rational(1, 2) * _dot_sq(alg, "P")
     if spec["pref"] == ("Hb", "M"):
         # -(P.P) + Hb^2 + M^2 + 2*Hb*M, the printed four-term form
         return (
             -_dot_sq(alg, "P")
-            + _gen(alg, "Hb") ** 2
-            + _gen(alg, "M") ** 2
-            + Scalar.from_int(2) * _word(alg, ("Hb", "M"))
+            + UEAElement.gen(alg, "Hb") ** 2
+            + UEAElement.gen(alg, "M") ** 2
+            + Scalar.from_int(2) * UEAElement.word(alg, ("Hb", "M"))
         )
-    return _gen(alg, "H") ** 2 - _dot_sq(alg, "P")
+    return UEAElement.gen(alg, "H") ** 2 - _dot_sq(alg, "P")
 
 
 def _c4_factored(alg, spec):
     out = UEAElement.zero(alg)
     for i in AXES:
-        n_i = sum((_word(alg, (p, "J" + i)) for p in spec["pref"]), UEAElement.zero(alg))
+        n_i = sum((UEAElement.word(alg, (p, "J" + i)) for p in spec["pref"]), UEAElement.zero(alg))
         n_i = n_i - _cross(alg, spec["boost"], i)
         out = out + n_i * n_i
     if spec["jp"]:
@@ -152,7 +144,7 @@ def casimir_variant(name, label, variant):
         return _c4_factored(alg, spec)
     if variant in ("verbatim", "weyl", "weyl_mirrored"):
         sign = 1 if variant == "weyl_mirrored" else -1
-        build = _word if variant == "verbatim" else weyl_word
+        build = UEAElement.word if variant == "verbatim" else weyl_word
         out = UEAElement.zero(alg)
         for names, coeff in _c4_monomials(spec, sign):
             out = out + build(alg, names, Scalar.from_int(coeff))
@@ -179,9 +171,9 @@ def casimir_catalog(name):
         if label.startswith("C4"):
             entries.append(CasimirEntry(label, _c4_factored(alg, spec), "factored"))
         elif label == "C1U":
-            entries.append(CasimirEntry(label, _gen(alg, "Q"), "verbatim"))
+            entries.append(CasimirEntry(label, UEAElement.gen(alg, "Q"), "verbatim"))
         elif label.startswith("C1"):
-            entries.append(CasimirEntry(label, _gen(alg, "M"), "verbatim"))
+            entries.append(CasimirEntry(label, UEAElement.gen(alg, "M"), "verbatim"))
         else:
             entries.append(CasimirEntry(label, _c2_element(alg, spec), "verbatim"))
     _CATALOG_CACHE[name] = tuple(entries)

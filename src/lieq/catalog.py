@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 
 from lieq.algebra import AlgebraError, LieAlgebra
+from lieq.expr import ExprError, parse_scalar
 from lieq.scalars import Scalar
 
 AXES = ("x", "y", "z")
@@ -29,8 +30,8 @@ def eps3(i, j, k):
     return _EPS3.get((i, j, k), 0)
 
 
-def _rotation_action(brackets, rot, vec, sign=1):
-    """[rot_i, vec_j] = sign * i * eps_ijk * vec_k, expanded eagerly."""
+def _rotation_action(brackets, rot, vec):
+    """[rot_i, vec_j] = i * eps_ijk * vec_k, expanded eagerly."""
     for i in AXES:
         for j in AXES:
             if rot == vec and i >= j:
@@ -39,7 +40,7 @@ def _rotation_action(brackets, rot, vec, sign=1):
             for k in AXES:
                 e = eps3(i, j, k)
                 if e:
-                    combo[vec + k] = Scalar.gaussian(0, sign * e)
+                    combo[vec + k] = Scalar.gaussian(0, e)
             if combo:
                 brackets[(rot + i, vec + j)] = combo
     return brackets
@@ -165,32 +166,21 @@ def catalog(name):
 
 def algebra_to_json(alg):
     """Serialize to the algebra-file format; byte-stable across runs."""
-    index = {g: k for k, g in enumerate(alg.generators)}
-    entries = []
-    for a, b, d in alg.nonzero_constants():
-        entries.append((index[a], index[b], index[d]))
-    brackets = []
-    seen = {}
-    for ia, ib, id_ in sorted(entries):
-        key = (ia, ib)
-        if key not in seen:
-            seen[key] = {"a": alg.generators[ia], "b": alg.generators[ib], "result": []}
-            brackets.append(seen[key])
-        coeff = alg.bracket(alg.generators[ia], alg.generators[ib])[alg.generators[id_]]
-        seen[key]["result"].append({"gen": alg.generators[id_], "coeff": str(coeff)})
     doc = {
         "name": alg.name,
         "symbols": list(alg.symbols),
         "generators": list(alg.generators),
-        "brackets": brackets,
+        "brackets": [
+            {"a": a, "b": b,
+             "result": [{"gen": d, "coeff": str(coeff)} for d, coeff in combo.items()]}
+            for (a, b), combo in alg.nonzero_brackets()
+        ],
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
 def algebra_from_json(text):
     """Parse the algebra-file format; coefficient strings use the scalar grammar."""
-    from lieq.expr import ExprError, parse_scalar
-
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as e:  # also too-deep nesting, too-long integers

@@ -40,13 +40,9 @@ def _print_table(alg):
     if alg.symbols:
         print("symbols: %s" % ", ".join(alg.symbols))
     shown = False
-    gens = alg.generators
-    for i, a in enumerate(gens):
-        for b in gens[i + 1:]:
-            combo = alg.bracket(a, b)
-            if combo:
-                print("[%s, %s] = %s" % (a, b, format_sum(combo.items())))
-                shown = True
+    for (a, b), combo in alg.nonzero_brackets():
+        print("[%s, %s] = %s" % (a, b, format_sum(combo.items())))
+        shown = True
     if not shown:
         print("(abelian: every bracket vanishes)")
 
@@ -242,7 +238,10 @@ def _cmd_report_paper(args):
     report = report_paper()
     body = report.to_json() if args.format == "json" else report.to_text()
     if args.out:
-        Path(args.out).write_text(body)
+        try:
+            Path(args.out).write_text(body)
+        except OSError as e:
+            raise AlgebraError("cannot write %s: %s" % (args.out, e)) from None
         counts = report.counts()
         print("report written to %s (%d passed, %d failed, %d warnings)"
               % (args.out, counts["pass"], counts["fail"], counts["warn"]))

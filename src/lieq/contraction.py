@@ -138,12 +138,10 @@ def _assert_valid(algebra):
 
 def _rescaled_constants(algebra, exponents):
     """(a, b, d, eps**(k_a + k_b - k_d) * c_ab^d) per nonzero constant, a before b."""
-    gens = algebra.generators
-    for i, a in enumerate(gens):
-        for b in gens[i + 1:]:
-            for d, coeff in algebra.bracket(a, b).items():
-                shift = exponents[a] + exponents[b] - exponents[d]
-                yield a, b, d, coeff.mul_power(LAURENT_SYMBOL, shift)
+    for (a, b), combo in algebra.nonzero_brackets():
+        for d, coeff in combo.items():
+            shift = exponents[a] + exponents[b] - exponents[d]
+            yield a, b, d, coeff.mul_power(LAURENT_SYMBOL, shift)
 
 
 def _primed_algebra(algebra, brackets, suffix):
@@ -201,14 +199,18 @@ def tables_equal(algebra_a, algebra_b, renaming):
     targets = list(renaming.values())
     if len(set(targets)) != len(targets) or set(targets) != set(algebra_b.generators):
         raise ContractionError("renaming must be a bijection onto the second algebra")
+    # Only a pair with a nonzero bracket on one side can differ; rows follow a's basis order.
+    index = {g: k for k, g in enumerate(algebra_a.generators)}
+    inverse = {t: s for s, t in renaming.items()}
+    pairs = {pair for pair, _ in algebra_a.nonzero_brackets()}
+    pairs.update(tuple(sorted((inverse[x], inverse[y]), key=index.get))
+                 for (x, y), _ in algebra_b.nonzero_brackets())
     diff = []
-    gens = algebra_a.generators
-    for i, x in enumerate(gens):
-        for y in gens[i + 1:]:
-            left = {renaming[d]: c for d, c in algebra_a.bracket(x, y).items()}
-            right = algebra_b.bracket(renaming[x], renaming[y])
-            if left != right:
-                diff.append(TableDiff((x, y), (renaming[x], renaming[y]), left, right))
+    for x, y in sorted(pairs, key=lambda pair: (index[pair[0]], index[pair[1]])):
+        left = {renaming[d]: c for d, c in algebra_a.bracket(x, y).items()}
+        right = algebra_b.bracket(renaming[x], renaming[y])
+        if left != right:
+            diff.append(TableDiff((x, y), (renaming[x], renaming[y]), left, right))
     return (not diff, tuple(diff))
 
 

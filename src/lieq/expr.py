@@ -120,7 +120,7 @@ class _Parser:
         while self.peek()[0] in ("+", "-"):
             op = self.next()
             rhs = self.term()
-            value, rhs = self._promote_pair(value, rhs, op)
+            value, rhs = self._promote_pair(value, rhs)
             value = value + rhs if op[0] == "+" else value - rhs
         return value
 
@@ -191,7 +191,7 @@ class _Parser:
             return UEAElement.unit(self.algebra) * value
         return value
 
-    def _promote_pair(self, a, b, op):
+    def _promote_pair(self, a, b):
         if isinstance(a, Scalar) and isinstance(b, Scalar):
             return a, b
         return self._promote(a), self._promote(b)

@@ -74,6 +74,16 @@ def signed_sum(parts):
     return out
 
 
+def _accumulate(terms, key, coeff):
+    """Add coeff into terms[key] of a {key: Scalar} map, dropping the key at zero."""
+    cur = terms.get(key)
+    cur = coeff if cur is None else cur + coeff
+    if cur.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = cur
+
+
 class Scalar:
     """Canonical-form Gaussian-rational Laurent polynomial."""
 

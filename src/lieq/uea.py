@@ -34,7 +34,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import neg
 
-from lieq.scalars import Scalar, signed_sum
+from lieq.scalars import Scalar, _accumulate, signed_sum
 
 DEFAULT_TERM_CAP = 10 ** 6
 
@@ -72,15 +72,6 @@ def _term_cap():
     except ValueError:
         pass
     raise UEAError("LIEQ_TERM_CAP must be a positive integer, got %r" % env)
-
-
-def _accumulate(terms, word, coeff):
-    cur = terms.get(word)
-    cur = coeff if cur is None else cur + coeff
-    if cur.is_zero():
-        terms.pop(word, None)
-    else:
-        terms[word] = cur
 
 
 def _normalize(alg, raw, budget=None):

@@ -4,6 +4,7 @@ import pytest
 
 from lieq.algebra import AlgebraError, InvalidCocycle, LieAlgebra
 from lieq.catalog import catalog
+from lieq.contraction import STD_PE_MAP, rescale_algebra
 from lieq.scalars import Scalar
 
 I = Scalar.i()
@@ -25,6 +26,19 @@ def test_bracket_generator_pairs():
     poi = catalog("poincare")
     assert poi.bracket("KPx", "KPy") == {"Jz": -I}
     assert poi.bracket("KPx", "Px") == {"H": I}
+
+
+def test_bracket_index_reads_one_read_only_entry():
+    gc = catalog("galilei_central")
+    kx, px, py, m = (gc.generator(n).index for n in ("KGx", "Px", "Py", "M"))
+    entry = gc.bracket_index(px, kx)
+    assert entry == {m: -I}  # the lower triangle, derived once at construction
+    assert gc.bracket_index(px, kx) is entry  # no copy per lookup
+    with pytest.raises(TypeError):
+        entry[m] = I
+    assert gc.bracket("Px", "KGx") == {"M": -I}
+    assert gc.bracket_index(kx, kx) == {}
+    assert gc.bracket_index(kx, py) == {}
 
 
 def test_bracket_linear_combinations():
@@ -49,6 +63,20 @@ def test_validate_catalog_and_abelian():
     assert catalog("galilei").validate().ok
     abelian = LieAlgebra("abelian2", ("A", "B"), {})
     assert abelian.validate().ok
+
+
+def test_validate_lists_undeclared_symbols_once_per_constant():
+    m, w = Scalar.symbol("m"), Scalar.symbol("w")
+    alg = LieAlgebra("x", ("A", "B", "C"), {("A", "B"): {"C": m}}, symbols=("eps",))
+    assert alg.validate().issues == ["undeclared symbols ['m'] in [A,B]"]  # not per triangle
+
+    # Issues follow the basis order, so equal tables give equal reports.
+    given = {("C", "B"): {"A": w}, ("A", "B"): {"C": m}}
+    alg = LieAlgebra("y", ("A", "B", "C"), given, symbols=("eps",))
+    flipped = LieAlgebra("y", ("A", "B", "C"), dict(reversed(given.items())), symbols=("eps",))
+    assert alg == flipped
+    assert alg.validate().issues == flipped.validate().issues == [
+        "undeclared symbols ['m'] in [A,B]", "undeclared symbols ['w'] in [B,C]"]
 
 
 def test_forced_zero_rotation_bracket_breaks_jacobi():
@@ -153,6 +181,17 @@ def test_change_basis_identity_and_functoriality():
         for r in range(n)
     ]
     assert poi.change_basis(prod, poi.generators) == step
+
+
+def test_change_basis_by_eps_powers_is_the_rescaling():
+    # G_a' = eps**k_a G_a is a diagonal basis change; its inverse pivots on
+    # eps monomials, and the result must equal the contraction module's table.
+    alg = catalog("poincare_trivial_ext_hbar")
+    gens = alg.generators
+    matrix = [[Scalar.symbol("eps", STD_PE_MAP[g]) if r == c else Scalar.zero()
+               for c in range(len(gens))] for r, g in enumerate(gens)]
+    primed = tuple(g + "p" for g in gens)
+    assert alg.change_basis(matrix, primed) == rescale_algebra(alg, STD_PE_MAP)
 
 
 def test_change_basis_singular_matrix_rejected():

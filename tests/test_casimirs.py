@@ -79,10 +79,7 @@ def test_unknown_or_uncataloged_name():
         casimir_catalog("nope")
 
 
-@pytest.mark.parametrize("name", [
-    "galilei_central", "poincare", "poincare_trivial_ext",
-    "poincare_trivial_ext_hbar", "u1", "full_relativistic", "full_nonrelativistic",
-])
+@pytest.mark.parametrize("name", CASIMIR_GROUPS)
 def test_every_catalog_entry_commutes(name):
     for entry in casimir_catalog(name):
         check = is_casimir(entry.element)
@@ -254,9 +251,7 @@ def test_casimir_catalog_is_built_once(name):
 
 
 def test_catalog_is_parse_stable():
-    for name in ("galilei_central", "poincare", "poincare_trivial_ext",
-                 "poincare_trivial_ext_hbar", "u1",
-                 "full_relativistic", "full_nonrelativistic"):
+    for name in CASIMIR_GROUPS:
         alg = catalog(name)
         for entry in casimir_catalog(name):
             assert parse_element(alg, str(entry.element)) == entry.element

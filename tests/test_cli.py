@@ -52,6 +52,11 @@ def test_catalog_show(capsys):
     assert "[KGx, Px] = i*M" in out
     assert "[H, KGx] = -i*Px" in out  # pairs print in generator listing order
 
+    code, out, _ = run(capsys, "catalog", "show", "u1")
+    assert code == 0
+    assert out.endswith("generators: Q\nsymbols: eps, c, m0, m, w, t\n"
+                        "(abelian: every bracket vanishes)\n")
+
     code, _, err = run(capsys, "catalog", "show", "nope")
     assert code == 2 and "nope" in err
 
@@ -152,6 +157,39 @@ def test_contract_with_check(capsys):
     assert code == 0
     assert "shifted energy" in out  # preprocessing note
     assert "tables match" in out
+
+
+def test_contract_with_check_lists_differences(capsys, tmp_path):
+    # Swapping the Pxp and Pyp targets of the standard renaming breaks 14
+    # brackets; rows follow the contracted table's basis order, zero sides too.
+    renaming = json.loads((DATA / "std-rename.json").read_text())
+    renaming["Pxp"], renaming["Pyp"] = renaming["Pyp"], renaming["Pxp"]
+    swapped = tmp_path / "swapped-rename.json"
+    swapped.write_text(json.dumps(renaming))
+    code, out, _ = run(
+        capsys, "contract", "poincare_trivial_ext",
+        "--map", str(DATA / "std.json"),
+        "--check-against", "galilei_central",
+        "--rename", str(swapped),
+    )
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "tables differ in 14 brackets:",
+        "  [H, KGx]: got -i*Py, expected -i*Px",
+        "  [H, KGy]: got -i*Px, expected -i*Py",
+        "  [Jx, Py]: got 0, expected i*Pz",
+        "  [Jx, Px]: got i*Pz, expected 0",
+        "  [Jx, Pz]: got -i*Px, expected -i*Py",
+        "  [Jy, Py]: got -i*Pz, expected 0",
+        "  [Jy, Px]: got 0, expected -i*Pz",
+        "  [Jy, Pz]: got i*Py, expected i*Px",
+        "  [Jz, Py]: got i*Px, expected -i*Px",
+        "  [Jz, Px]: got -i*Py, expected i*Py",
+        "  [KGx, Py]: got i*M, expected 0",
+        "  [KGx, Px]: got 0, expected i*M",
+        "  [KGy, Py]: got 0, expected i*M",
+        "  [KGy, Px]: got i*M, expected 0",
+    ]
 
 
 def test_contract_prints_table(capsys):
@@ -256,7 +294,8 @@ def _algebra_file(tmp_path, **fields):
     return str(path)
 
 
-@pytest.mark.parametrize("case", ["term_cap", "no_coeff", "deep_nesting", "string_generators"])
+@pytest.mark.parametrize(
+    "case", ["term_cap", "no_coeff", "deep_nesting", "string_generators", "unwritable_out"])
 def test_bad_inputs_exit_2_with_one_line(case, capsys, monkeypatch, tmp_path):
     if case == "term_cap":
         monkeypatch.setenv("LIEQ_TERM_CAP", "abc")
@@ -266,6 +305,8 @@ def test_bad_inputs_exit_2_with_one_line(case, capsys, monkeypatch, tmp_path):
         argv = ["validate", _algebra_file(tmp_path, brackets=brackets)]
     elif case == "deep_nesting":
         argv = ["casimir", "verify", "galilei_central", "--expr", "(" * 200 + "M" + ")" * 200]
+    elif case == "unwritable_out":
+        argv = ["report", "paper", "--out", str(tmp_path / "missing" / "r.json")]
     else:
         argv = ["validate", _algebra_file(tmp_path, generators="ABC")]
     code, out, err = run(capsys, *argv)
