@@ -4,6 +4,10 @@ Structure-constant tables over an exact Gaussian-rational Laurent-polynomial
 ring, PBW normal ordering in the universal enveloping algebra, Casimir
 verification, generalized Inonu-Wigner contraction, and the physical
 observable/label layer — with a CLI front end (``lieq``).
+
+The package attribute ``lieq.catalog`` is the re-exported function, which
+shadows the submodule of that name: ``import lieq.catalog as m`` binds the
+function.  Import the module's names with ``from lieq.catalog import ...``.
 """
 
 from lieq.algebra import AlgebraError, InvalidCocycle, LieAlgebra

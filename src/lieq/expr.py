@@ -15,8 +15,6 @@ descent (four frames per level) well inside Python's recursion limit.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from lieq.scalars import DEFAULT_SYMBOLS, LAURENT_SYMBOL, Scalar
 from lieq.uea import UEAElement
 
@@ -159,7 +157,7 @@ class _Parser:
                 denom = self.expect("INT")
                 if denom[1] == 0:
                     self.fail("division by zero", denom)
-                return Scalar.rational(Fraction(value, denom[1])), None
+                return Scalar.rational(value, denom[1]), None
             return Scalar.from_int(value), None
         if kind == "IDENT":
             if value == "i":
@@ -206,10 +204,8 @@ class _Parser:
 def parse_scalar(text, symbols=None):
     """Parse a pure-scalar expression over the given symbol names."""
     table = DEFAULT_SYMBOLS if symbols is None else tuple(symbols)
-    tokens = _tokenize(text)
-    value = _Parser(tokens, None, table).parse()
     # a Scalar is the only possible outcome with no algebra in scope
-    return value
+    return _Parser(_tokenize(text), None, table).parse()
 
 
 def parse_element(algebra, text):

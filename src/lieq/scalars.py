@@ -1,10 +1,17 @@
 """Exact scalar ring: Gaussian-rational Laurent polynomials in commuting symbols.
 
 A Scalar is a finite sum of monomials over a set of commuting symbols with
-Gaussian-rational coefficients (pairs of exact Fractions, real + imaginary
-part).  Exponents are integers; the symbol ``eps`` is the only one permitted
-negative exponents (it tracks contraction poles — a pole in any other symbol
-is a transcription bug and is rejected at construction time).
+Gaussian-rational coefficients.  Exponents are integers; the symbol ``eps``
+is the only one permitted negative exponents (it tracks contraction poles —
+a pole in any other symbol is a transcription bug and is rejected at
+construction time).
+
+Each coefficient (re + im*i)/den is one integer triple ``(re, im, den)`` with
+``den > 0`` and ``gcd(re, im, den) == 1``; zero coefficients are never
+stored, and the ring operations use integers only.  Fractions appear only at
+the edges: the ``gaussian``/``rational``/``from_int`` constructors take ints
+or Fractions (never floats or strings), and ``items()``, ``constant_pair()``
+and ``str`` give (re, im) Fraction pairs.
 
 Everything is immutable and kept in a unique canonical form, so ``==`` is
 exact mathematical equality and scalars can be dict keys.
@@ -13,12 +20,12 @@ exact mathematical equality and scalars can be dict keys.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 LAURENT_SYMBOL = "eps"
 DEFAULT_SYMBOLS = ("eps", "c", "m0", "m", "w", "t")
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_UNIT = (1, 0, 1)
 
 
 class ScalarError(ValueError):
@@ -31,6 +38,13 @@ def _check_mono(mono):
             raise ScalarError(
                 "negative exponent on %r: only %r may carry poles" % (sym, LAURENT_SYMBOL)
             )
+
+
+def _exact(value, kinds=(int, Fraction)):
+    """value itself if it is one of kinds: exact numbers only, never floats or strings."""
+    if not isinstance(value, kinds):
+        raise ScalarError("expected %s, got %r" % (" or ".join(k.__name__ for k in kinds), value))
+    return value
 
 
 def _mono_mul(m1, m2):
@@ -48,18 +62,47 @@ def _mono_mul(m1, m2):
     return tuple(sorted(exps.items()))
 
 
+def _reduce(re, im, den):
+    """The canonical triple of (re + im*i)/den, for den > 0 and (re, im) != (0, 0)."""
+    g = gcd(re, im, den)
+    return (re, im, den) if g == 1 else (re // g, im // g, den // g)
+
+
+def _add(x, y):
+    """Sum of two canonical triples; None when it is zero."""
+    a, b, d = x
+    c, e, f = y
+    if d == f:
+        re, im = a + c, b + e
+    else:
+        re, im, d = a * f + c * d, b * f + e * d, d * f
+    if not (re or im):
+        return None
+    return (re, im, 1) if d == 1 else _reduce(re, im, d)
+
+
+def _mul(x, y):
+    """Product of two canonical triples (never zero: Z[i] has no zero divisors)."""
+    a, b, d = x
+    c, e, f = y
+    re, im = a * c - b * e, a * e + b * c
+    if d == 1 and f == 1:
+        return (re, im, 1)
+    return _reduce(re, im, d * f)
+
+
 def _gauss_str(re, im):
     """Render a Gaussian rational; the result is a safe product prefix."""
     if im == 0:
         return str(re)
     if re == 0:
-        if im == _ONE:
+        if im == 1:
             return "i"
-        if im == -_ONE:
+        if im == -1:
             return "-i"
         return str(im) + "*i"
     ia = -im if im < 0 else im
-    i_part = "i" if ia == _ONE else str(ia) + "*i"
+    i_part = "i" if ia == 1 else str(ia) + "*i"
     sign = "-" if im < 0 else "+"
     return "(%s%s%s)" % (re, sign, i_part)
 
@@ -90,20 +133,11 @@ class Scalar:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms=None):
-        # internal: terms must already be canonical ({mono: (re, im)}, no zeros)
+        # internal: terms must already be canonical ({mono: (re, im, den)}, no zeros)
         self._terms = terms or {}
         self._hash = None
 
     # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def _make(raw):
-        terms = {}
-        for mono, (re, im) in raw.items():
-            if re or im:
-                _check_mono(mono)
-                terms[mono] = (re, im)
-        return Scalar(terms)
 
     @staticmethod
     def zero():
@@ -111,35 +145,37 @@ class Scalar:
 
     @staticmethod
     def one():
-        return Scalar({(): (_ONE, _ZERO)})
+        return Scalar({(): _UNIT})
 
     @staticmethod
     def i():
-        return Scalar({(): (_ZERO, _ONE)})
+        return Scalar({(): (0, 1, 1)})
 
     @staticmethod
     def from_int(n):
-        return Scalar.gaussian(Fraction(n), _ZERO)
+        return Scalar.gaussian(_exact(n, (int,)))
 
     @staticmethod
     def rational(p, q=1):
-        return Scalar.gaussian(Fraction(p, q), _ZERO)
+        if not _exact(q):
+            raise ScalarError("zero denominator in Scalar.rational(%s, 0)" % (p,))
+        return Scalar.gaussian(Fraction(_exact(p)) / q)
 
     @staticmethod
     def gaussian(re, im=0):
-        re = Fraction(re)
-        im = Fraction(im)
+        re, im = Fraction(_exact(re)), Fraction(_exact(im))
         if not (re or im):
             return Scalar({})
-        return Scalar({(): (re, im)})
+        p, q = re.denominator, im.denominator
+        return Scalar({(): _reduce(re.numerator * q, im.numerator * p, p * q)})
 
     @staticmethod
     def symbol(name, power=1):
-        if power == 0:
+        if _exact(power, (int,)) == 0:
             return Scalar.one()
         mono = ((name, power),)
         _check_mono(mono)
-        return Scalar({mono: (_ONE, _ZERO)})
+        return Scalar({mono: _UNIT})
 
     # -- ring operations ----------------------------------------------------
 
@@ -147,17 +183,17 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         terms = dict(self._terms)
-        for mono, (re, im) in other._terms.items():
-            cre, cim = terms.get(mono, (_ZERO, _ZERO))
-            re, im = cre + re, cim + im
-            if re or im:
-                terms[mono] = (re, im)
-            elif mono in terms:
+        for mono, y in other._terms.items():
+            x = terms.get(mono)
+            s = y if x is None else _add(x, y)
+            if s is None:
                 del terms[mono]
+            else:
+                terms[mono] = s
         return Scalar(terms)
 
     def __neg__(self):
-        return Scalar({mono: (-re, -im) for mono, (re, im) in self._terms.items()})
+        return Scalar({mono: (-re, -im, den) for mono, (re, im, den) in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
@@ -167,14 +203,23 @@ class Scalar:
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        raw = {}
-        for m1, (a, b) in self._terms.items():
-            for m2, (c, d) in other._terms.items():
+        t1, t2 = self._terms, other._terms
+        if len(t1) == 1 and len(t2) == 1:
+            (m1, x), = t1.items()
+            (m2, y), = t2.items()
+            return Scalar({_mono_mul(m1, m2): _mul(x, y)})
+        terms = {}
+        for m1, x in t1.items():
+            for m2, y in t2.items():
                 mono = _mono_mul(m1, m2)
-                re, im = a * c - b * d, a * d + b * c
-                cre, cim = raw.get(mono, (_ZERO, _ZERO))
-                raw[mono] = (cre + re, cim + im)
-        return Scalar._make(raw)
+                p = _mul(x, y)
+                cur = terms.get(mono)
+                s = p if cur is None else _add(cur, p)
+                if s is None:
+                    del terms[mono]
+                else:
+                    terms[mono] = s
+        return Scalar(terms)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -190,7 +235,7 @@ class Scalar:
         return not self._terms
 
     def is_one(self):
-        return self._terms == {(): (_ONE, _ZERO)}
+        return self._terms == {(): _UNIT}
 
     def __bool__(self):
         return bool(self._terms)
@@ -198,30 +243,24 @@ class Scalar:
     def constant_pair(self):
         """(re, im) Fractions if the scalar is symbol-free, else None."""
         if not self._terms:
-            return (_ZERO, _ZERO)
+            return (Fraction(0), Fraction(0))
         if len(self._terms) == 1 and () in self._terms:
-            return self._terms[()]
+            return self.items()[0][1]
         return None
 
     def symbols(self):
-        out = set()
-        for mono in self._terms:
-            for sym, _ in mono:
-                out.add(sym)
-        return out
+        return {sym for mono in self._terms for sym, _ in mono}
 
     def items(self):
-        """Canonical term list: sorted ((symbol, exp), ...) -> (re, im) pairs."""
-        return tuple(sorted(self._terms.items()))
+        """Canonical term list: sorted ((symbol, exp), ...) -> (re, im) Fraction pairs."""
+        return tuple(sorted((mono, (Fraction(re, den), Fraction(im, den)))
+                            for mono, (re, im, den) in self._terms.items()))
 
     def min_degree(self, sym):
         """Lowest exponent of sym across terms (0 when absent); None if zero."""
         if not self._terms:
             return None
-        degs = []
-        for mono in self._terms:
-            degs.append(dict(mono).get(sym, 0))
-        return min(degs)
+        return min(dict(mono).get(sym, 0) for mono in self._terms)
 
     def limit0(self, sym=LAURENT_SYMBOL):
         """Evaluate at sym -> 0: drop positive powers, keep degree-0 terms.
@@ -239,19 +278,21 @@ class Scalar:
 
     def mul_power(self, sym, k):
         """Multiply by sym**k (k may be negative only for the Laurent symbol)."""
-        if k == 0:
+        if _exact(k, (int,)) == 0:
             return self
-        raw = {}
+        terms = {}
         shift = ((sym, k),)
         for mono, coeff in self._terms.items():
-            raw[_mono_mul(mono, shift)] = coeff
-        return Scalar._make(raw)
+            mono = _mono_mul(mono, shift)
+            _check_mono(mono)
+            terms[mono] = coeff
+        return Scalar(terms)
 
     def substitute(self, mapping):
         """Simultaneously replace symbols by Scalar values (nonnegative powers only)."""
         out = Scalar.zero()
-        for mono, (re, im) in self._terms.items():
-            term = Scalar.gaussian(re, im)
+        for mono, coeff in self._terms.items():
+            term = Scalar({(): coeff})
             for sym, exp in mono:
                 if sym in mapping:
                     if exp < 0:
@@ -276,18 +317,12 @@ class Scalar:
 
     def __str__(self):
         parts = []
-        for mono in sorted(self._terms):
-            re, im = self._terms[mono]
+        for mono, (re, im) in self.items():
             syms = "*".join(sym if exp == 1 else "%s^%d" % (sym, exp) for sym, exp in mono)
-            if not syms:
-                parts.append(_gauss_str(re, im))
-                continue
-            if (re, im) == (_ONE, _ZERO):
-                parts.append(syms)
-            elif (re, im) == (-_ONE, _ZERO):
-                parts.append("-" + syms)
-            else:
-                parts.append(_gauss_str(re, im) + "*" + syms)
+            coeff = _gauss_str(re, im)
+            if syms:
+                coeff = {"1": "", "-1": "-"}.get(coeff, coeff + "*") + syms
+            parts.append(coeff)
         return signed_sum(parts)
 
     def __repr__(self):

@@ -34,6 +34,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import neg
 
+from lieq.algebra import AlgebraError
 from lieq.scalars import Scalar, _accumulate, signed_sum
 
 DEFAULT_TERM_CAP = 10 ** 6
@@ -121,6 +122,14 @@ def _normalize(alg, raw, budget=None):
     return out
 
 
+def _index_words(alg, named_terms):
+    """Sum (name word, Scalar) pairs into {index word: Scalar} over alg's basis."""
+    raw = {}
+    for names, coeff in named_terms:
+        _accumulate(raw, tuple(alg.generator(n).index for n in names), coeff)
+    return raw
+
+
 def _coerce_scalar(value):
     if isinstance(value, Scalar):
         return value
@@ -166,11 +175,7 @@ class UEAElement:
     @staticmethod
     def from_terms(algebra, terms):
         """terms: {name tuple: Scalar}; normalized on construction."""
-        raw = {}
-        for names, coeff in terms.items():
-            idx = tuple(algebra.generator(n).index for n in names)
-            raw[idx] = raw.get(idx, Scalar.zero()) + coeff
-        return UEAElement(algebra, _normalize(algebra, raw))
+        return UEAElement(algebra, _normalize(algebra, _index_words(algebra, terms.items())))
 
     # -- inspection ----------------------------------------------------------
 
@@ -394,17 +399,16 @@ def rename_element(e, target, mapping=None):
     """
     mapping = mapping or {}
     src = e.algebra.generators
-    raw = {}
-    for word, coeff in e._terms.items():
-        names = tuple(mapping.get(src[k], src[k]) for k in word)
-        try:
-            idx = tuple(target.generator(n).index for n in names)
-        except Exception:
-            missing = [n for n in names if n not in target.generators]
-            raise UEAError(
-                "cannot rename into %r: unknown generator(s) %s" % (target.name, missing)
-            ) from None
-        raw[idx] = raw.get(idx, Scalar.zero()) + coeff
+    named = [(tuple(mapping.get(src[k], src[k]) for k in word), coeff)
+             for word, coeff in e._terms.items()]
+    try:
+        raw = _index_words(target, named)
+    except AlgebraError:
+        missing = next(m for m in ([n for n in names if n not in target.generators]
+                                   for names, _ in named) if m)
+        raise UEAError(
+            "cannot rename into %r: unknown generator(s) %s" % (target.name, missing)
+        ) from None
     return UEAElement(target, _normalize(target, raw))
 
 

@@ -1,14 +1,18 @@
 """Full-pipeline report: ordering, determinism, fault injection."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from lieq.report import Check, Report, report_paper
 
-GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden_report.json"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "bench" / "golden_report.json"
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +91,21 @@ def test_json_matches_golden_report(pristine):
     text = re.sub(r'"elapsed_seconds": [-+.0-9eE]+', '"elapsed_seconds": 0',
                   pristine.to_json())
     assert text == GOLDEN.read_text()
+
+
+def test_json_does_not_depend_on_the_hash_seed():
+    # Scalar and element hashes change with PYTHONHASHSEED; no output may.
+    code = ("import sys; from lieq.cli import run_command; "
+            "sys.exit(run_command(['report', 'paper', '--format', 'json']))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=600, check=True)
+        outputs.append(re.sub(r'"elapsed_seconds": [-+.0-9eE]+', "", run.stdout))
+    assert outputs[0] == outputs[1]
+    assert '"counts"' in outputs[0]
 
 
 def test_fault_injection_names_the_bracket():

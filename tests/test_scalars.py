@@ -1,9 +1,10 @@
 """Exact coefficient ring: Gaussian-rational Laurent polynomials."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lieq.scalars import Scalar, ScalarError
 
@@ -151,3 +152,189 @@ def test_additive_and_multiplicative_identity(x):
     assert x + Scalar.zero() == x
     assert x * Scalar.one() == x
     assert x + (-x) == Scalar.zero()
+
+
+# ---------------------------------------------------------------------------
+# inexact inputs are refused at construction
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Scalar.gaussian(0.1),
+    lambda: Scalar.gaussian(1, 0.5),
+    lambda: Scalar.gaussian("1/3"),
+    lambda: Scalar.from_int(2.5),
+    lambda: Scalar.rational(0.5),
+    lambda: Scalar.rational(1, 0),
+    lambda: Scalar.symbol("c", 0.5),
+    lambda: Scalar.one().mul_power("eps", 1.5),
+], ids=["gaussian-float", "gaussian-float-im", "gaussian-str", "from_int-float",
+        "rational-float", "rational-zero-denominator", "symbol-float-exponent",
+        "mul_power-float-exponent"])
+def test_inexact_inputs_raise(make):
+    with pytest.raises(ScalarError):
+        make()
+
+
+# ---------------------------------------------------------------------------
+# differential test: the integer-triple core against a Fraction-pair reference
+
+
+def _ref_mono(m1, m2):
+    exps = dict(m1)
+    for sym, exp in m2:
+        exps[sym] = exps.get(sym, 0) + exp
+    return tuple(sorted((sym, exp) for sym, exp in exps.items() if exp))
+
+
+def _ref_gauss(re, im):
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return {1: "i", -1: "-i"}.get(im, str(im) + "*i")
+    i_part = "i" if abs(im) == 1 else str(abs(im)) + "*i"
+    return "(%s%s%s)" % (re, "-" if im < 0 else "+", i_part)
+
+
+class _Ref:
+    """{monomial: (re, im)} with Fraction parts and no zero coefficients."""
+
+    def __init__(self, terms):
+        self.t = {m: c for m, c in terms.items() if c != (0, 0)}
+
+    @staticmethod
+    def build(desc):
+        out = _Ref({})
+        for re, im, exps in desc:
+            out = out + _Ref({_ref_mono((), tuple(exps.items())): (Fraction(re), Fraction(im))})
+        return out
+
+    def __add__(self, other):
+        t = dict(self.t)
+        for m, (a, b) in other.t.items():
+            c, d = t.get(m, (0, 0))
+            t[m] = (c + a, d + b)
+        return _Ref(t)
+
+    def __neg__(self):
+        return _Ref({m: (-a, -b) for m, (a, b) in self.t.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        out = _Ref({})
+        for m1, (a, b) in self.t.items():
+            for m2, (c, d) in other.t.items():
+                out = out + _Ref({_ref_mono(m1, m2): (a * c - b * d, a * d + b * c)})
+        return out
+
+    def __pow__(self, n):
+        out = _Ref({(): (Fraction(1), Fraction(0))})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def mul_power(self, sym, k):
+        return _Ref({_ref_mono(m, ((sym, k),)): c for m, c in self.t.items()})
+
+    def limit0(self, sym):
+        if any(dict(m).get(sym, 0) < 0 for m in self.t):
+            raise ScalarError("pole")
+        return _Ref({m: c for m, c in self.t.items() if dict(m).get(sym, 0) == 0})
+
+    def substitute(self, mapping):
+        out = _Ref({})
+        for m, c in self.t.items():
+            term = _Ref({(): c})
+            for sym, exp in m:
+                factor = mapping[sym] ** exp if sym in mapping else _Ref({((sym, exp),): (1, 0)})
+                term = term * factor
+            out = out + term
+        return out
+
+    def min_degree(self, sym):
+        return min((dict(m).get(sym, 0) for m in self.t), default=None)
+
+    def items(self):
+        return tuple(sorted(self.t.items()))
+
+    def constant_pair(self):
+        if not self.t:
+            return (Fraction(0), Fraction(0))
+        return self.t[()] if list(self.t) == [()] else None
+
+    def __str__(self):
+        parts = []
+        for m, (re, im) in self.items():
+            syms = "*".join(s if e == 1 else "%s^%d" % (s, e) for s, e in m)
+            if not syms:
+                parts.append(_ref_gauss(re, im))
+            elif (re, im) == (1, 0):
+                parts.append(syms)
+            elif (re, im) == (-1, 0):
+                parts.append("-" + syms)
+            else:
+                parts.append(_ref_gauss(re, im) + "*" + syms)
+        out = parts[0] if parts else "0"
+        for p in parts[1:]:
+            out += " - " + p[1:] if p.startswith("-") else " + " + p
+        return out
+
+
+def _from_desc(desc):
+    out = Scalar.zero()
+    for re, im, exps in desc:
+        term = Scalar.gaussian(re, im)
+        for sym, exp in exps.items():
+            term = term * Scalar.symbol(sym, exp)
+        out = out + term
+    return out
+
+
+def _agree(s, r):
+    for re, im, den in s._terms.values():
+        assert den > 0 and gcd(re, im, den) == 1 and (re or im)
+    assert s.items() == r.items()
+    assert s.constant_pair() == r.constant_pair()
+    assert str(s) == str(r)
+    for sym in ("eps", "c", "m0"):
+        assert s.min_degree(sym) == r.min_degree(sym)
+
+
+ref_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+ref_desc = st.lists(st.tuples(ref_fraction, ref_fraction, st.fixed_dictionaries(
+    {}, optional={"eps": st.integers(-3, 3), "c": st.integers(1, 3), "m0": st.integers(1, 2)},
+)), max_size=4)
+# Sums that must reduce: (1+i)/6 + (1+3i)/6 = (1+2i)/3, and exact cancellation.
+_SIXTHS = [(Fraction(1, 6), Fraction(1, 6), {"c": 1})]
+
+
+@settings(deadline=None)
+@given(ref_desc, ref_desc, ref_desc, st.integers(0, 3), st.integers(-3, 3))
+@example(_SIXTHS, [(Fraction(1, 6), Fraction(1, 2), {"c": 1})], [], 2, 0)
+@example(_SIXTHS, [(-Fraction(1, 6), -Fraction(1, 6), {"c": 1})], _SIXTHS, 1, -1)
+def test_triple_core_matches_fraction_reference(dx, dy, dz, n, k):
+    x, y, z = _from_desc(dx), _from_desc(dy), _from_desc(dz)
+    rx, ry, rz = _Ref.build(dx), _Ref.build(dy), _Ref.build(dz)
+    _agree(x, rx)
+    _agree(y, ry)
+    _agree(x + y, rx + ry)
+    _agree(x - y, rx - ry)
+    _agree(-x, -rx)
+    _agree(x * y, rx * ry)
+    _agree(x ** n, rx ** n)
+    _agree(x.mul_power("eps", k), rx.mul_power("eps", k))
+    _agree(x.mul_power("c", n), rx.mul_power("c", n))
+    _agree(x.substitute({"c": y, "m0": z}), rx.substitute({"c": ry, "m0": rz}))
+    try:
+        expected = rx.limit0("eps")
+    except ScalarError:
+        with pytest.raises(ScalarError):
+            x.limit0("eps")
+    else:
+        _agree(x.limit0("eps"), expected)
+    assert (x == y) == (rx.items() == ry.items())
+    if x == y:
+        assert hash(x) == hash(y)
+    back = (x + y) - y
+    assert back == x and hash(back) == hash(x)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieq.algebra import LieAlgebra
+from lieq.algebra import AlgebraError, LieAlgebra
 from lieq.catalog import catalog
 from lieq.scalars import Scalar
 from lieq.uea import (
@@ -220,5 +220,8 @@ def test_rename_element():
     boosts = {"KGx": "KPx", "KGy": "KPy", "KGz": "KPz"}
     hkx = rename_element(UEAElement.word(GC, ("H", "KGx")), poi, boosts)
     assert hkx == UEAElement.word(poi, ("H", "KPx"))
-    with pytest.raises(UEAError):
-        rename_element(e, poi)  # M has no image in poincare
+    with pytest.raises(UEAError, match=r"^cannot rename into 'poincare': "
+                       r"unknown generator\(s\) \['KGx'\]$"):
+        rename_element(e, poi)  # KGx and M have no image in poincare
+    with pytest.raises(AlgebraError, match=r"^unknown generator 'Q' in algebra 'poincare'$"):
+        UEAElement.from_terms(poi, {("H",): I, ("Q", "H"): I})
