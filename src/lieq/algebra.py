@@ -9,7 +9,9 @@ lookup is one dictionary read.  Generator order is significant — it doubles
 as the PBW basis order in lieq.uea — and nonzero_brackets lists the table in
 it: by pair, then by result generator.
 
-All values are immutable; operations return new algebras.
+All values are immutable; operations return new algebras.  The one fact
+cached on an instance is that a validate() call found no Jacobi violation,
+which cannot go stale; it lets is_casimir skip generators (_casimir_plan).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class InvalidCocycle(AlgebraError):
 
 
 class LieAlgebra:
-    __slots__ = ("name", "generators", "symbols", "_index", "_table")
+    __slots__ = ("name", "generators", "symbols", "_index", "_table", "_lie", "_plan")
 
     def __init__(self, name, generators, brackets, symbols=DEFAULT_SYMBOLS):
         """brackets: {(name_a, name_b): {name_d: Scalar}}; pairs in any order."""
@@ -89,6 +91,8 @@ class LieAlgebra:
             entry = dict(sorted(upper[(ia, ib)].items()))
             self._table[(ia, ib)] = MappingProxyType(entry)
             self._table[(ib, ia)] = MappingProxyType({d: -coeff for d, coeff in entry.items()})
+        self._lie = False  # set by a validate() that finds no Jacobi violation
+        self._plan = None  # cached _casimir_plan() of a Lie table
 
     # -- lookups --------------------------------------------------------------
 
@@ -173,7 +177,42 @@ class LieAlgebra:
                         jacobi.append(
                             (names, {self.generators[d]: r for d, r in sorted(residue.items())})
                         )
+        if not jacobi:
+            self._lie = True
         return ValidationReport(jacobi=jacobi, issues=issues)
+
+    def _casimir_plan(self):
+        """Indices of the generators is_casimir straightens [e, G] against, in basis order.
+
+        Until a validate() call has found no Jacobi violation this is every
+        generator.  On a Lie table a generator is left out when the ones
+        before it already imply [e, G] = 0: the known set starts empty, each
+        generator not in it is checked and added, and then the set is closed
+        under the rule that a bracket [X, Y] of two known generators with
+        exactly one support index outside the set adds that index.  Reads
+        _table directly; the plan is derived once per instance.
+        """
+        if not self._lie:
+            return range(self.dim)
+        if self._plan is None:
+            known = set()
+            plan = []
+            for g in range(self.dim):
+                if g in known:
+                    continue
+                plan.append(g)
+                known.add(g)
+                grown = True
+                while grown:
+                    grown = False
+                    for (a, b), entry in self._table.items():
+                        if a in known and b in known:
+                            outside = [d for d in entry if d not in known]
+                            if len(outside) == 1:
+                                known.add(outside[0])
+                                grown = True
+            self._plan = tuple(plan)
+        return self._plan
 
     # -- constructions -----------------------------------------------------------
 

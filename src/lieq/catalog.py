@@ -150,13 +150,20 @@ _CACHE = {}
 
 
 def catalog(name):
-    """Return the named catalog algebra: built once, cached, immutable, not validated."""
+    """Return the named catalog algebra: built and validated once, cached, immutable.
+
+    A table that fails validate() raises AlgebraError; a passing one is
+    marked as a Lie table, so is_casimir checks it against fewer generators.
+    """
     if name not in _BUILDERS:
         raise AlgebraError(
             "unknown catalog algebra %r (known: %s)" % (name, ", ".join(CATALOG_NAMES))
         )
     if name not in _CACHE:
-        _CACHE[name] = _BUILDERS[name]()
+        alg = _BUILDERS[name]()
+        if not alg.validate().ok:
+            raise AlgebraError("catalog algebra %r fails validation" % name)
+        _CACHE[name] = alg
     return _CACHE[name]
 
 

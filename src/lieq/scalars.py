@@ -52,6 +52,11 @@ def _mono_mul(m1, m2):
         return m2
     if not m2:
         return m1
+    if len(m1) == 1 == len(m2):
+        (s, e), (t, f) = m1[0], m2[0]
+        if s == t:
+            return ((s, e + f),) if e + f else ()
+        return m1 + m2 if s < t else m2 + m1
     exps = dict(m1)
     for sym, exp in m2:
         e = exps.get(sym, 0) + exp

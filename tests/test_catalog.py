@@ -4,6 +4,8 @@ import pytest
 
 from lieq.algebra import AlgebraError
 from lieq.catalog import (
+    _BUILDERS,
+    _CACHE,
     CATALOG_NAMES,
     algebra_from_json,
     algebra_to_json,
@@ -113,6 +115,15 @@ def test_unknown_name_errors():
 
 def test_catalog_returns_same_instance():
     assert catalog("poincare") is catalog("poincare")
+
+
+def test_catalog_rejects_a_table_that_fails_jacobi(monkeypatch):
+    broken = catalog("poincare").flip_sign("KPx", "Px", "H")
+    monkeypatch.delitem(_CACHE, "poincare")
+    monkeypatch.setitem(_BUILDERS, "poincare", lambda: broken)
+    with pytest.raises(AlgebraError, match="poincare"):
+        catalog("poincare")
+    assert "poincare" not in _CACHE
 
 
 def test_json_roundtrip_and_determinism():

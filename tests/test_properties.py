@@ -3,8 +3,8 @@
 import random
 from fractions import Fraction
 
-from lieq.casimirs import CASIMIR_GROUPS, casimir_catalog
-from lieq.catalog import catalog
+from lieq.casimirs import C4_VARIANTS, CASIMIR_GROUPS, casimir_catalog, casimir_variant
+from lieq.catalog import CATALOG_NAMES, catalog
 from lieq.scalars import Scalar
 from lieq.uea import CasimirCheck, UEAElement, commutator, is_casimir, substitute
 
@@ -181,6 +181,18 @@ def two_sided_casimir_check(e):
     return CasimirCheck(True, None, UEAElement.zero(alg))
 
 
+# The first generator, in basis order, that each failing C4 ordering variant
+# does not commute with; variants not listed are Casimirs.
+C4_VARIANT_WITNESSES = {
+    "galilei_central": {"verbatim": "H", "weyl": "KGx"},
+    "poincare": {"verbatim": "H", "weyl": "KPx"},
+    "poincare_trivial_ext": {"verbatim": "H", "weyl": "KPx"},
+    "poincare_trivial_ext_hbar": {"verbatim": "Hb", "weyl": "KPx"},
+    "full_relativistic": {"verbatim": "Hb", "weyl": "KPx"},
+    "full_nonrelativistic": {"verbatim": "H", "weyl": "KGx"},
+}
+
+
 def test_is_casimir_matches_the_two_sided_definition():
     rng = random.Random(7121)
     samples = []
@@ -192,10 +204,36 @@ def test_is_casimir_matches_the_two_sided_definition():
             raw = random_raw_terms(rng, max_len=3, n_words=rng.randint(1, 3), letters=letters)
             samples.append(to_element(raw, alg))
     for group in CASIMIR_GROUPS:
+        alg = catalog(group)
         for entry in casimir_catalog(group):
             samples.append(entry.element)
-            alg = entry.element.algebra
-            letter = UEAElement.gen(alg, alg.generators[rng.randrange(alg.dim)])
-            samples.append(entry.element * letter)
+            samples.extend(entry.element * UEAElement.gen(alg, g) for g in alg.generators)
+            if entry.label.startswith("C4"):
+                for variant in C4_VARIANTS:
+                    e = casimir_variant(group, entry.label, variant)
+                    assert is_casimir(e).witness == C4_VARIANT_WITNESSES[group].get(variant)
+                    samples.append(e)
     for e in samples:
         assert is_casimir(e) == two_sided_casimir_check(e), e
+
+
+# Generators is_casimir straightens against on each validated catalog table;
+# every other generator follows from these by the derivation rule.
+CASIMIR_PLANS = {
+    "galilei": ("Gtau", "Gthx", "Gthy", "Gux"),
+    "galilei_central": ("H", "Jx", "Jy", "KGx"),
+    "poincare": ("H", "Jx", "Jy", "KPx"),
+    "poincare_trivial_ext": ("H", "Jx", "Jy", "KPx", "M"),
+    "poincare_trivial_ext_hbar": ("Hb", "Jx", "Jy", "KPx"),
+    "u1": ("Q",),
+    "heisenberg3": ("Xx", "Xy", "Xz", "Px", "Py", "Pz"),
+    "full_relativistic": ("Hb", "Jx", "Jy", "KPx", "Q"),
+    "full_nonrelativistic": ("H", "Jx", "Jy", "KGx", "Q"),
+}
+
+
+def test_casimir_plans_of_the_catalog_tables():
+    assert tuple(CASIMIR_PLANS) == CATALOG_NAMES
+    for name, plan in CASIMIR_PLANS.items():
+        alg = catalog(name)
+        assert tuple(alg.generators[g] for g in alg._casimir_plan()) == plan, name

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lieq.algebra import AlgebraError, LieAlgebra
-from lieq.catalog import catalog
+from lieq.catalog import catalog, shifted_energy_basis
 from lieq.scalars import Scalar
 from lieq.uea import (
     TermBudgetExceeded,
@@ -90,6 +90,32 @@ def test_is_casimir_known_cases():
     assert not check.ok
     assert check.witness == "KGx"
     assert check.residue == -I * gen(GC, "Px")
+
+
+def plan_names(alg):
+    return tuple(alg.generators[g] for g in alg._casimir_plan())
+
+
+def test_is_casimir_checks_every_generator_of_a_broken_table():
+    # Skipping generators relies on confluent rewriting, which a table that
+    # fails Jacobi does not have: a failing validate() changes nothing.
+    doubled = {"Jz": Scalar.gaussian(0, 2)}
+    for broken in (POI.flip_sign("KPx", "Px", "H"), POI.with_bracket("Jx", "Jy", doubled)):
+        assert plan_names(broken) == POI.generators
+        assert broken.validate().jacobi
+        assert plan_names(broken) == POI.generators
+
+
+def test_is_casimir_checks_every_generator_until_a_copy_is_validated():
+    ext = catalog("poincare_trivial_ext")
+    copies = (
+        (POI.rename({"H": "E"}), ("E", "Jx", "Jy", "KPx")),
+        (ext.change_basis(*shifted_energy_basis(ext)), ("Hb", "Jx", "Jy", "KPx")),
+    )
+    for copy, plan in copies:
+        assert plan_names(copy) == copy.generators
+        assert copy.validate().ok
+        assert plan_names(copy) == plan
 
 
 def test_substitute_rest_frame():
