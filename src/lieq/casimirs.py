@@ -16,7 +16,8 @@ casimir_variant exposes the other candidate orderings — the verbatim printed
 transcription and its Weyl (fully symmetrized) version in both cross-term
 orientations — and ordering_study runs is_casimir once over each of them, the
 catalog element included, so reports can state which ordering each catalog
-entry uses, whether it commutes, and what the alternatives do.
+entry uses, whether it commutes, and what the alternatives do.  Each
+variant is straightened in one pass over all its monomials.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from collections import namedtuple
 from lieq.algebra import AlgebraError
 from lieq.catalog import AXES, catalog, eps3
 from lieq.scalars import Scalar
-from lieq.uea import UEAElement, is_casimir, weyl_word
+from lieq.uea import UEAElement, _index_words, _normalize, _weyl_sum, is_casimir
 
 CasimirEntry = namedtuple("CasimirEntry", ["label", "element", "ordering"])
 OrderingStep = namedtuple("OrderingStep", ["variant", "ok", "witness", "shift", "residue"])
@@ -144,11 +145,11 @@ def casimir_variant(name, label, variant):
         return _c4_factored(alg, spec)
     if variant in ("verbatim", "weyl", "weyl_mirrored"):
         sign = 1 if variant == "weyl_mirrored" else -1
-        build = UEAElement.word if variant == "verbatim" else weyl_word
-        out = UEAElement.zero(alg)
-        for names, coeff in _c4_monomials(spec, sign):
-            out = out + build(alg, names, Scalar.from_int(coeff))
-        return out
+        raw = _index_words(alg, ((names, Scalar.from_int(coeff))
+                                 for names, coeff in _c4_monomials(spec, sign)))
+        if variant == "verbatim":
+            return UEAElement(alg, _normalize(alg, raw))
+        return _weyl_sum(alg, raw)
     raise AlgebraError("unknown variant %r (have: %s)" % (variant, ", ".join(C4_VARIANTS)))
 
 

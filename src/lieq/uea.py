@@ -15,13 +15,16 @@ smaller, and w with b·a replaced by the terms of [b,a], which are shorter;
 so every contribution to a word arrives before the word is rewritten, and
 the work grows with the number of distinct words, not of rewrite paths.
 PBW rewriting is confluent (Bergman, "The diamond lemma for ring theory",
-Adv. Math. 29, 1978), so merging cannot change a normal form.  A product is
-straightened one term of its right factor at a time, so only one row's
-pending words are held at once.  A term-count budget (LIEQ_TERM_CAP,
-default 10**6) bounds the live terms of each straightening.
+Adv. Math. 29, 1978), so merging cannot change a normal form.  As each word
+is rewritten at its leftmost descent, the normal form is a linear map on
+words even on tables that break Jacobi, so each operation straightens its
+whole sum in one pass (all rows w1·w2 of a product, the whole [e, G] of a
+Casimir check, every arrangement of every word of a Weyl ordering) and
+equal words from different pieces merge too.  A term-count budget
+(LIEQ_TERM_CAP, default 10**6) bounds the live terms of each pass.
 
 is_casimir straightens [e, G] from the derivation
-[w, G] = sum_k w[:k]·[w_k, G]·w[k+1:], one term of e at a time, instead of
+[w, G] = sum_k w[:k]·[w_k, G]·w[k+1:], summed over the terms of e, instead of
 straightening both e·G and G·e and letting their leading terms cancel.  On
 a table that validate() has shown to satisfy Jacobi it skips the generators
 that earlier checks cover (LieAlgebra._casimir_plan): if [e, X] = [e, Y] = 0
@@ -86,14 +89,13 @@ def _term_cap():
     raise UEAError("LIEQ_TERM_CAP must be a positive integer, got %r" % env)
 
 
-def _normalize(alg, raw, budget=None):
+def _normalize(alg, raw):
     """Straighten {word(index tuple): Scalar} into PBW normal form.
 
     Pending words are keyed by (-len(w), -w[0], -w[1], ...), which is also
     their min-heap entry: longest first, then descending lexicographic.
     """
-    if budget is None:
-        budget = _term_cap()
+    budget = _term_cap()
     out = {}
     pending = {}
     for word, coeff in raw.items():
@@ -242,13 +244,11 @@ class UEAElement:
         if not isinstance(other, UEAElement):
             return NotImplemented
         self._check_same(other)
-        budget = _term_cap()
-        terms = {}
+        raw = {}
         for w2, c2 in other._terms.items():
-            raw = {w1 + w2: c1 * c2 for w1, c1 in self._terms.items()}
-            for w, c in _normalize(self.algebra, raw, budget).items():
-                _accumulate(terms, w, c)
-        return UEAElement(self.algebra, terms)
+            for w1, c1 in self._terms.items():
+                _accumulate(raw, w1 + w2, c1 * c2)
+        return UEAElement(self.algebra, _normalize(self.algebra, raw))
 
     def __rmul__(self, other):
         scalar = _coerce_scalar(other)
@@ -331,8 +331,8 @@ def is_casimir(e):
 
     Returns CasimirCheck(ok, witness, residue): witness is the first
     offending generator name and residue the nonzero commutator.  Each
-    [e, G] is straightened from the derivation
-    [w, G] = sum_k w[:k] [w_k, G] w[k+1:], one term of e at a time.  On a
+    [e, G] is summed over the terms of e from the derivation
+    [w, G] = sum_k w[:k] [w_k, G] w[k+1:] and straightened in one pass.  On a
     table validate() has shown to satisfy Jacobi, the generators that the
     ones checked before them imply are skipped (see the module docstring for
     the rule and its proof); a skipped generator commutes with e, so the
@@ -340,17 +340,13 @@ def is_casimir(e):
     generator is checked.
     """
     alg = e.algebra
-    budget = _term_cap()
     for g in alg._casimir_plan():
-        residue = {}
+        raw = {}
         for word, coeff in e._terms.items():
-            raw = {}
             for k, letter in enumerate(word):
                 for d, c in alg.bracket_index(letter, g).items():
                     _accumulate(raw, word[:k] + (d,) + word[k + 1:], c * coeff)
-            if raw:
-                for w, c in _normalize(alg, raw, budget).items():
-                    _accumulate(residue, w, c)
+        residue = _normalize(alg, raw)
         if residue:
             return CasimirCheck(False, alg.generators[g], UEAElement(alg, residue))
     return CasimirCheck(True, None, UEAElement.zero(alg))
@@ -428,21 +424,24 @@ def rename_element(e, target, mapping=None):
     return UEAElement(target, _normalize(target, raw))
 
 
+def _weyl_sum(alg, raw):
+    """Weyl ordering of {index word: Scalar}, straightened in one pass: each
+    word becomes the average of its distinct arrangements (equal weights)."""
+    arranged = {}
+    for word, coeff in raw.items():
+        arrangements = set(itertools.permutations(word))
+        weight = coeff * Scalar.rational(1, len(arrangements))
+        for arr in arrangements:
+            _accumulate(arranged, arr, weight)
+    return UEAElement(alg, _normalize(alg, arranged))
+
+
 def weyl_word(algebra, names, coeff=None):
     """Weyl (symmetric) ordering of one monomial: average over all
     arrangements of its letters.  Depends only on the multiset of letters.
-
-    The distinct arrangements of a multiset all carry equal weight, so the
-    average runs over the deduplicated permutation set.
     """
     coeff = Scalar.one() if coeff is None else coeff
-    word = tuple(algebra.generator(n).index for n in names)
-    if len(word) <= 1:
-        return UEAElement(algebra, {word: coeff} if not coeff.is_zero() else {})
-    arrangements = sorted(set(itertools.permutations(word)))
-    weight = coeff * Scalar.rational(1, len(arrangements))
-    raw = {arr: weight for arr in arrangements}
-    return UEAElement(algebra, _normalize(algebra, raw))
+    return _weyl_sum(algebra, {tuple(algebra.generator(n).index for n in names): coeff})
 
 
 def weyl_symmetrize(e):
@@ -451,9 +450,4 @@ def weyl_symmetrize(e):
     This is the usual vector-space symmetrization read through the PBW
     basis, so it is well defined on elements (normal forms are unique).
     """
-    alg = e.algebra
-    gens = alg.generators
-    out = UEAElement.zero(alg)
-    for word, coeff in e._terms.items():
-        out = out + weyl_word(alg, tuple(gens[k] for k in word), coeff)
-    return out
+    return _weyl_sum(e.algebra, e._terms)

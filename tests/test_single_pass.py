@@ -1,0 +1,190 @@
+"""Single-pass straightening against the per-piece algorithms it replaced.
+
+The library builds each whole unstraightened sum (all rows of a product,
+the whole [e, G] of a Casimir check, every arrangement of every monomial of
+a Weyl ordering) and straightens it once.  The references below straighten
+one row, one term of e or one monomial at a time and add the normal forms.
+Straightening always rewrites a word at its leftmost descent, so its normal
+form is linear in words and the two must agree exactly, on catalog tables
+and on copies that break Jacobi alike.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from lieq import casimirs
+from lieq.casimirs import C4_VARIANTS, CASIMIR_GROUPS, casimir_catalog, casimir_variant
+from lieq.catalog import AXES, catalog
+from lieq.scalars import Scalar, _accumulate
+from lieq.uea import (
+    CasimirCheck,
+    UEAElement,
+    _normalize,
+    is_casimir,
+    rename_element,
+    weyl_symmetrize,
+    weyl_word,
+)
+
+C4_GROUPS = tuple(g for g in CASIMIR_GROUPS if any(
+    label.startswith("C4") for label in casimirs._spec(g)["labels"]))
+
+# -- references: one straightening per row, term or monomial ------------------
+
+
+def ref_mul(a, b):
+    terms = {}
+    for w2, c2 in b._terms.items():
+        raw = {w1 + w2: c1 * c2 for w1, c1 in a._terms.items()}
+        for w, c in _normalize(a.algebra, raw).items():
+            _accumulate(terms, w, c)
+    return UEAElement(a.algebra, terms)
+
+
+def ref_is_casimir(e):
+    alg = e.algebra
+    for g in alg._casimir_plan():
+        residue = {}
+        for word, coeff in e._terms.items():
+            raw = {}
+            for k, letter in enumerate(word):
+                for d, c in alg.bracket_index(letter, g).items():
+                    _accumulate(raw, word[:k] + (d,) + word[k + 1:], c * coeff)
+            if raw:
+                for w, c in _normalize(alg, raw).items():
+                    _accumulate(residue, w, c)
+        if residue:
+            return CasimirCheck(False, alg.generators[g], UEAElement(alg, residue))
+    return CasimirCheck(True, None, UEAElement.zero(alg))
+
+
+def ref_weyl_word(alg, names, coeff=None):
+    coeff = Scalar.one() if coeff is None else coeff
+    word = tuple(alg.generator(n).index for n in names)
+    if len(word) <= 1:
+        return UEAElement(alg, {word: coeff} if not coeff.is_zero() else {})
+    arrangements = sorted(set(itertools.permutations(word)))
+    weight = coeff * Scalar.rational(1, len(arrangements))
+    return UEAElement(alg, _normalize(alg, {arr: weight for arr in arrangements}))
+
+
+def ref_weyl_symmetrize(e):
+    alg = e.algebra
+    out = UEAElement.zero(alg)
+    for word, coeff in e._terms.items():
+        out = out + ref_weyl_word(alg, tuple(alg.generators[k] for k in word), coeff)
+    return out
+
+
+def ref_casimir_variant(alg, name, variant):
+    spec = casimirs._spec(name)
+    out = UEAElement.zero(alg)
+    if variant == "factored":
+        for i in AXES:
+            n_i = sum((UEAElement.word(alg, (p, "J" + i)) for p in spec["pref"]),
+                      UEAElement.zero(alg))
+            n_i = n_i - casimirs._cross(alg, spec["boost"], i)
+            out = out + ref_mul(n_i, n_i)
+        if spec["jp"]:
+            jp = casimirs._jdotp(alg)
+            out = out - ref_mul(jp, jp)
+        return out
+    sign = 1 if variant == "weyl_mirrored" else -1
+    build = UEAElement.word if variant == "verbatim" else ref_weyl_word
+    for names, coeff in casimirs._c4_monomials(spec, sign):
+        out = out + build(alg, names, Scalar.from_int(coeff))
+    return out
+
+
+# -- inputs -----------------------------------------------------------------------
+
+
+def random_scalar(rng):
+    s = Scalar.gaussian(Fraction(rng.randint(-6, 6), rng.randint(1, 6)),
+                        Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
+    if rng.random() < 0.25:
+        s = s * rng.choice((Scalar.symbol("c"), Scalar.symbol("eps", -1)))
+    return s
+
+
+def random_element(rng, alg, max_len=3, max_terms=4):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        names = tuple(rng.choice(alg.generators) for _ in range(rng.randint(0, max_len)))
+        terms[names] = random_scalar(rng)
+    return UEAElement.from_terms(alg, terms)
+
+
+def broken_copy(rng, alg, mutate):
+    """The first of 50 random mutate(rng, alg) copies that fails Jacobi."""
+    for _ in range(50):
+        copy = mutate(rng, alg)
+        if copy.validate().jacobi:
+            return copy
+    raise AssertionError("no Jacobi-breaking copy of %s" % alg.name)
+
+
+def flipped(rng, alg):
+    (a, b), combo = rng.choice(list(alg.nonzero_brackets()))
+    return alg.flip_sign(a, b, rng.choice(sorted(combo)))
+
+
+def rebracketed(rng, alg):
+    x, y = rng.sample(alg.generators, 2)
+    return alg.with_bracket(x, y, {rng.choice(alg.generators): random_scalar(rng)})
+
+
+def tables(rng, name):
+    alg = catalog(name)
+    return alg, broken_copy(rng, alg, flipped), broken_copy(rng, alg, rebracketed)
+
+
+# -- comparisons -------------------------------------------------------------------------
+
+
+def assert_same_element(got, want):
+    assert got.algebra is want.algebra
+    assert got._terms == want._terms
+
+
+def assert_same_check(got, want):
+    assert (got.ok, got.witness) == (want.ok, want.witness)
+    assert_same_element(got.residue, want.residue)
+
+
+@pytest.mark.parametrize("name", ("poincare", "galilei", "galilei_central", "full_relativistic"))
+def test_products_checks_and_weyl_match_the_per_piece_reference(name):
+    rng = random.Random(8111 + len(name))
+    for alg in tables(rng, name):
+        entries = [rename_element(e.element, alg) for e in casimir_catalog(name)] \
+            if name in CASIMIR_GROUPS else []
+        for _ in range(12):
+            a, b = random_element(rng, alg), random_element(rng, alg)
+            assert_same_element(a * b, ref_mul(a, b))
+            assert_same_check(is_casimir(a), ref_is_casimir(a))
+            assert_same_element(weyl_symmetrize(a), ref_weyl_symmetrize(a))
+            names = tuple(rng.choice(alg.generators) for _ in range(rng.randint(0, 4)))
+            coeff = random_scalar(rng)
+            assert_same_element(weyl_word(alg, names, coeff), ref_weyl_word(alg, names, coeff))
+        for entry in entries:
+            g = UEAElement.gen(alg, rng.choice(alg.generators))
+            for e in (entry, entry * g, g * entry):
+                assert_same_element(e * g, ref_mul(e, g))
+                assert_same_check(is_casimir(e), ref_is_casimir(e))
+            assert_same_element(weyl_symmetrize(entry), ref_weyl_symmetrize(entry))
+
+
+@pytest.mark.parametrize("name", C4_GROUPS)
+def test_c4_variants_match_the_per_monomial_reference(name, monkeypatch):
+    rng = random.Random(6007 + len(name))
+    label = next(lbl for lbl in casimirs._spec(name)["labels"] if lbl.startswith("C4"))
+    for alg in tables(rng, name):
+        monkeypatch.setattr(casimirs, "catalog", lambda _name, alg=alg: alg)
+        for variant in C4_VARIANTS:
+            got = casimir_variant(name, label, variant)
+            want = ref_casimir_variant(alg, name, variant)
+            assert_same_element(got, want)
+            assert_same_check(is_casimir(got), ref_is_casimir(want))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lieq.algebra import AlgebraError, LieAlgebra
+from lieq.casimirs import casimir_entries, casimir_variant
 from lieq.catalog import catalog, shifted_energy_basis
 from lieq.scalars import Scalar
 from lieq.uea import (
@@ -197,10 +198,32 @@ def test_term_budget_carries_its_context(monkeypatch):
     assert str(err) == "normalization exceeded 1 live terms (set LIEQ_TERM_CAP to raise)"
 
 
-def test_straightening_merges_equal_words(monkeypatch):
-    # Equal intermediate words merge before they are rewritten, so one product
-    # step costs rewrites per distinct word, not per rewrite path: 675 table
-    # lookups here, where a worklist that never merges makes 63,053.
+def test_term_budget_bounds_a_whole_product(monkeypatch):
+    # The budget counts the live terms of one straightening pass, and a
+    # product is one pass over all its rows: each row of x*x fits in 3 live
+    # terms, the whole product does not.
+    x = gen(POI, "KPx") + gen(POI, "Px")
+    monkeypatch.setenv("LIEQ_TERM_CAP", "3")
+    assert str(x * gen(POI, "KPx")) == "-i*H + KPx^2 + KPx*Px"
+    assert str(x * gen(POI, "Px")) == "KPx*Px + Px^2"
+    with pytest.raises(TermBudgetExceeded) as info:
+        x * x
+    assert (info.value.budget, info.value.live, info.value.word) == (3, 4, ("Px", "KPx"))
+
+
+def test_term_budget_bounds_a_whole_casimir_check(monkeypatch):
+    # is_casimir straightens each whole [e, G] in one pass, so the cap bounds
+    # all of it: 1704 live terms here, though no single term of e needs 1500.
+    c4 = casimir_entries("poincare")["C4P"]
+    square = c4 * c4
+    monkeypatch.setenv("LIEQ_TERM_CAP", "1500")
+    with pytest.raises(TermBudgetExceeded) as info:
+        is_casimir(square)
+    assert (info.value.budget, info.value.live) == (1500, 1704)
+
+
+def count_lookups(monkeypatch):
+    """Record every bracket_index call from now on; returns the list."""
     calls = []
     lookup = LieAlgebra.bracket_index
 
@@ -208,11 +231,37 @@ def test_straightening_merges_equal_words(monkeypatch):
         calls.append((ia, ib))
         return lookup(self, ia, ib)
 
+    monkeypatch.setattr(LieAlgebra, "bracket_index", counting)
+    return calls
+
+
+def test_straightening_merges_equal_words(monkeypatch):
+    # Equal intermediate words merge before they are rewritten, so one product
+    # step costs rewrites per distinct word, not per rewrite path: 675 table
+    # lookups here, where a worklist that never merges makes 63,053.
     x = gen(POI, "KPx") + gen(POI, "Px")
     power = x ** 10
-    monkeypatch.setattr(LieAlgebra, "bracket_index", counting)
+    calls = count_lookups(monkeypatch)
     assert (power * x).term_count() == 107
     assert len(calls) <= 1000
+
+
+def test_weyl_ordering_merges_words_across_monomials(monkeypatch):
+    # Every arrangement of every monomial is straightened in one pass: 362
+    # lookups, where one pass per monomial makes 685.
+    calls = count_lookups(monkeypatch)
+    assert casimir_variant("poincare", "C4P", "weyl").term_count() == 31
+    assert len(calls) <= 400
+
+
+def test_casimir_check_merges_words_across_terms(monkeypatch):
+    # Each [e, G] is straightened in one pass over all terms of e: 25,149
+    # lookups, where one pass per term makes 28,157.
+    c4 = casimir_entries("poincare")["C4P"]
+    square = c4 * c4
+    calls = count_lookups(monkeypatch)
+    assert is_casimir(square).ok
+    assert len(calls) <= 26_000
 
 
 def test_printing_roundtrip_shape():
