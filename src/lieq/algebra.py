@@ -9,8 +9,9 @@ lookup is one dictionary read.  Generator order is significant — it doubles
 as the PBW basis order in lieq.uea — and nonzero_brackets lists the table in
 it: by pair, then by result generator.
 
-All values are immutable; operations return new algebras.  The one fact
-cached on an instance is that a validate() call found no Jacobi violation,
+All values are immutable; operations return new algebras.  Sums in bracket,
+validate and change_basis accumulate raw maps (lieq.scalars).  One fact is
+cached on an instance: that a validate() call found no Jacobi violation,
 which cannot go stale; it lets is_casimir skip generators (_casimir_plan).
 """
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from types import MappingProxyType
 
-from lieq.scalars import DEFAULT_SYMBOLS, LAURENT_SYMBOL, Scalar, _accumulate
+from lieq.scalars import DEFAULT_SYMBOLS, LAURENT_SYMBOL, Scalar, _add_into, _freeze, _mac
 
 Generator = namedtuple("Generator", ["name", "index"])
 
@@ -73,7 +74,8 @@ class LieAlgebra:
                 if not isinstance(coeff, Scalar):
                     raise AlgebraError("structure constant for [%s,%s] is not a Scalar" % (a, b))
                 if not coeff.is_zero():
-                    _accumulate(entry, self._gen_index(d), coeff)
+                    _add_into(entry.setdefault(self._gen_index(d), {}), coeff._terms)
+            entry = _freeze(entry)
             if ia == ib:
                 if entry:
                     raise AlgebraError("nonzero bracket [%s,%s]" % (a, a))
@@ -121,19 +123,17 @@ class LieAlgebra:
         for ia, ca in cx.items():
             for ib, cb in cy.items():
                 w = ca * cb
-                if w.is_zero():
-                    continue
                 for d, coeff in self.bracket_index(ia, ib).items():
-                    _accumulate(out, d, w * coeff)
-        return {self.generators[d]: coeff for d, coeff in sorted(out.items())}
+                    _mac(out.setdefault(d, {}), w._terms, coeff._terms)
+        return {self.generators[d]: coeff for d, coeff in sorted(_freeze(out).items())}
 
     def _as_combo(self, x):
         if isinstance(x, str):
             return {self._gen_index(x): Scalar.one()}
         combo = {}
         for name, coeff in x.items():
-            _accumulate(combo, self._gen_index(name), coeff)
-        return combo
+            _add_into(combo.setdefault(self._gen_index(name), {}), coeff._terms)
+        return _freeze(combo)
 
     def nonzero_brackets(self):
         """Yield ((a, b), {d: c_ab^d}) for every nonzero bracket, a listed before b.
@@ -171,7 +171,8 @@ class LieAlgebra:
                     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
                         for e, ce in self.bracket_index(x, y).items():
                             for d, coeff in self.bracket_index(e, z).items():
-                                _accumulate(residue, d, ce * coeff)
+                                _mac(residue.setdefault(d, {}), ce._terms, coeff._terms)
+                    residue = _freeze(residue)
                     if residue:
                         names = (self.generators[a], self.generators[b], self.generators[c])
                         jacobi.append(
@@ -315,17 +316,16 @@ class LieAlgebra:
                             continue
                         w = ac * bd
                         for e, coeff in self.bracket_index(c, d).items():
-                            _accumulate(old, e, w * coeff)
+                            _mac(old.setdefault(e, {}), w._terms, coeff._terms)
                 entry = {}
                 for e, coeff in old.items():
                     for f in range(n):
                         w = inv[e][f]
                         if not w.is_zero():
-                            _accumulate(entry, f, coeff * w)
-                if entry:
-                    table[(new_names[a], new_names[b])] = {
-                        new_names[f]: coeff for f, coeff in entry.items()
-                    }
+                            _mac(entry.setdefault(f, {}), coeff, w._terms)
+                # a pair whose entry cancelled is a vanishing bracket, as in the constructor
+                table[(new_names[a], new_names[b])] = {
+                    new_names[f]: coeff for f, coeff in _freeze(entry).items()}
         return LieAlgebra(name or self.name + "_basis", new_names, table, self.symbols)
 
     # -- equality ---------------------------------------------------------------
@@ -384,12 +384,12 @@ def _invert(matrix):
             raise AlgebraError("basis matrix is singular (no unit pivot in column %d)" % col)
         a[col], a[pivot_row] = a[pivot_row], a[col]
         inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        a[col] = [x * pivot_inv for x in a[col]]
-        inv[col] = [x * pivot_inv for x in inv[col]]
+        a[col] = [x * pivot_inv if x else x for x in a[col]]
+        inv[col] = [x * pivot_inv if x else x for x in inv[col]]
         for r in range(n):
             if r == col or a[r][col].is_zero():
                 continue
             factor = a[r][col]
-            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-            inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
+            a[r] = [x - factor * y if y else x for x, y in zip(a[r], a[col])]
+            inv[r] = [x - factor * y if y else x for x, y in zip(inv[r], inv[col])]
     return inv

@@ -14,7 +14,11 @@ or Fractions (never floats or strings), and ``items()``, ``constant_pair()``
 and ``str`` give (re, im) Fraction pairs.
 
 Everything is immutable and kept in a unique canonical form, so ``==`` is
-exact mathematical equality and scalars can be dict keys.
+exact mathematical equality and scalars can be dict keys.  Hot sums (here,
+in straightening and in table algebra) run on raw maps instead, the mutable
+{mono: triple} inside of a Scalar, through one in-place kernel (_mac,
+_add_into), and _freeze each finished sum once; only its owner writes to a
+raw map, and a live Scalar's _terms are only ever read.
 """
 
 from __future__ import annotations
@@ -122,14 +126,34 @@ def signed_sum(parts):
     return out
 
 
-def _accumulate(terms, key, coeff):
-    """Add coeff into terms[key] of a {key: Scalar} map, dropping the key at zero."""
-    cur = terms.get(key)
-    cur = coeff if cur is None else cur + coeff
-    if cur.is_zero():
-        terms.pop(key, None)
-    else:
-        terms[key] = cur
+def _add_into(acc, t):
+    """acc += t on raw maps, in place; a monomial that cancels is deleted."""
+    for mono, y in t.items():
+        x = acc.get(mono)
+        s = y if x is None else _add(x, y)
+        if s is None:
+            del acc[mono]
+        else:
+            acc[mono] = s
+
+
+def _mac(acc, t1, t2):
+    """acc += t1 * t2 on raw maps, in place; a monomial that cancels is deleted."""
+    for m1, x in t1.items():
+        for m2, y in t2.items():
+            mono = _mono_mul(m1, m2)
+            p = _mul(x, y)
+            cur = acc.get(mono)
+            s = p if cur is None else _add(cur, p)
+            if s is None:
+                del acc[mono]
+            else:
+                acc[mono] = s
+
+
+def _freeze(raw):
+    """{key: Scalar} from {key: raw map}, leaving out the maps that summed to zero."""
+    return {k: Scalar(t) for k, t in raw.items() if t}
 
 
 class Scalar:
@@ -188,13 +212,7 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         terms = dict(self._terms)
-        for mono, y in other._terms.items():
-            x = terms.get(mono)
-            s = y if x is None else _add(x, y)
-            if s is None:
-                del terms[mono]
-            else:
-                terms[mono] = s
+        _add_into(terms, other._terms)
         return Scalar(terms)
 
     def __neg__(self):
@@ -214,16 +232,7 @@ class Scalar:
             (m2, y), = t2.items()
             return Scalar({_mono_mul(m1, m2): _mul(x, y)})
         terms = {}
-        for m1, x in t1.items():
-            for m2, y in t2.items():
-                mono = _mono_mul(m1, m2)
-                p = _mul(x, y)
-                cur = terms.get(mono)
-                s = p if cur is None else _add(cur, p)
-                if s is None:
-                    del terms[mono]
-                else:
-                    terms[mono] = s
+        _mac(terms, t1, t2)
         return Scalar(terms)
 
     def __pow__(self, n):

@@ -49,7 +49,7 @@ from heapq import heapify, heappop, heappush
 from operator import neg
 
 from lieq.algebra import AlgebraError
-from lieq.scalars import Scalar, _accumulate, signed_sum
+from lieq.scalars import Scalar, _add_into, _mac, signed_sum
 
 DEFAULT_TERM_CAP = 10 ** 6
 
@@ -90,8 +90,11 @@ def _term_cap():
 
 
 def _normalize(alg, raw):
-    """Straighten {word(index tuple): Scalar} into PBW normal form.
+    """Straighten {word(index tuple): raw map} into PBW normal form {word: Scalar}.
 
+    Owns raw and its maps: callers pass fresh maps, never a live Scalar's
+    _terms.  A rewritten word's map moves to its swap uncopied, bracket
+    terms are _mac'd into their slots, and only output words become Scalars.
     Pending words are keyed by (-len(w), -w[0], -w[1], ...), which is also
     their min-heap entry: longest first, then descending lexicographic.
     """
@@ -99,35 +102,39 @@ def _normalize(alg, raw):
     out = {}
     pending = {}
     for word, coeff in raw.items():
-        if not coeff.is_zero():
+        if coeff:
             pending[(-len(word),) + tuple(map(neg, word))] = coeff
     heap = list(pending)
     heapify(heap)
     while heap:
         key = heappop(heap)
         coeff = pending.pop(key)
-        if coeff.is_zero():
+        if not coeff:
             continue
         # key[k] < key[k + 1] is a descent of the word at k - 1
         for pos in range(1, len(key) - 1):
             if key[pos] < key[pos + 1]:
                 break
         else:
-            out[tuple(map(neg, key[1:]))] = coeff
+            out[tuple(map(neg, key[1:]))] = Scalar(coeff)
             continue
         nb, na = key[pos], key[pos + 1]
         tail = key[pos + 2:]
-        new = [(key[:pos] + (na, nb) + tail, coeff)]
+        swapped = key[:pos] + (na, nb) + tail
+        cur = pending.get(swapped)
+        if cur is None:
+            pending[swapped] = coeff
+            heappush(heap, swapped)
+        else:
+            _add_into(cur, coeff)
         shorter = (key[0] + 1,) + key[1:pos]
         for d, c in alg.bracket_index(-nb, -na).items():
-            new.append((shorter + (-d,) + tail, coeff * c))
-        for nkey, c in new:
+            nkey = shorter + (-d,) + tail
             cur = pending.get(nkey)
             if cur is None:
-                pending[nkey] = c
+                pending[nkey] = cur = {}
                 heappush(heap, nkey)
-            else:
-                pending[nkey] = cur + c
+            _mac(cur, coeff, c._terms)
         live = len(pending) + len(out)
         if live > budget:
             gens = alg.generators
@@ -136,10 +143,10 @@ def _normalize(alg, raw):
 
 
 def _index_words(alg, named_terms):
-    """Sum (name word, Scalar) pairs into {index word: Scalar} over alg's basis."""
+    """Sum (name word, Scalar) pairs into fresh {index word: raw map} over alg's basis."""
     raw = {}
     for names, coeff in named_terms:
-        _accumulate(raw, tuple(alg.generator(n).index for n in names), coeff)
+        _add_into(raw.setdefault(tuple(alg.generator(n).index for n in names), {}), coeff._terms)
     return raw
 
 
@@ -182,8 +189,7 @@ class UEAElement:
     def word(algebra, names, coeff=None):
         """coeff * G_n1 G_n2 ..., normalized."""
         coeff = Scalar.one() if coeff is None else coeff
-        idx = tuple(algebra.generator(n).index for n in names)
-        return UEAElement(algebra, _normalize(algebra, {idx: coeff}))
+        return UEAElement(algebra, _normalize(algebra, _index_words(algebra, [(names, coeff)])))
 
     @staticmethod
     def from_terms(algebra, terms):
@@ -224,7 +230,10 @@ class UEAElement:
         self._check_same(other)
         terms = dict(self._terms)
         for word, coeff in other._terms.items():
-            _accumulate(terms, word, coeff)
+            cur = terms.pop(word, None)
+            cur = coeff if cur is None else cur + coeff
+            if cur:
+                terms[word] = cur
         return UEAElement(self.algebra, terms)
 
     def __neg__(self):
@@ -247,7 +256,7 @@ class UEAElement:
         raw = {}
         for w2, c2 in other._terms.items():
             for w1, c1 in self._terms.items():
-                _accumulate(raw, w1 + w2, c1 * c2)
+                _mac(raw.setdefault(w1 + w2, {}), c1._terms, c2._terms)
         return UEAElement(self.algebra, _normalize(self.algebra, raw))
 
     def __rmul__(self, other):
@@ -318,7 +327,8 @@ def _coeff_prefix(coeff, standalone):
 
 def normal_form(e):
     """Re-run straightening; a fixed point for any constructed element."""
-    return UEAElement(e.algebra, _normalize(e.algebra, dict(e._terms)))
+    raw = {w: dict(c._terms) for w, c in e._terms.items()}
+    return UEAElement(e.algebra, _normalize(e.algebra, raw))
 
 
 def commutator(a, b):
@@ -345,7 +355,7 @@ def is_casimir(e):
         for word, coeff in e._terms.items():
             for k, letter in enumerate(word):
                 for d, c in alg.bracket_index(letter, g).items():
-                    _accumulate(raw, word[:k] + (d,) + word[k + 1:], c * coeff)
+                    _mac(raw.setdefault(word[:k] + (d,) + word[k + 1:], {}), c._terms, coeff._terms)
         residue = _normalize(alg, raw)
         if residue:
             return CasimirCheck(False, alg.generators[g], UEAElement(alg, residue))
@@ -425,14 +435,15 @@ def rename_element(e, target, mapping=None):
 
 
 def _weyl_sum(alg, raw):
-    """Weyl ordering of {index word: Scalar}, straightened in one pass: each
-    word becomes the average of its distinct arrangements (equal weights)."""
+    """Weyl ordering of {index word: raw map} (only read), straightened in one
+    pass: each word becomes the average of its distinct arrangements."""
     arranged = {}
     for word, coeff in raw.items():
         arrangements = set(itertools.permutations(word))
-        weight = coeff * Scalar.rational(1, len(arrangements))
+        weight = {}
+        _mac(weight, coeff, {(): (1, 0, len(arrangements))})
         for arr in arrangements:
-            _accumulate(arranged, arr, weight)
+            _add_into(arranged.setdefault(arr, {}), weight)
     return UEAElement(alg, _normalize(alg, arranged))
 
 
@@ -441,7 +452,7 @@ def weyl_word(algebra, names, coeff=None):
     arrangements of its letters.  Depends only on the multiset of letters.
     """
     coeff = Scalar.one() if coeff is None else coeff
-    return _weyl_sum(algebra, {tuple(algebra.generator(n).index for n in names): coeff})
+    return _weyl_sum(algebra, _index_words(algebra, [(names, coeff)]))
 
 
 def weyl_symmetrize(e):
@@ -450,4 +461,4 @@ def weyl_symmetrize(e):
     This is the usual vector-space symmetrization read through the PBW
     basis, so it is well defined on elements (normal forms are unique).
     """
-    return _weyl_sum(e.algebra, e._terms)
+    return _weyl_sum(e.algebra, {w: c._terms for w, c in e._terms.items()})

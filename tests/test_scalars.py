@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lieq.scalars import Scalar, ScalarError
+from lieq.scalars import Scalar, ScalarError, _add_into, _freeze, _mac
 
 
 def test_basic_constants():
@@ -338,3 +338,38 @@ def test_triple_core_matches_fraction_reference(dx, dy, dz, n, k):
         assert hash(x) == hash(y)
     back = (x + y) - y
     assert back == x and hash(back) == hash(x)
+
+
+# ---------------------------------------------------------------------------
+# differential test: the in-place kernel on raw maps against the reference
+
+
+@settings(deadline=None)
+@given(ref_desc, ref_desc, ref_desc)
+@example(_SIXTHS, [(Fraction(1, 6), Fraction(1, 2), {"c": 1})],
+         [(Fraction(1, 18), -Fraction(1, 9), {"c": 2})])
+@example([(1, 1, {"eps": -2})], [(1, -1, {"eps": 2})], [(-2, 0, {})])
+@example(_SIXTHS, [(1, 0, {"eps": -1})], [(-Fraction(1, 6), -Fraction(1, 6), {"c": 1, "eps": -1})])
+def test_kernel_matches_scalar_arithmetic(dx, dy, dz):
+    # each explicit example sums to zero, e.g. (1+i)/6 * (1+3i)/6 = (-1+2i)/18
+    x, y, z = _from_desc(dx), _from_desc(dy), _from_desc(dz)
+    rx, ry, rz = _Ref.build(dx), _Ref.build(dy), _Ref.build(dz)
+    before = [(s, dict(s._terms), hash(s)) for s in (x, y, z)]
+    t1, t2 = x._terms, y._terms  # callers pass live Scalars' maps as operands
+    acc = dict(z._terms)
+    _mac(acc, t1, t2)
+    _agree(Scalar(acc), rz + rx * ry)
+    assert Scalar(acc) == z + x * y
+    assert all(acc.values())  # a cancelled monomial is deleted, never stored as zero
+    _add_into(acc, t1)
+    _agree(Scalar(acc), rz + rx * ry + rx)
+    # the operands are only read
+    for s, terms, h in before:
+        assert s._terms == terms and hash(Scalar(dict(s._terms))) == h
+    # exact cancellation leaves an empty map, which _freeze leaves out
+    neg = dict((-(x * y))._terms)
+    _mac(neg, t1, t2)
+    back = dict((-x)._terms)
+    _add_into(back, t1)
+    assert neg == {} and back == {}
+    assert _freeze({"kept": acc, "cancelled": neg}) == ({"kept": Scalar(acc)} if acc else {})

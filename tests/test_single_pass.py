@@ -18,7 +18,7 @@ import pytest
 from lieq import casimirs
 from lieq.casimirs import C4_VARIANTS, CASIMIR_GROUPS, casimir_catalog, casimir_variant
 from lieq.catalog import AXES, catalog
-from lieq.scalars import Scalar, _accumulate
+from lieq.scalars import Scalar
 from lieq.uea import (
     CasimirCheck,
     UEAElement,
@@ -35,11 +35,26 @@ C4_GROUPS = tuple(g for g in CASIMIR_GROUPS if any(
 # -- references: one straightening per row, term or monomial ------------------
 
 
+def _accumulate(terms, key, coeff):
+    """Add coeff into terms[key] of a {key: Scalar} map, dropping the key at zero."""
+    cur = terms.get(key)
+    cur = coeff if cur is None else cur + coeff
+    if cur.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = cur
+
+
+def normalize(alg, raw):
+    """_normalize on a {word: Scalar} map, through fresh raw coefficient maps."""
+    return _normalize(alg, {w: dict(c._terms) for w, c in raw.items()})
+
+
 def ref_mul(a, b):
     terms = {}
     for w2, c2 in b._terms.items():
         raw = {w1 + w2: c1 * c2 for w1, c1 in a._terms.items()}
-        for w, c in _normalize(a.algebra, raw).items():
+        for w, c in normalize(a.algebra, raw).items():
             _accumulate(terms, w, c)
     return UEAElement(a.algebra, terms)
 
@@ -54,7 +69,7 @@ def ref_is_casimir(e):
                 for d, c in alg.bracket_index(letter, g).items():
                     _accumulate(raw, word[:k] + (d,) + word[k + 1:], c * coeff)
             if raw:
-                for w, c in _normalize(alg, raw).items():
+                for w, c in normalize(alg, raw).items():
                     _accumulate(residue, w, c)
         if residue:
             return CasimirCheck(False, alg.generators[g], UEAElement(alg, residue))
@@ -68,7 +83,7 @@ def ref_weyl_word(alg, names, coeff=None):
         return UEAElement(alg, {word: coeff} if not coeff.is_zero() else {})
     arrangements = sorted(set(itertools.permutations(word)))
     weight = coeff * Scalar.rational(1, len(arrangements))
-    return UEAElement(alg, _normalize(alg, {arr: weight for arr in arrangements}))
+    return UEAElement(alg, normalize(alg, {arr: weight for arr in arrangements}))
 
 
 def ref_weyl_symmetrize(e):
