@@ -14,10 +14,12 @@ stores the grouped vector form
 Poincare family), which commutes with every generator exactly.
 casimir_variant exposes the other candidate orderings — the verbatim printed
 transcription and its Weyl (fully symmetrized) version in both cross-term
-orientations — and ordering_study runs is_casimir once over each of them, the
-catalog element included, so reports can state which ordering each catalog
-entry uses, whether it commutes, and what the alternatives do.  Each
-variant is straightened in one pass over all its monomials.
+orientations — and ordering_study checks each of them, the catalog element
+included, so reports can state which ordering each catalog entry uses,
+whether it commutes, and what the alternatives do.  The printed orderings
+differ only in the sign of the cross monomials: each is base ± cross, where
+the base and cross pieces are each straightened (or Weyl ordered) in one
+pass, and ordering_study straightens each [piece, G] once for all orderings.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from collections import namedtuple
 from lieq.algebra import AlgebraError
 from lieq.catalog import AXES, catalog, eps3
 from lieq.scalars import Scalar
-from lieq.uea import UEAElement, _index_words, _normalize, _weyl_sum, is_casimir
+from lieq.uea import UEAElement, _casimir_checks, _index_words, _normalize, _weyl_sum, is_casimir
 
 CasimirEntry = namedtuple("CasimirEntry", ["label", "element", "ordering"])
 OrderingStep = namedtuple("OrderingStep", ["variant", "ok", "witness", "shift", "residue"])
@@ -109,30 +111,32 @@ def _c4_factored(alg, spec):
     return out
 
 
-def _c4_monomials(spec, cross_sign):
-    """The printed quartic as (names, integer coeff) monomials, printed order."""
+def _c4_monomials(spec):
+    """The printed quartic's (base, cross) (names, int coeff) monomials; cross at +2*eps_ijk."""
     pref, boost = spec["pref"], spec["boost"]
-    for a in pref:
-        for b in pref:
-            for i in AXES:
-                yield (a, b, "J" + i, "J" + i), 1
-    for i in AXES:
-        for j in AXES:
-            yield ("P" + i, "P" + i, boost + j, boost + j), 1
-    for i in AXES:
-        for j in AXES:
-            yield ("P" + i, boost + i, "P" + j, boost + j), -1
+    base = [((a, b, "J" + i, "J" + i), 1) for a in pref for b in pref for i in AXES]
+    base += [(("P" + i, "P" + i, boost + j, boost + j), 1) for i in AXES for j in AXES]
+    base += [(("P" + i, boost + i, "P" + j, boost + j), -1) for i in AXES for j in AXES]
     if spec["jp"]:
-        for i in AXES:
-            for j in AXES:
-                yield ("J" + i, "P" + i, "J" + j, "P" + j), -1
-    for a in pref:
-        for i in AXES:
-            for j in AXES:
-                for k in AXES:
-                    e = eps3(i, j, k)
-                    if e:
-                        yield (a, "J" + k, "P" + i, boost + j), 2 * cross_sign * e
+        base += [(("J" + i, "P" + i, "J" + j, "P" + j), -1) for i in AXES for j in AXES]
+    cross = [((a, "J" + k, "P" + i, boost + j), 2 * eps3(i, j, k))
+             for a in pref for i in AXES for j in AXES for k in AXES if eps3(i, j, k)]
+    return base, cross
+
+
+# The printed orderings by piece kind (Weyl ordered or not): {variant: sign of the cross piece}.
+_PRINTED = {False: {"verbatim": -1}, True: {"weyl": -1, "weyl_mirrored": 1}}
+
+
+def _c4_pieces(alg, spec, weyl):
+    """[N(B), N(X)], or [W(B), W(X)] when weyl: the base and cross monomials
+    straightened (N) or Weyl ordered (W), each in one pass.  N and W are
+    linear, so a printed ordering is base + sign * cross."""
+    pieces = []
+    for monomials in _c4_monomials(spec):
+        raw = _index_words(alg, ((names, Scalar.from_int(c)) for names, c in monomials))
+        pieces.append(_weyl_sum(alg, raw) if weyl else UEAElement(alg, _normalize(alg, raw)))
+    return pieces
 
 
 def casimir_variant(name, label, variant):
@@ -143,13 +147,10 @@ def casimir_variant(name, label, variant):
     alg = catalog(name)
     if variant == "factored":
         return _c4_factored(alg, spec)
-    if variant in ("verbatim", "weyl", "weyl_mirrored"):
-        sign = 1 if variant == "weyl_mirrored" else -1
-        raw = _index_words(alg, ((names, Scalar.from_int(coeff))
-                                 for names, coeff in _c4_monomials(spec, sign)))
-        if variant == "verbatim":
-            return UEAElement(alg, _normalize(alg, raw))
-        return _weyl_sum(alg, raw)
+    for weyl, signs in _PRINTED.items():
+        if variant in signs:
+            base, cross = _c4_pieces(alg, spec, weyl)
+            return base + cross * signs[variant]
     raise AlgebraError("unknown variant %r (have: %s)" % (variant, ", ".join(C4_VARIANTS)))
 
 
@@ -187,7 +188,7 @@ def casimir_entries(name):
 
 
 def ordering_study(name):
-    """Run is_casimir once over every ordering candidate of every labeled invariant.
+    """Check every ordering candidate of every labeled invariant, as is_casimir does.
 
     Returns {label: (OrderingStep, ...)} in table order.  C1/C2 entries have
     a single verbatim step; C4 entries get all four variants.  The last step
@@ -196,18 +197,19 @@ def ordering_study(name):
     exact difference variant - catalog element for passing variants (it is
     a Casimir itself), None for failing ones.
     """
+    spec, alg = _spec(name), catalog(name)
     out = {}
     for entry in casimir_catalog(name):
-        candidates = [
-            (variant, casimir_variant(name, entry.label, variant))
-            for variant in C4_VARIANTS
-            if entry.label.startswith("C4") and variant != entry.ordering
-        ]
-        candidates.append((entry.ordering, entry.element))
-        steps = []
-        for variant, e in candidates:
-            check = is_casimir(e)
-            shift = e - entry.element if check.ok else None
-            steps.append(OrderingStep(variant, check.ok, check.witness, shift, check.residue))
-        out[entry.label] = tuple(steps)
+        candidates = []
+        if entry.label.startswith("C4"):
+            for weyl, signs in _PRINTED.items():
+                base, cross = _c4_pieces(alg, spec, weyl)
+                checks = _casimir_checks((base, cross), [(1, s) for s in signs.values()])
+                candidates += [(v, base + cross * s, check)
+                               for (v, s), check in zip(signs.items(), checks)]
+        candidates.append((entry.ordering, entry.element, is_casimir(entry.element)))
+        out[entry.label] = tuple(
+            OrderingStep(variant, check.ok, check.witness,
+                         e - entry.element if check.ok else None, check.residue)
+            for variant, e, check in candidates)
     return out

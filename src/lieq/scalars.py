@@ -238,9 +238,14 @@ class Scalar:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ScalarError("scalar power must be a nonnegative integer")
-        out = Scalar.one()
-        for _ in range(n):
-            out = out * self
+        # repeated squaring: the ring is commutative, so any grouping gives the same product
+        out, square = Scalar.one(), self
+        while n:
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
         return out
 
     # -- structure ----------------------------------------------------------

@@ -20,8 +20,10 @@ is rewritten at its leftmost descent, the normal form is a linear map on
 words even on tables that break Jacobi, so each operation straightens its
 whole sum in one pass (all rows w1·w2 of a product, the whole [e, G] of a
 Casimir check, every arrangement of every word of a Weyl ordering) and
-equal words from different pieces merge too.  A term-count budget
-(LIEQ_TERM_CAP, default 10**6) bounds the live terms of each pass.
+equal words from different pieces merge too; a printed quartic ordering is
+a signed sum of two pieces, one pass each, and _casimir_checks checks such
+sums together.  A term-count budget (LIEQ_TERM_CAP, default 10**6) bounds
+the live terms of each pass.
 
 is_casimir straightens [e, G] from the derivation
 [w, G] = sum_k w[:k]·[w_k, G]·w[k+1:], summed over the terms of e, instead of
@@ -349,17 +351,37 @@ def is_casimir(e):
     first offending generator and its residue are the same as when every
     generator is checked.
     """
-    alg = e.algebra
+    return _casimir_checks((e,), ((1,),))[0]
+
+
+def _casimir_checks(pieces, combos):
+    """is_casimir(sum(s * piece)) for each tuple of signs (+1/-1) in combos.
+    Each [piece, G] is straightened once per planned generator some combination
+    awaits; by linearity a combination's residue is the signed sum of its pieces'."""
+    alg = pieces[0].algebra
+    checks = [None] * len(combos)
+    pending = range(len(combos))
     for g in alg._casimir_plan():
-        raw = {}
-        for word, coeff in e._terms.items():
-            for k, letter in enumerate(word):
-                for d, c in alg.bracket_index(letter, g).items():
-                    _mac(raw.setdefault(word[:k] + (d,) + word[k + 1:], {}), c._terms, coeff._terms)
-        residue = _normalize(alg, raw)
-        if residue:
-            return CasimirCheck(False, alg.generators[g], UEAElement(alg, residue))
-    return CasimirCheck(True, None, UEAElement.zero(alg))
+        residues = []
+        for piece in pieces:
+            raw = {}
+            for word, coeff in piece._terms.items():
+                for k, letter in enumerate(word):
+                    for d, c in alg.bracket_index(letter, g).items():
+                        _mac(raw.setdefault(word[:k] + (d,) + word[k + 1:], {}),
+                             c._terms, coeff._terms)
+            residues.append(UEAElement(alg, _normalize(alg, raw)))
+        if not any(residues):
+            continue
+        for i in pending:
+            residue = sum((r if s > 0 else -r for s, r in zip(combos[i], residues)),
+                          UEAElement.zero(alg))
+            if residue:
+                checks[i] = CasimirCheck(False, alg.generators[g], residue)
+        pending = [i for i in pending if checks[i] is None]
+        if not pending:
+            break
+    return [check or CasimirCheck(True, None, UEAElement.zero(alg)) for check in checks]
 
 
 def substitute(e, mapping, formal=False):

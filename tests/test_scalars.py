@@ -42,6 +42,25 @@ def test_symbols_and_powers():
     assert c * eps == eps * c
 
 
+def test_power_matches_repeated_products():
+    # ** squares repeatedly; the ring is commutative, so each power is the same
+    # canonical scalar as the product of n factors taken left to right.
+    eps_inv, c, m0 = Scalar.symbol("eps", -1), Scalar.symbol("c"), Scalar.symbol("m0")
+    bases = (
+        Scalar.rational(1, 2) * eps_inv + Scalar.i() * c + Scalar.from_int(3),
+        Scalar.gaussian(Fraction(1, 3), Fraction(1, 3)) * eps_inv * eps_inv
+        - c * m0 + Scalar.rational(2, 5) * Scalar.symbol("eps"),
+        Scalar.one() - Scalar.i() * Scalar.symbol("eps"),
+    )
+    for x in bases:
+        product = Scalar.one()
+        for n in range(14):
+            power = x ** n
+            assert power == product and hash(power) == hash(product)
+            assert all(den > 0 and gcd(re, im, den) == 1 for re, im, den in power._terms.values())
+            product = product * x
+
+
 def test_negative_powers_only_for_eps():
     assert Scalar.symbol("eps", -2) * Scalar.symbol("eps", 2) == Scalar.one()
     with pytest.raises(ScalarError):

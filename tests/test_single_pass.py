@@ -16,12 +16,20 @@ from fractions import Fraction
 import pytest
 
 from lieq import casimirs
-from lieq.casimirs import C4_VARIANTS, CASIMIR_GROUPS, casimir_catalog, casimir_variant
+from lieq.casimirs import (
+    C4_VARIANTS,
+    CASIMIR_GROUPS,
+    OrderingStep,
+    casimir_catalog,
+    casimir_variant,
+    ordering_study,
+)
 from lieq.catalog import AXES, catalog
 from lieq.scalars import Scalar
 from lieq.uea import (
     CasimirCheck,
     UEAElement,
+    _casimir_checks,
     _normalize,
     is_casimir,
     rename_element,
@@ -109,7 +117,8 @@ def ref_casimir_variant(alg, name, variant):
         return out
     sign = 1 if variant == "weyl_mirrored" else -1
     build = UEAElement.word if variant == "verbatim" else ref_weyl_word
-    for names, coeff in casimirs._c4_monomials(spec, sign):
+    base, cross = casimirs._c4_monomials(spec)
+    for names, coeff in base + [(names, sign * coeff) for names, coeff in cross]:
         out = out + build(alg, names, Scalar.from_int(coeff))
     return out
 
@@ -203,3 +212,62 @@ def test_c4_variants_match_the_per_monomial_reference(name, monkeypatch):
             want = ref_casimir_variant(alg, name, variant)
             assert_same_element(got, want)
             assert_same_check(is_casimir(got), ref_is_casimir(want))
+
+
+# -- shared straightening across the printed orderings -------------------------------
+
+
+def ref_ordering_study(name):
+    """ordering_study(name) step by step: build each variant, then is_casimir it."""
+    alg = catalog(name)
+    out = {}
+    for entry in casimir_catalog(name):
+        candidates = [(variant, ref_casimir_variant(alg, name, variant))
+                      for variant in C4_VARIANTS
+                      if entry.label.startswith("C4") and variant != entry.ordering]
+        candidates.append((entry.ordering, entry.element))
+        steps = []
+        for variant, e in candidates:
+            check = is_casimir(e)
+            shift = e - entry.element if check.ok else None
+            steps.append(OrderingStep(variant, check.ok, check.witness, shift, check.residue))
+        out[entry.label] = tuple(steps)
+    return out
+
+
+@pytest.mark.parametrize("name", CASIMIR_GROUPS)
+def test_ordering_study_matches_the_step_by_step_reference(name):
+    got, want = ordering_study(name), ref_ordering_study(name)
+    assert list(got) == list(want)
+    for label, steps in got.items():
+        assert len(steps) == len(want[label])
+        for step, ref in zip(steps, want[label]):
+            assert (step.variant, step.ok, step.witness) == (ref.variant, ref.ok, ref.witness)
+            assert (step.shift is None) == (ref.shift is None)
+            if ref.shift is not None:
+                assert_same_element(step.shift, ref.shift)
+            assert_same_element(step.residue, ref.residue)
+
+
+@pytest.mark.parametrize("name", ("poincare", "galilei_central", "full_relativistic"))
+def test_shared_checks_match_is_casimir_on_each_combination(name):
+    # Pairs (a, b) whose sum and difference fail at different generators, or
+    # where one of them commutes, so every combination runs its own course.
+    rng = random.Random(3301 + len(name))
+    half = Scalar.rational(1, 2)
+    for alg in tables(rng, name):
+        entries = [rename_element(e.element, alg) for e in casimir_catalog(name)]
+        for _ in range(8):
+            u = random_element(rng, alg)
+            v = UEAElement.gen(alg, rng.choice(alg.generators)) * random_scalar(rng)
+            v = v + rng.choice(entries)
+            for a, b in ((u, v), (half * (u + v), half * (u - v)),
+                         (half * (v + rng.choice(entries)), half * (v - rng.choice(entries)))):
+                combos = ((1, 1), (1, -1)) if rng.random() < 0.5 else ((1, -1), (1, 1))
+                got = _casimir_checks((a, b), combos)
+                assert len(got) == 2
+                for check, (_, sign) in zip(got, combos):
+                    e = a + b if sign > 0 else a - b
+                    want = ref_is_casimir(e)
+                    assert_same_check(check, want)
+                    assert_same_check(is_casimir(e), want)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lieq.algebra import AlgebraError, LieAlgebra
-from lieq.casimirs import casimir_entries, casimir_variant
+from lieq.casimirs import casimir_entries, casimir_variant, ordering_study
 from lieq.catalog import catalog, shifted_energy_basis
 from lieq.scalars import Scalar
 from lieq.uea import (
@@ -262,6 +262,18 @@ def test_casimir_check_merges_words_across_terms(monkeypatch):
     calls = count_lookups(monkeypatch)
     assert is_casimir(square).ok
     assert len(calls) <= 26_000
+
+
+def test_ordering_study_shares_straightening_across_orderings(monkeypatch):
+    # Base and cross monomials are straightened, and Weyl ordered, once each,
+    # and each [piece, G] once for all orderings: 1,782 lookups, where
+    # building and checking every ordering on its own makes 2,635.
+    casimir_entries("poincare")
+    POI._casimir_plan()
+    calls = count_lookups(monkeypatch)
+    study = ordering_study("poincare")
+    assert [step.ok for step in study["C4P"]] == [False, False, True, True]
+    assert len(calls) <= 2_000
 
 
 def test_printing_roundtrip_shape():
