@@ -9,10 +9,11 @@ lookup is one dictionary read.  Generator order is significant — it doubles
 as the PBW basis order in lieq.uea — and nonzero_brackets lists the table in
 it: by pair, then by result generator.
 
-All values are immutable; operations return new algebras.  Sums in bracket,
-validate and change_basis accumulate raw maps (lieq.scalars).  One fact is
-cached on an instance: that a validate() call found no Jacobi violation,
-which cannot go stale; it lets is_casimir skip generators (_casimir_plan).
+All values are immutable; operations return new algebras.  bracket, validate
+and change_basis accumulate raw maps (lieq.scalars); validate and change_basis
+walk only stored entries and nonzero matrix entries, never every index tuple.
+One fact is cached on an instance: that a validate() call found no Jacobi
+violation, which cannot go stale; it lets is_casimir skip generators (_casimir_plan).
 """
 
 from __future__ import annotations
@@ -153,7 +154,11 @@ class LieAlgebra:
     # -- validation ------------------------------------------------------------
 
     def validate(self):
-        """Exhaustive antisymmetry/Jacobi check; violations are report content."""
+        """Exhaustive antisymmetry/Jacobi check; violations are report content.
+
+        A nonzero Jacobi term c_xy^e c_ez^d pairs two stored entries with (x, y, z)
+        in cyclic order, so walking those pairs reaches every such term exactly once.
+        """
         issues = []
         declared = set(self.symbols)
         for (a, b), combo in self.nonzero_brackets():
@@ -161,23 +166,23 @@ class LieAlgebra:
                 extra = coeff.symbols() - declared
                 if extra:
                     issues.append("undeclared symbols %s in [%s,%s]" % (sorted(extra), a, b))
+        ad = {}  # ad[e] = [(z, {d: c_ez^d}), ...]
+        for (e, z), entry in self._table.items():
+            ad.setdefault(e, []).append((z, entry))
+        sums = {}  # {(a, b, c): {d: raw}} for a < b < c: [[a,b],c] + [[b,c],a] + [[c,a],b]
+        for (x, y), entry in self._table.items():
+            for e, ce in entry.items():
+                for z, ez in ad.get(e, ()):
+                    if x < y < z or y < z < x or z < x < y:
+                        residue = sums.setdefault(tuple(sorted((x, y, z))), {})
+                        for d, coeff in ez.items():
+                            _mac(residue.setdefault(d, {}), ce._terms, coeff._terms)
+        gens = self.generators
         jacobi = []
-        n = self.dim
-        for a in range(n):
-            for b in range(a + 1, n):
-                for c in range(b + 1, n):
-                    # [[a,b],c] + [[b,c],a] + [[c,a],b]
-                    residue = {}
-                    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                        for e, ce in self.bracket_index(x, y).items():
-                            for d, coeff in self.bracket_index(e, z).items():
-                                _mac(residue.setdefault(d, {}), ce._terms, coeff._terms)
-                    residue = _freeze(residue)
-                    if residue:
-                        names = (self.generators[a], self.generators[b], self.generators[c])
-                        jacobi.append(
-                            (names, {self.generators[d]: r for d, r in sorted(residue.items())})
-                        )
+        for triple in sorted(sums):
+            residue = sorted(_freeze(sums[triple]).items())
+            if residue:
+                jacobi.append((tuple(gens[k] for k in triple), {gens[d]: r for d, r in residue}))
         if not jacobi:
             self._lie = True
         return ValidationReport(jacobi=jacobi, issues=issues)
@@ -301,31 +306,26 @@ class LieAlgebra:
         if len(new_names) != n:
             raise AlgebraError("need %d new names" % n)
         inv = _invert(matrix)
+        cols = [[(a, matrix[a][c]) for a in range(n) if matrix[a][c]] for c in range(n)]
+        inv_rows = [[(f, w._terms) for f, w in enumerate(row) if w] for row in inv]
+        old = {}  # {(a, b): {e: raw}}: [new_a, new_b] in the old basis, a < b
+        for (c, d), entry in self._table.items():
+            for a, ac in cols[c]:
+                for b, bd in cols[d]:
+                    if a < b:
+                        w = (ac * bd)._terms
+                        acc = old.setdefault((a, b), {})
+                        for e, coeff in entry.items():
+                            _mac(acc.setdefault(e, {}), w, coeff._terms)
         table = {}
-        for a in range(n):
-            for b in range(a + 1, n):
-                # [new_a, new_b] in the old basis
-                old = {}
-                for c in range(n):
-                    ac = matrix[a][c]
-                    if ac.is_zero():
-                        continue
-                    for d in range(n):
-                        bd = matrix[b][d]
-                        if bd.is_zero():
-                            continue
-                        w = ac * bd
-                        for e, coeff in self.bracket_index(c, d).items():
-                            _mac(old.setdefault(e, {}), w._terms, coeff._terms)
-                entry = {}
-                for e, coeff in old.items():
-                    for f in range(n):
-                        w = inv[e][f]
-                        if not w.is_zero():
-                            _mac(entry.setdefault(f, {}), coeff, w._terms)
-                # a pair whose entry cancelled is a vanishing bracket, as in the constructor
-                table[(new_names[a], new_names[b])] = {
-                    new_names[f]: coeff for f, coeff in _freeze(entry).items()}
+        for (a, b), combo in old.items():
+            entry = {}
+            for e, coeff in combo.items():
+                for f, w in inv_rows[e]:
+                    _mac(entry.setdefault(f, {}), coeff, w)
+            # a pair whose entry cancelled is a vanishing bracket, as in the constructor
+            table[(new_names[a], new_names[b])] = {
+                new_names[f]: coeff for f, coeff in _freeze(entry).items()}
         return LieAlgebra(name or self.name + "_basis", new_names, table, self.symbols)
 
     # -- equality ---------------------------------------------------------------

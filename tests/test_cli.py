@@ -1,13 +1,18 @@
 """Command-line interface: commands, exit codes, file handling."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from lieq import CATALOG_NAMES
 from lieq.cli import run_command
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 
 GOOD_ALGEBRA = {
     "name": "su2ish",
@@ -43,6 +48,21 @@ def test_catalog_list(capsys):
     names = out.split()
     assert len(names) == 9
     assert "galilei_central" in names and "poincare_trivial_ext_hbar" in names
+
+
+@pytest.mark.parametrize("module", ["lieq", "lieq.cli"])
+def test_module_entry_point(module):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    listed = run_module("catalog", "list")
+    assert (listed.returncode, listed.stdout.split(), listed.stderr) == (0, list(CATALOG_NAMES), "")
+    missing = run_module("validate", "nosuch")
+    assert (missing.returncode, missing.stdout) == (2, "")
+    assert missing.stderr == "error: 'nosuch' is neither a catalog algebra nor a file\n"
 
 
 def test_catalog_show(capsys):

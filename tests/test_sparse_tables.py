@@ -1,0 +1,313 @@
+"""Sparse table sums against the dense loops they replaced.
+
+`validate` builds each Jacobi residue from products of two stored entries,
+and `change_basis` sums only over stored entries and nonzero matrix entries.
+The references below are the dense loops: every sorted triple and its three
+cyclic orders through `bracket_index`, and every (c, d) index pair of the
+basis change.  The arithmetic is exact, so reports and tables must agree
+exactly, violations in the same order, on catalog tables and on tables that
+break Jacobi alike.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from lieq import algebra
+from lieq.algebra import LieAlgebra, ValidationReport, _invert
+from lieq.catalog import CATALOG_NAMES, catalog
+from lieq.scalars import Scalar, _freeze, _mac
+
+I = Scalar.i()
+ONE = Scalar.one()
+ZERO = Scalar.zero()
+EPS = Scalar.symbol("eps")
+
+# -- references: the dense loops ---------------------------------------------
+
+
+def ref_validate(alg):
+    """Every a < b < c, every cyclic order, every lookup through bracket_index."""
+    issues = []
+    declared = set(alg.symbols)
+    for (a, b), combo in alg.nonzero_brackets():
+        for coeff in combo.values():
+            extra = coeff.symbols() - declared
+            if extra:
+                issues.append("undeclared symbols %s in [%s,%s]" % (sorted(extra), a, b))
+    jacobi = []
+    n = alg.dim
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                residue = {}
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    for e, ce in alg.bracket_index(x, y).items():
+                        for d, coeff in alg.bracket_index(e, z).items():
+                            _mac(residue.setdefault(d, {}), ce._terms, coeff._terms)
+                residue = _freeze(residue)
+                if residue:
+                    names = (alg.generators[a], alg.generators[b], alg.generators[c])
+                    jacobi.append(
+                        (names, {alg.generators[d]: r for d, r in sorted(residue.items())})
+                    )
+    return ValidationReport(jacobi=jacobi, issues=issues)
+
+
+def ref_change_basis(alg, matrix, new_names, name=None):
+    """c'_ab^f = sum over every c, d of A[a][c] A[b][d] c_cd^e Ainv[e][f]."""
+    n = alg.dim
+    inv = _invert(matrix)
+    table = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            old = {}
+            for c in range(n):
+                ac = matrix[a][c]
+                if ac.is_zero():
+                    continue
+                for d in range(n):
+                    bd = matrix[b][d]
+                    if bd.is_zero():
+                        continue
+                    w = ac * bd
+                    for e, coeff in alg.bracket_index(c, d).items():
+                        _mac(old.setdefault(e, {}), w._terms, coeff._terms)
+            entry = {}
+            for e, coeff in old.items():
+                for f in range(n):
+                    w = inv[e][f]
+                    if not w.is_zero():
+                        _mac(entry.setdefault(f, {}), coeff, w._terms)
+            table[(new_names[a], new_names[b])] = {
+                new_names[f]: coeff for f, coeff in _freeze(entry).items()}
+    return LieAlgebra(name or alg.name + "_basis", new_names, table, alg.symbols)
+
+
+# -- helpers ----------------------------------------------------------------
+
+
+def listing(report):
+    """The whole report with every dict's key order kept."""
+    return [(names, list(residue.items())) for names, residue in report.jacobi], report.issues
+
+
+def assert_same_report(alg):
+    ref = ref_validate(alg)
+    got = alg.validate()
+    assert listing(got) == listing(ref), alg.name
+    assert alg._lie == (not ref.jacobi)
+    return got
+
+
+def assert_same_basis_change(alg, matrix, names=None):
+    names = names or tuple(g + "_n" for g in alg.generators)
+    got = alg.change_basis(matrix, names)
+    ref = ref_change_basis(alg, matrix, names)
+    assert got == ref
+    assert got.name == ref.name
+    assert list(got.nonzero_brackets()) == list(ref.nonzero_brackets())
+    assert_same_report(got)
+    return got
+
+
+def random_constant(rng):
+    """A nonzero constant: Gaussian, c, m*eps or eps^-1 times a Gaussian."""
+    re = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    im = rng.choice((0, 0, 1, -1, 2))
+    g = Scalar.gaussian(re, im) if re or im else I
+    kind = rng.randrange(4)
+    if kind == 1:
+        return g * Scalar.symbol("c")
+    if kind == 2:
+        return g * Scalar.symbol("m") * EPS
+    if kind == 3:
+        return g * Scalar.symbol("eps", -1)
+    return g
+
+
+def random_table(rng, k):
+    """A seeded antisymmetric table on 3-6 generators; it usually breaks Jacobi."""
+    n = rng.randint(3, 6)
+    gens = tuple("G%d" % i for i in range(n))
+    brackets = {}
+    for a, b in itertools.combinations(range(n), 2):
+        if rng.random() < 0.5:
+            combo = {gens[d]: random_constant(rng) for d in rng.sample(range(n), rng.randint(1, 2))}
+            if rng.random() < 0.05:
+                combo[gens[rng.randrange(n)]] = Scalar.symbol("q")  # an undeclared symbol
+            brackets[(gens[a], gens[b]) if rng.random() < 0.5 else (gens[b], gens[a])] = combo
+    return LieAlgebra("random%d" % k, gens, brackets)
+
+
+def unitriangular(rng, n):
+    """I + N with a few symbolic entries above the diagonal."""
+    entries = (Scalar.symbol("c"), Scalar.symbol("m") * EPS, Scalar.gaussian(2, -1),
+               ONE + Scalar.symbol("c"), Scalar.symbol("eps", -1))
+    matrix = [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]
+    upper = list(itertools.combinations(range(n), 2))
+    for r, c in rng.sample(upper, min(len(upper), rng.randint(1, 4))):
+        matrix[r][c] = rng.choice(entries)
+    return matrix
+
+
+def eps_diagonal(rng, n):
+    return [[Scalar.symbol("eps", rng.randint(-2, 2)) if r == c else ZERO for c in range(n)]
+            for r in range(n)]
+
+
+def permutation(rng, n):
+    order = list(range(n))
+    rng.shuffle(order)
+    return [[ONE if order[r] == c else ZERO for c in range(n)] for r in range(n)]
+
+
+def matmul(x, y):
+    n = len(x)
+    return [[sum((x[r][k] * y[k][c] for k in range(n)), ZERO) for c in range(n)]
+            for r in range(n)]
+
+
+def matrices(rng, n):
+    """A unitriangular, an eps-power diagonal, a permutation and their product."""
+    u, d, p = unitriangular(rng, n), eps_diagonal(rng, n), permutation(rng, n)
+    return (u, d, p, matmul(matmul(p, u), d))
+
+
+# -- validate ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_validate_matches_dense_loop_on_catalog(name):
+    assert assert_same_report(catalog(name)).ok
+
+
+@pytest.mark.parametrize("name", ["poincare", "galilei_central"])
+def test_validate_matches_dense_loop_on_every_flip(name):
+    alg = catalog(name)
+    broken = 0
+    for a, b, d in alg.nonzero_constants():
+        report = assert_same_report(alg.flip_sign(a, b, d))
+        broken += not report.ok
+    assert broken > 0
+
+
+def test_validate_matches_dense_loop_on_copies():
+    poi, gc = catalog("poincare"), catalog("galilei_central")
+    copies = [
+        poi.with_bracket("Jx", "Jy", {"Jz": I, "H": ONE}),
+        poi.with_bracket("KPx", "Px", {}),
+        gc.with_bracket("H", "M", {"Px": Scalar.symbol("c")}),
+        gc.with_bracket("KGx", "Px", {"M": I, "Jz": Scalar.symbol("eps", -1)}),
+        poi.direct_product(catalog("heisenberg3")),
+        gc.direct_product(poi.flip_sign("Jx", "Jy", "Jz")),
+    ]
+    reports = [assert_same_report(alg) for alg in copies]
+    assert sum(not r.ok for r in reports) >= 4
+
+
+def test_validate_matches_dense_loop_on_random_tables():
+    rng = random.Random(20261018)
+    broken = with_issues = 0
+    for k in range(300):
+        report = assert_same_report(random_table(rng, k))
+        broken += bool(report.jacobi)
+        with_issues += bool(report.issues)
+    # both outcomes, and the issue list, get exercised
+    assert 100 <= broken <= 280
+    assert with_issues > 0
+
+
+# -- change_basis ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_change_basis_matches_dense_loop_on_catalog(name):
+    alg = catalog(name)
+    rng = random.Random(name)
+    for matrix in matrices(rng, alg.dim):
+        assert assert_same_basis_change(alg, matrix).validate().ok
+
+
+def test_change_basis_matches_dense_loop_on_broken_tables():
+    rng = random.Random(7)
+    tables = [catalog("poincare").flip_sign("KPx", "Px", "H"),
+              catalog("galilei_central").with_bracket("H", "M", {"Px": ONE})]
+    tables += [random_table(rng, k) for k in range(40)]
+    broken = 0
+    for alg in tables:
+        for matrix in matrices(rng, alg.dim):
+            broken += not assert_same_basis_change(alg, matrix).validate().ok
+    assert broken > 0
+
+
+def test_change_basis_round_trip_keeps_the_listing():
+    alg = catalog("full_relativistic")
+    rng = random.Random(3)
+    matrix = unitriangular(rng, alg.dim)
+    there = assert_same_basis_change(alg, matrix, alg.generators)
+    back = assert_same_basis_change(there, _invert(matrix), alg.generators)
+    assert back == alg
+    assert list(back.nonzero_brackets()) == list(alg.nonzero_brackets())
+
+
+# -- work: only nonzero products are visited ------------------------------------
+
+
+def heisenberg_chain(copies=30):
+    """copies disjoint Heisenberg triples [X_k, P_k] = i Z_k."""
+    gens = []
+    brackets = {}
+    for k in range(copies):
+        x, p, z = "X%d" % k, "P%d" % k, "Z%d" % k
+        gens += [x, p, z]
+        brackets[(x, p)] = {z: I}
+    return LieAlgebra("heisenberg_x%d" % copies, gens, brackets)
+
+
+def nonzero_cyclic_products(alg):
+    """Count the nonzero c_xy^e c_ez^d over every cyclic order of every a < b < c."""
+    full = {}
+    for (a, b), combo in alg.nonzero_brackets():
+        full[(a, b)] = combo
+        full[(b, a)] = combo  # a count needs no signs
+    count = 0
+    for a, b, c in itertools.combinations(alg.generators, 3):
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for e in full.get((x, y), ()):
+                count += len(full.get((e, z), ()))
+    return count
+
+
+def validate_work(alg, monkeypatch):
+    """(bracket_index calls, _mac calls) of one validate() call, which must pass."""
+    lookups, macs = [], []
+    real_index, real_mac = LieAlgebra.bracket_index, algebra._mac
+
+    def counting_index(self, ia, ib):
+        lookups.append((ia, ib))
+        return real_index(self, ia, ib)
+
+    def counting_mac(acc, t1, t2):
+        macs.append(1)
+        real_mac(acc, t1, t2)
+
+    monkeypatch.setattr(LieAlgebra, "bracket_index", counting_index)
+    monkeypatch.setattr(algebra, "_mac", counting_mac)
+    assert alg.validate().ok
+    return len(lookups), len(macs)
+
+
+def test_validate_skips_the_vanishing_triples(monkeypatch):
+    # the dense loop makes at least 3 * C(90, 3) = 352,440 lookups here
+    alg = heisenberg_chain()
+    assert alg.dim == 90
+    assert validate_work(alg, monkeypatch) == (0, nonzero_cyclic_products(alg))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_validate_work_is_one_mac_per_nonzero_product(name, monkeypatch):
+    alg = catalog(name)
+    assert validate_work(alg, monkeypatch) == (0, nonzero_cyclic_products(alg))

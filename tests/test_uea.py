@@ -247,8 +247,9 @@ def test_straightening_merges_equal_words(monkeypatch):
 
 
 def test_weyl_ordering_merges_words_across_monomials(monkeypatch):
-    # Every arrangement of every monomial is straightened in one pass: 362
-    # lookups, where one pass per monomial makes 685.
+    # Every arrangement of every base monomial is straightened in one pass,
+    # and of every cross monomial in another: 382 lookups, where one pass per
+    # monomial makes 685.
     calls = count_lookups(monkeypatch)
     assert casimir_variant("poincare", "C4P", "weyl").term_count() == 31
     assert len(calls) <= 400
