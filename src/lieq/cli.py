@@ -27,6 +27,7 @@ from lieq.expr import ExprError, parse_element
 from lieq.limits import traditional_limit_report
 from lieq.mhi import MHIError, actual_valued_observables, n_particle_labels
 from lieq.report import report_paper
+from lieq.scalars import ScalarError
 from lieq.uea import TermBudgetExceeded, UEAError, format_sum, is_casimir
 
 __all__ = ["run_command", "main"]
@@ -372,7 +373,7 @@ def run_command(argv):
     except (DivergentContraction, DivergentLimit, TermBudgetExceeded) as e:
         print("error: %s" % e)
         return 1
-    except (ExprError, AlgebraError, ContractionError, MHIError, UEAError) as e:
+    except (ExprError, AlgebraError, ContractionError, MHIError, ScalarError, UEAError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

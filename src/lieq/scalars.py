@@ -13,6 +13,19 @@ the edges: the ``gaussian``/``rational``/``from_int`` constructors take ints
 or Fractions (never floats or strings), and ``items()``, ``constant_pair()``
 and ``str`` give (re, im) Fraction pairs.
 
+Each monomial is one packed int, private to this module.  Every symbol owns a
+128-bit field, assigned once and never moved (``DEFAULT_SYMBOLS`` first, in
+order, then other names as they first appear), and exponent e of the symbol
+in field k adds ``e << (128*k)``.  The fields are balanced digits with no
+bias, so the constant monomial is 0, a monomial product is one integer
+addition, and a new field leaves every existing code unchanged.  Every stored
+exponent lies in [-2^32, 2^32), checked by one add-and-mask test per monomial
+wherever a product becomes a Scalar; a larger one raises ScalarError.  The
+kernel adds monomials unchecked in between, and cannot overflow a field: each
+product adds less than 2^32 in magnitude to every field, so carrying into the
+next field (at 2^127) would take 2^95 products.  ``items()``, ``str`` and
+``symbols()`` decode to sorted ``((symbol, exp), ...)`` tuples.
+
 Everything is immutable and kept in a unique canonical form, so ``==`` is
 exact mathematical equality and scalars can be dict keys.  Hot sums (here,
 in straightening and in table algebra) run on raw maps instead, the mutable
@@ -23,6 +36,7 @@ raw map, and a live Scalar's _terms are only ever read.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from math import gcd
 
@@ -31,17 +45,59 @@ DEFAULT_SYMBOLS = ("eps", "c", "m0", "m", "w", "t")
 
 _UNIT = (1, 0, 1)
 
+_FIELD = 128
+_BOUND = 1 << 32
+_WINDOW = 2 * _BOUND - 1
+
+_FIELDS = {}  # symbol -> (bit offset of its field, _BOUND in it and every field below)
+_NAMES = []  # field index -> symbol
+_BIAS = 0  # _BOUND in every registered field
+_OUTSIDE = -1  # every bit but the low 33 of each registered field
+_REGISTER = threading.Lock()
+
 
 class ScalarError(ValueError):
     """Invalid scalar construction or operation (e.g. a forbidden pole)."""
 
 
-def _check_mono(mono):
-    for sym, exp in mono:
-        if exp < 0 and sym != LAURENT_SYMBOL:
-            raise ScalarError(
-                "negative exponent on %r: only %r may carry poles" % (sym, LAURENT_SYMBOL)
-            )
+def _field(name):
+    """_FIELDS[name]; a name met for the first time gets the next field."""
+    global _BIAS, _OUTSIDE
+    if name not in _FIELDS:
+        with _REGISTER:
+            if name not in _FIELDS:
+                shift = _FIELD * len(_NAMES)
+                _OUTSIDE &= ~(_WINDOW << shift)  # widened before the bias is raised
+                _BIAS += _BOUND << shift
+                _NAMES.append(name)
+                _FIELDS[name] = (shift, _BIAS)
+    return _FIELDS[name]
+
+
+for _name in DEFAULT_SYMBOLS:
+    _field(_name)
+
+
+def _decode(mono):
+    """The sorted ((symbol, exp), ...) tuple of a stored monomial."""
+    out = []
+    for name in _NAMES:
+        if not mono:
+            break
+        exp = ((mono + _BOUND) & _WINDOW) - _BOUND  # the lowest field; in bound, so exact
+        if exp:
+            out.append((name, exp))
+        mono = (mono - exp) >> _FIELD
+    return tuple(sorted(out))
+
+
+def _checked(terms):
+    """Scalar(terms), once every exponent is inside [-2^32, 2^32)."""
+    bias, outside = _BIAS, _OUTSIDE
+    for mono in terms:
+        if mono and (mono + bias) & outside:
+            raise ScalarError("exponent out of range: exponents must lie in [-2^32, 2^32)")
+    return Scalar(terms)
 
 
 def _exact(value, kinds=(int, Fraction)):
@@ -49,26 +105,6 @@ def _exact(value, kinds=(int, Fraction)):
     if not isinstance(value, kinds):
         raise ScalarError("expected %s, got %r" % (" or ".join(k.__name__ for k in kinds), value))
     return value
-
-
-def _mono_mul(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    if len(m1) == 1 == len(m2):
-        (s, e), (t, f) = m1[0], m2[0]
-        if s == t:
-            return ((s, e + f),) if e + f else ()
-        return m1 + m2 if s < t else m2 + m1
-    exps = dict(m1)
-    for sym, exp in m2:
-        e = exps.get(sym, 0) + exp
-        if e:
-            exps[sym] = e
-        else:
-            del exps[sym]
-    return tuple(sorted(exps.items()))
 
 
 def _reduce(re, im, den):
@@ -141,7 +177,7 @@ def _mac(acc, t1, t2):
     """acc += t1 * t2 on raw maps, in place; a monomial that cancels is deleted."""
     for m1, x in t1.items():
         for m2, y in t2.items():
-            mono = _mono_mul(m1, m2)
+            mono = m1 + m2
             p = _mul(x, y)
             cur = acc.get(mono)
             s = p if cur is None else _add(cur, p)
@@ -153,7 +189,7 @@ def _mac(acc, t1, t2):
 
 def _freeze(raw):
     """{key: Scalar} from {key: raw map}, leaving out the maps that summed to zero."""
-    return {k: Scalar(t) for k, t in raw.items() if t}
+    return {k: _checked(t) for k, t in raw.items() if t}
 
 
 class Scalar:
@@ -162,7 +198,7 @@ class Scalar:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms=None):
-        # internal: terms must already be canonical ({mono: (re, im, den)}, no zeros)
+        # internal: terms must already be canonical ({mono: (re, im, den)}, no zeros, in bound)
         self._terms = terms or {}
         self._hash = None
 
@@ -174,20 +210,23 @@ class Scalar:
 
     @staticmethod
     def one():
-        return Scalar({(): _UNIT})
+        return Scalar({0: _UNIT})
 
     @staticmethod
     def i():
-        return Scalar({(): (0, 1, 1)})
+        return Scalar({0: (0, 1, 1)})
 
     @staticmethod
     def from_int(n):
-        return Scalar.gaussian(_exact(n, (int,)))
+        return Scalar({0: (int(n), 0, 1)}) if _exact(n, (int,)) else Scalar({})
 
     @staticmethod
     def rational(p, q=1):
         if not _exact(q):
             raise ScalarError("zero denominator in Scalar.rational(%s, 0)" % (p,))
+        if type(p) is int and type(q) is int:
+            g = gcd(p, q) if q > 0 else -gcd(p, q)
+            return Scalar({0: (p // g, 0, q // g)}) if p else Scalar({})
         return Scalar.gaussian(Fraction(_exact(p)) / q)
 
     @staticmethod
@@ -196,15 +235,11 @@ class Scalar:
         if not (re or im):
             return Scalar({})
         p, q = re.denominator, im.denominator
-        return Scalar({(): _reduce(re.numerator * q, im.numerator * p, p * q)})
+        return Scalar({0: _reduce(re.numerator * q, im.numerator * p, p * q)})
 
     @staticmethod
     def symbol(name, power=1):
-        if _exact(power, (int,)) == 0:
-            return Scalar.one()
-        mono = ((name, power),)
-        _check_mono(mono)
-        return Scalar({mono: _UNIT})
+        return Scalar.one().mul_power(name, power)
 
     # -- ring operations ----------------------------------------------------
 
@@ -230,10 +265,10 @@ class Scalar:
         if len(t1) == 1 and len(t2) == 1:
             (m1, x), = t1.items()
             (m2, y), = t2.items()
-            return Scalar({_mono_mul(m1, m2): _mul(x, y)})
+            return _checked({m1 + m2: _mul(x, y)})
         terms = {}
         _mac(terms, t1, t2)
-        return Scalar(terms)
+        return _checked(terms)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -254,7 +289,7 @@ class Scalar:
         return not self._terms
 
     def is_one(self):
-        return self._terms == {(): _UNIT}
+        return self._terms == {0: _UNIT}
 
     def __bool__(self):
         return bool(self._terms)
@@ -263,35 +298,37 @@ class Scalar:
         """(re, im) Fractions if the scalar is symbol-free, else None."""
         if not self._terms:
             return (Fraction(0), Fraction(0))
-        if len(self._terms) == 1 and () in self._terms:
+        if len(self._terms) == 1 and 0 in self._terms:
             return self.items()[0][1]
         return None
 
     def symbols(self):
-        return {sym for mono in self._terms for sym, _ in mono}
+        return {sym for mono in self._terms if mono for sym, _ in _decode(mono)}
 
     def items(self):
         """Canonical term list: sorted ((symbol, exp), ...) -> (re, im) Fraction pairs."""
-        return tuple(sorted((mono, (Fraction(re, den), Fraction(im, den)))
+        return tuple(sorted((_decode(mono), (Fraction(re, den), Fraction(im, den)))
                             for mono, (re, im, den) in self._terms.items()))
 
     def min_degree(self, sym):
         """Lowest exponent of sym across terms (0 when absent); None if zero."""
         if not self._terms:
             return None
-        return min(dict(mono).get(sym, 0) for mono in self._terms)
+        shift, low = _field(sym)
+        return min((mono + low) >> shift & _WINDOW for mono in self._terms) - _BOUND
 
     def limit0(self, sym=LAURENT_SYMBOL):
         """Evaluate at sym -> 0: drop positive powers, keep degree-0 terms.
 
         Raises ScalarError if any term carries a pole in sym.
         """
+        shift, low = _field(sym)
         terms = {}
         for mono, coeff in self._terms.items():
-            exp = dict(mono).get(sym, 0)
-            if exp < 0:
+            digit = (mono + low) >> shift & _WINDOW
+            if digit < _BOUND:
                 raise ScalarError("pole in %r: cannot take the limit of %s" % (sym, self))
-            if exp == 0:
+            if digit == _BOUND:
                 terms[mono] = coeff
         return Scalar(terms)
 
@@ -299,20 +336,18 @@ class Scalar:
         """Multiply by sym**k (k may be negative only for the Laurent symbol)."""
         if _exact(k, (int,)) == 0:
             return self
-        terms = {}
-        shift = ((sym, k),)
-        for mono, coeff in self._terms.items():
-            mono = _mono_mul(mono, shift)
-            _check_mono(mono)
-            terms[mono] = coeff
-        return Scalar(terms)
+        if k < 0 and sym != LAURENT_SYMBOL and self and self.min_degree(sym) + k < 0:
+            raise ScalarError(
+                "negative exponent on %r: only %r may carry poles" % (sym, LAURENT_SYMBOL))
+        k <<= _field(sym)[0]
+        return _checked({mono + k: coeff for mono, coeff in self._terms.items()})
 
     def substitute(self, mapping):
         """Simultaneously replace symbols by Scalar values (nonnegative powers only)."""
         out = Scalar.zero()
         for mono, coeff in self._terms.items():
-            term = Scalar({(): coeff})
-            for sym, exp in mono:
+            term = Scalar({0: coeff})
+            for sym, exp in _decode(mono):
                 if sym in mapping:
                     if exp < 0:
                         raise ScalarError("cannot substitute into a pole in %r" % sym)

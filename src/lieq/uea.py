@@ -51,7 +51,7 @@ from heapq import heapify, heappop, heappush
 from operator import neg
 
 from lieq.algebra import AlgebraError
-from lieq.scalars import Scalar, _add_into, _mac, signed_sum
+from lieq.scalars import Scalar, _add_into, _checked, _mac, signed_sum
 
 DEFAULT_TERM_CAP = 10 ** 6
 
@@ -118,7 +118,7 @@ def _normalize(alg, raw):
             if key[pos] < key[pos + 1]:
                 break
         else:
-            out[tuple(map(neg, key[1:]))] = Scalar(coeff)
+            out[tuple(map(neg, key[1:]))] = _checked(coeff)
             continue
         nb, na = key[pos], key[pos + 1]
         tail = key[pos + 2:]
@@ -148,7 +148,7 @@ def _index_words(alg, named_terms):
     """Sum (name word, Scalar) pairs into fresh {index word: raw map} over alg's basis."""
     raw = {}
     for names, coeff in named_terms:
-        _add_into(raw.setdefault(tuple(alg.generator(n).index for n in names), {}), coeff._terms)
+        _add_into(raw.setdefault(tuple(alg._gen_index(n) for n in names), {}), coeff._terms)
     return raw
 
 
@@ -463,7 +463,7 @@ def _weyl_sum(alg, raw):
     for word, coeff in raw.items():
         arrangements = set(itertools.permutations(word))
         weight = {}
-        _mac(weight, coeff, {(): (1, 0, len(arrangements))})
+        _mac(weight, coeff, Scalar.rational(1, len(arrangements))._terms)
         for arr in arrangements:
             _add_into(arranged.setdefault(arr, {}), weight)
     return UEAElement(alg, _normalize(alg, arranged))

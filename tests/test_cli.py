@@ -315,9 +315,18 @@ def _algebra_file(tmp_path, **fields):
 
 
 @pytest.mark.parametrize(
-    "case", ["term_cap", "no_coeff", "deep_nesting", "string_generators", "unwritable_out"])
+    "case", ["term_cap", "no_coeff", "deep_nesting", "string_generators", "unwritable_out",
+             "exponent_expr", "exponent_squared", "exponent_json"])
 def test_bad_inputs_exit_2_with_one_line(case, capsys, monkeypatch, tmp_path):
-    if case == "term_cap":
+    # scalar exponents must lie in [-2^32, 2^32)
+    if case == "exponent_expr":
+        argv = ["casimir", "verify", "poincare", "--expr", "(c^4294967296)*H"]
+    elif case == "exponent_squared":
+        argv = ["casimir", "verify", "poincare", "--expr", "(c^2147483648)^2*H"]
+    elif case == "exponent_json":
+        brackets = [{"a": "A", "b": "B", "result": [{"coeff": "c^4294967296", "gen": "C"}]}]
+        argv = ["validate", _algebra_file(tmp_path, symbols=["c"], brackets=brackets)]
+    elif case == "term_cap":
         monkeypatch.setenv("LIEQ_TERM_CAP", "abc")
         argv = ["casimir", "verify", "galilei_central", "--all"]
     elif case == "no_coeff":
@@ -333,6 +342,7 @@ def test_bad_inputs_exit_2_with_one_line(case, capsys, monkeypatch, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("2^32" in err) == case.startswith("exponent")
 
 
 def test_usage_errors(capsys):

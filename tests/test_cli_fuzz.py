@@ -5,10 +5,14 @@ rescaling and renaming map files, and random --expr strings.  Some argv are
 malformed too: one word dropped or one junk word inserted, so the argument
 parser's own usage errors are drawn as well.
 
-Exponents after "^" are bounded to at most 4, and an expression carries one
-of them at most (a junk "^" can add a second, on the literal 2 at most).  Straightening time is still unbounded (there is no
-rewrite-step budget yet), so a large power of a generator sum can run for
-minutes; the bound keeps the suite fast and is not a fix.
+An expression carries one "^" at most (a junk "^" can add a second, on the
+literal 2 at most).  On a bare scalar symbol (eps, m or i) its exponent is
+drawn up to 2^40, and so is the exponent of m in the algebra file's
+coefficient "m^N": scalar powers are cheap, and these cross the bound of 2^32
+on scalar exponents.  Any other exponent is bounded to at most 4.
+Straightening time is still unbounded (there is no rewrite-step budget yet),
+so a large power of a generator sum can run for minutes; that bound keeps the
+suite fast and is not a fix.
 """
 
 import contextlib
@@ -47,6 +51,8 @@ RAW_FILES = (
 )
 
 MAX_POWER = 4
+SYMBOL_ATOMS = ("eps", "m", "i")
+SYMBOL_POWER = st.integers(0, 2**40) | st.sampled_from((2**31, 2**32 - 1, 2**32))
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=6),
@@ -101,11 +107,23 @@ def expressions(draw, name):
     if draw(st.booleans()):
         product = draw(st.sampled_from(products))
         k = draw(st.integers(0, len(product) - 1))
-        product[k] += "^%d" % draw(st.integers(-MAX_POWER, MAX_POWER))
+        if product[k] in SYMBOL_ATOMS:
+            sign = "-" if product[k] == "eps" and draw(st.booleans()) else ""
+            product[k] += "^%s%d" % (sign, draw(SYMBOL_POWER))
+        else:
+            product[k] += "^%d" % draw(st.integers(-MAX_POWER, MAX_POWER))
     tokens = " + ".join(" * ".join(p) for p in products).split(" ")
     if draw(st.sampled_from((False, False, True))):
         tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(JUNK)))
     return " ".join(tokens)
+
+
+@st.composite
+def algebras(draw):
+    """ALGEBRA with its coefficient "m" raised to a drawn power."""
+    doc = copy.deepcopy(ALGEBRA)
+    doc["brackets"][1]["result"][0]["coeff"] = "m^%d" % draw(SYMBOL_POWER)
+    return doc
 
 
 @st.composite
@@ -135,7 +153,7 @@ def well_formed_invocations(draw):
     name = draw(NAMES)
     files = {"map": draw(mutated_file(STD_PE_MAP))}
     if command == "validate":
-        return ["validate", "@algebra"], {"algebra": draw(mutated_file(ALGEBRA))}
+        return ["validate", "@algebra"], {"algebra": draw(mutated_file(draw(algebras())))}
     if command == "contract":
         return ["contract", name, "--map", "@map"], files
     if command == "check":

@@ -17,7 +17,7 @@ from test_single_pass import random_element
 
 from lieq.casimirs import casimir_catalog, ordering_study
 from lieq.catalog import catalog, shifted_energy_basis
-from lieq.scalars import Scalar
+from lieq.scalars import Scalar, _decode
 from lieq.uea import (
     UEAElement,
     is_casimir,
@@ -53,7 +53,15 @@ def assert_canonical(results, live):
         assert isinstance(s, Scalar) and type(s._terms) is dict and s._terms
         for mono, (re, im, den) in s._terms.items():
             assert den > 0 and gcd(re, im, den) == 1 and (re or im)
-            assert list(mono) == sorted(mono) and all(exp for _, exp in mono)
+            # a packed int that decodes to distinct symbols with nonzero, in-range
+            # exponents and packs back to itself
+            decoded = _decode(mono)
+            assert type(mono) is int and len({sym for sym, _ in decoded}) == len(decoded)
+            assert all(exp and -2**32 <= exp < 2**32 for _, exp in decoded)
+            rebuilt = Scalar.one()
+            for sym, exp in decoded:
+                rebuilt = rebuilt * Scalar.symbol(sym, exp)
+            assert list(rebuilt._terms) == [mono]
         assert owner.setdefault(id(s._terms), s) is s
 
 

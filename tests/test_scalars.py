@@ -6,7 +6,10 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lieq.algebra import LieAlgebra
+from lieq.catalog import catalog
 from lieq.scalars import Scalar, ScalarError, _add_into, _freeze, _mac
+from lieq.uea import UEAElement
 
 
 def test_basic_constants():
@@ -195,6 +198,76 @@ def test_inexact_inputs_raise(make):
 
 
 # ---------------------------------------------------------------------------
+# exponents lie in [-2^32, 2^32) on every route that makes a monomial
+
+
+def _c(e):
+    return Scalar.symbol("c", e)
+
+
+def _abcd(brackets):
+    return LieAlgebra("abcd", ("A", "B", "C", "D"), brackets, ("c",))
+
+
+def _jacobi_residues(e):
+    # [A,B] = k1*C and [A,C] = k2*A break Jacobi with residue k1*k2*C
+    alg = _abcd({("A", "B"): {"C": _c(e // 2)}, ("A", "C"): {"A": _c(e - e // 2)}})
+    return [r for _, residue in alg.validate().jacobi for r in residue.values()]
+
+
+def _changed_constants(e):
+    # with D central, C' = C + m*D turns [A,B] = k*C into k*C' - k*m*D'
+    alg = _abcd({("A", "B"): {"C": _c(e - e // 2)}})
+    matrix = [[Scalar.one() if r == k else Scalar.zero() for k in range(4)] for r in range(4)]
+    matrix[2][3] = _c(e // 2)
+    new = alg.change_basis(matrix, ("Ap", "Bp", "Cp", "Dp"))
+    return [s for entry in new._table.values() for s in entry.values()]
+
+
+def _unit_word_product(e):
+    poi = catalog("poincare")
+    x = UEAElement.word(poi, ("Px",), _c(e // 2)) * UEAElement.word(poi, ("KPx",), _c(e - e // 2))
+    return [coeff for _, coeff in x.terms()]
+
+
+GROWTH_ROUTES = {
+    "symbol": lambda e: [_c(e)],
+    "mul_power": lambda e: [_c(2).mul_power("c", e - 2)],
+    "one_term_product": lambda e: [_c(e // 2) * _c(e - e // 2)],
+    "multi_term_product": lambda e: [(Scalar.one() + _c(e // 2)) * (Scalar.i() + _c(e - e // 2))],
+    "power": lambda e: [(_c(1) * Scalar.symbol("zz")) ** e],
+    "unit_word_product": _unit_word_product,
+    "validate": _jacobi_residues,
+    "change_basis": _changed_constants,
+}
+
+
+@pytest.mark.parametrize("route", GROWTH_ROUTES)
+def test_exponent_bound_on_every_growth_route(route):
+    grow = GROWTH_ROUTES[route]
+    top = 2**32 - 1
+    made = grow(top)
+    assert any(("c", top) in dict(mono).items() for s in made for mono, _ in s.items())
+    with pytest.raises(ScalarError, match=r"\[-2\^32, 2\^32\)"):
+        grow(top + 1)
+
+
+def test_pole_bound_and_late_symbols():
+    assert Scalar.symbol("eps", -2**32).min_degree("eps") == -2**32
+    with pytest.raises(ScalarError):
+        Scalar.symbol("eps", -2**32 - 1)
+    with pytest.raises(ScalarError):
+        Scalar.symbol("eps", -2**31) * Scalar.symbol("eps", -2**31 - 1)
+    # a symbol met late gets its own field; existing codes stay, and printing sorts by name
+    before = Scalar.symbol("c", 5) * Scalar.symbol("eps", -2)
+    keys = list(before._terms)
+    late = Scalar.symbol("aa_late") * before
+    assert list((Scalar.symbol("c", 5) * Scalar.symbol("eps", -2))._terms) == keys
+    assert str(late) == "aa_late*c^5*eps^-2" and late.symbols() == {"aa_late", "c", "eps"}
+    assert late.mul_power("aa_late", -1) == before and late.min_degree("aa_late") == 1
+
+
+# ---------------------------------------------------------------------------
 # differential test: the integer-triple core against a Fraction-pair reference
 
 
@@ -214,11 +287,17 @@ def _ref_gauss(re, im):
     return "(%s%s%s)" % (re, "-" if im < 0 else "+", i_part)
 
 
+BOUND = 2**32
+
+
 class _Ref:
-    """{monomial: (re, im)} with Fraction parts and no zero coefficients."""
+    """{monomial: (re, im)} with Fraction parts and no zero coefficients;
+    every exponent must lie in [-2^32, 2^32)."""
 
     def __init__(self, terms):
         self.t = {m: c for m, c in terms.items() if c != (0, 0)}
+        if any(not -BOUND <= e < BOUND for m in self.t for _, e in m):
+            raise ScalarError("exponent out of range")
 
     @staticmethod
     def build(desc):
@@ -241,11 +320,13 @@ class _Ref:
         return self + -other
 
     def __mul__(self, other):
-        out = _Ref({})
+        t = {}
         for m1, (a, b) in self.t.items():
             for m2, (c, d) in other.t.items():
-                out = out + _Ref({_ref_mono(m1, m2): (a * c - b * d, a * d + b * c)})
-        return out
+                m = _ref_mono(m1, m2)
+                e, f = t.get(m, (0, 0))
+                t[m] = (e + a * c - b * d, f + a * d + b * c)
+        return _Ref(t)
 
     def __pow__(self, n):
         out = _Ref({(): (Fraction(1), Fraction(0))})
@@ -316,13 +397,18 @@ def _agree(s, r):
     assert s.items() == r.items()
     assert s.constant_pair() == r.constant_pair()
     assert str(s) == str(r)
-    for sym in ("eps", "c", "m0"):
+    for sym in ("eps", "c", "m0", "t", "zz"):
         assert s.min_degree(sym) == r.min_degree(sym)
 
 
 ref_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+# "zz" is outside DEFAULT_SYMBOLS, so it gets a field after theirs; eps and zz
+# also draw exponents next to the bound, where products leave it.
+near_bound = st.integers(BOUND - 3, BOUND - 1)
 ref_desc = st.lists(st.tuples(ref_fraction, ref_fraction, st.fixed_dictionaries(
-    {}, optional={"eps": st.integers(-3, 3), "c": st.integers(1, 3), "m0": st.integers(1, 2)},
+    {}, optional={"eps": st.integers(-3, 3) | near_bound | near_bound.map(lambda e: -e),
+                  "c": st.integers(1, 3), "m0": st.integers(1, 2), "t": st.integers(1, 3),
+                  "zz": st.integers(1, 3) | near_bound},
 )), max_size=4)
 # Sums that must reduce: (1+i)/6 + (1+3i)/6 = (1+2i)/3, and exact cancellation.
 _SIXTHS = [(Fraction(1, 6), Fraction(1, 6), {"c": 1})]
@@ -332,6 +418,9 @@ _SIXTHS = [(Fraction(1, 6), Fraction(1, 6), {"c": 1})]
 @given(ref_desc, ref_desc, ref_desc, st.integers(0, 3), st.integers(-3, 3))
 @example(_SIXTHS, [(Fraction(1, 6), Fraction(1, 2), {"c": 1})], [], 2, 0)
 @example(_SIXTHS, [(-Fraction(1, 6), -Fraction(1, 6), {"c": 1})], _SIXTHS, 1, -1)
+# at the bound: zz^(2^32 - 1) is kept, zz^(2^32) and eps^-(2^32 + 2) raise
+@example([(1, 0, {"zz": BOUND - 2})], [(1, 1, {"zz": 1})], [], 1, 0)
+@example([(1, 0, {"zz": BOUND - 1, "eps": 1 - BOUND})], [(1, 1, {"zz": 1})], [], 2, -3)
 def test_triple_core_matches_fraction_reference(dx, dy, dz, n, k):
     x, y, z = _from_desc(dx), _from_desc(dy), _from_desc(dz)
     rx, ry, rz = _Ref.build(dx), _Ref.build(dy), _Ref.build(dz)
@@ -340,18 +429,19 @@ def test_triple_core_matches_fraction_reference(dx, dy, dz, n, k):
     _agree(x + y, rx + ry)
     _agree(x - y, rx - ry)
     _agree(-x, -rx)
-    _agree(x * y, rx * ry)
-    _agree(x ** n, rx ** n)
-    _agree(x.mul_power("eps", k), rx.mul_power("eps", k))
-    _agree(x.mul_power("c", n), rx.mul_power("c", n))
-    _agree(x.substitute({"c": y, "m0": z}), rx.substitute({"c": ry, "m0": rz}))
-    try:
-        expected = rx.limit0("eps")
-    except ScalarError:
-        with pytest.raises(ScalarError):
-            x.limit0("eps")
-    else:
-        _agree(x.limit0("eps"), expected)
+    for op in (lambda a, b, c: a * b,
+               lambda a, b, c: a ** n,
+               lambda a, b, c: a.mul_power("eps", k),
+               lambda a, b, c: a.mul_power("c", n),
+               lambda a, b, c: a.substitute({"c": b, "m0": c}),
+               lambda a, b, c: a.limit0("eps")):
+        try:
+            expected = op(rx, ry, rz)
+        except ScalarError:
+            with pytest.raises(ScalarError):
+                op(x, y, z)
+        else:
+            _agree(op(x, y, z), expected)
     assert (x == y) == (rx.items() == ry.items())
     if x == y:
         assert hash(x) == hash(y)
@@ -369,19 +459,30 @@ def test_triple_core_matches_fraction_reference(dx, dy, dz, n, k):
          [(Fraction(1, 18), -Fraction(1, 9), {"c": 2})])
 @example([(1, 1, {"eps": -2})], [(1, -1, {"eps": 2})], [(-2, 0, {})])
 @example(_SIXTHS, [(1, 0, {"eps": -1})], [(-Fraction(1, 6), -Fraction(1, 6), {"c": 1, "eps": -1})])
+@example([(1, 0, {"eps": BOUND - 1})], [(1, 0, {"eps": 1}), (2, 0, {})], [(1, 0, {})])
 def test_kernel_matches_scalar_arithmetic(dx, dy, dz):
-    # each explicit example sums to zero, e.g. (1+i)/6 * (1+3i)/6 = (-1+2i)/18
+    # each explicit example but the last sums to zero, e.g. (1+i)/6 * (1+3i)/6 = (-1+2i)/18;
+    # the last leaves the exponent bound
     x, y, z = _from_desc(dx), _from_desc(dy), _from_desc(dz)
     rx, ry, rz = _Ref.build(dx), _Ref.build(dy), _Ref.build(dz)
     before = [(s, dict(s._terms), hash(s)) for s in (x, y, z)]
     t1, t2 = x._terms, y._terms  # callers pass live Scalars' maps as operands
     acc = dict(z._terms)
     _mac(acc, t1, t2)
-    _agree(Scalar(acc), rz + rx * ry)
+    try:
+        expected = rz + rx * ry
+    except ScalarError:
+        # the kernel adds unchecked; the bound is checked where a sum becomes a Scalar
+        with pytest.raises(ScalarError):
+            _freeze({"kept": acc})
+        with pytest.raises(ScalarError):
+            x * y
+        return
+    _agree(Scalar(acc), expected)
     assert Scalar(acc) == z + x * y
     assert all(acc.values())  # a cancelled monomial is deleted, never stored as zero
     _add_into(acc, t1)
-    _agree(Scalar(acc), rz + rx * ry + rx)
+    _agree(Scalar(acc), expected + rx)
     # the operands are only read
     for s, terms, h in before:
         assert s._terms == terms and hash(Scalar(dict(s._terms))) == h
