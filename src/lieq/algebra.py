@@ -74,9 +74,8 @@ class LieAlgebra:
             for d, coeff in combo.items():
                 if not isinstance(coeff, Scalar):
                     raise AlgebraError("structure constant for [%s,%s] is not a Scalar" % (a, b))
-                if not coeff.is_zero():
-                    _add_into(entry.setdefault(self._gen_index(d), {}), coeff._terms)
-            entry = _freeze(entry)
+                if coeff:
+                    entry[self._gen_index(d)] = coeff
             if ia == ib:
                 if entry:
                     raise AlgebraError("nonzero bracket [%s,%s]" % (a, a))
@@ -265,13 +264,16 @@ class LieAlgebra:
         The modified table is revalidated exhaustively; InvalidCocycle carries
         the report when the replacement breaks Jacobi.
         """
-        name = name or self.name + "_central"
-        ext = self.trivial_extension(central)
+        if central in self._index:
+            raise AlgebraError("generator %r already present" % central)
+        brackets = dict(self.nonzero_brackets())
         for (a, b), combo in overrides.items():
             if a == central or b == central:
                 raise AlgebraError("overrides must pair existing generators")
-            ext = ext.with_bracket(a, b, combo)
-        ext = ext.rename({}, name)
+            brackets.pop((b, a), None)
+            brackets[(a, b)] = combo
+        ext = LieAlgebra(name or self.name + "_central", self.generators + (central,),
+                         brackets, self.symbols)
         report = ext.validate()
         if not report.ok:
             raise InvalidCocycle("central extension by %r fails Jacobi" % central, report)

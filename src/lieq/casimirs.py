@@ -20,11 +20,18 @@ whether it commutes, and what the alternatives do.  The printed orderings
 differ only in the sign of the cross monomials: each is base ± cross, where
 the base and cross pieces are each straightened (or Weyl ordered) in one
 pass, and ordering_study straightens each [piece, G] once for all orderings.
+
+Every element here starts as a word table: _words lists a catalog label's
+(names, coefficient) pairs, C4 expanded word by word from N_i, and
+_c4_monomials the printed quartic's.  _element straightens a whole table
+(or Weyl orders it) in one pass; no element is assembled from products and
+sums of smaller elements.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
 
 from lieq.algebra import AlgebraError
 from lieq.catalog import AXES, catalog, eps3
@@ -65,50 +72,36 @@ def _spec(name):
     return _SPECS[name]
 
 
-def _dot_sq(alg, prefix):
-    return sum((UEAElement.gen(alg, prefix + ax) ** 2 for ax in AXES), UEAElement.zero(alg))
+def _words(spec, label):
+    """The catalog element `label` as unstraightened (names, int or Fraction) pairs.
 
-
-def _cross(alg, boost, i):
-    """(K x P)_i = eps_ijk K_j P_k, expanded."""
-    out = UEAElement.zero(alg)
-    for j in AXES:
-        for k in AXES:
-            e = eps3(i, j, k)
-            if e:
-                out = out + UEAElement.word(alg, (boost + j, "P" + k), Scalar.from_int(e))
-    return out
-
-
-def _jdotp(alg):
-    return sum((UEAElement.word(alg, ("J" + ax, "P" + ax)) for ax in AXES), UEAElement.zero(alg))
-
-
-def _c2_element(alg, spec):
-    if spec["pref"] == ("M",):
-        # M*H - P^2/2
-        return UEAElement.word(alg, ("M", "H")) - Scalar.rational(1, 2) * _dot_sq(alg, "P")
-    if spec["pref"] == ("Hb", "M"):
-        # -(P.P) + Hb^2 + M^2 + 2*Hb*M, the printed four-term form
-        return (
-            -_dot_sq(alg, "P")
-            + UEAElement.gen(alg, "Hb") ** 2
-            + UEAElement.gen(alg, "M") ** 2
-            + Scalar.from_int(2) * UEAElement.word(alg, ("Hb", "M"))
-        )
-    return UEAElement.gen(alg, "H") ** 2 - _dot_sq(alg, "P")
-
-
-def _c4_factored(alg, spec):
-    out = UEAElement.zero(alg)
+    C1 is M (Q for u(1)); C2 is the printed form (Galilei: M*H - P.P/2,
+    Poincare family: the energy square expanded as printed, minus P.P); C4 is
+    sum_i N_i N_i [- (J.P)^2] expanded word by word.
+    """
+    if label.startswith("C1"):
+        return [(("Q",) if label == "C1U" else ("M",), 1)]
+    pref = spec["pref"]
+    if label.startswith("C2"):
+        if not spec["jp"]:
+            return [(("M", "H"), 1)] + [(("P" + a, "P" + a), Fraction(-1, 2)) for a in AXES]
+        square = [((p, q), 1 if p == q else 2) for n, p in enumerate(pref) for q in pref[n:]]
+        return square + [(("P" + a, "P" + a), -1) for a in AXES]
+    words = []
     for i in AXES:
-        n_i = sum((UEAElement.word(alg, (p, "J" + i)) for p in spec["pref"]), UEAElement.zero(alg))
-        n_i = n_i - _cross(alg, spec["boost"], i)
-        out = out + n_i * n_i
+        n_i = [((p, "J" + i), 1) for p in pref]
+        n_i += [((spec["boost"] + j, "P" + k), -eps3(i, j, k))
+                for j in AXES for k in AXES if eps3(i, j, k)]
+        words += [(u + v, a * b) for u, a in n_i for v, b in n_i]
     if spec["jp"]:
-        jp = _jdotp(alg)
-        out = out - jp * jp
-    return out
+        words += [(("J" + i, "P" + i, "J" + j, "P" + j), -1) for i in AXES for j in AXES]
+    return words
+
+
+def _element(alg, words, weyl=False):
+    """(names, int or Fraction) pairs straightened, or Weyl ordered when weyl, in one pass."""
+    raw = _index_words(alg, ((names, Scalar.rational(c)) for names, c in words))
+    return _weyl_sum(alg, raw) if weyl else UEAElement(alg, _normalize(alg, raw))
 
 
 def _c4_monomials(spec):
@@ -132,11 +125,7 @@ def _c4_pieces(alg, spec, weyl):
     """[N(B), N(X)], or [W(B), W(X)] when weyl: the base and cross monomials
     straightened (N) or Weyl ordered (W), each in one pass.  N and W are
     linear, so a printed ordering is base + sign * cross."""
-    pieces = []
-    for monomials in _c4_monomials(spec):
-        raw = _index_words(alg, ((names, Scalar.from_int(c)) for names, c in monomials))
-        pieces.append(_weyl_sum(alg, raw) if weyl else UEAElement(alg, _normalize(alg, raw)))
-    return pieces
+    return [_element(alg, monomials, weyl) for monomials in _c4_monomials(spec)]
 
 
 def casimir_variant(name, label, variant):
@@ -146,7 +135,7 @@ def casimir_variant(name, label, variant):
         raise AlgebraError("no ordering variants for %s in %r" % (label, name))
     alg = catalog(name)
     if variant == "factored":
-        return _c4_factored(alg, spec)
+        return _element(alg, _words(spec, label))
     for weyl, signs in _PRINTED.items():
         if variant in signs:
             base, cross = _c4_pieces(alg, spec, weyl)
@@ -168,16 +157,9 @@ def casimir_catalog(name):
         return _CATALOG_CACHE[name]
     spec = _spec(name)
     alg = catalog(name)
-    entries = []
-    for label in spec["labels"]:
-        if label.startswith("C4"):
-            entries.append(CasimirEntry(label, _c4_factored(alg, spec), "factored"))
-        elif label == "C1U":
-            entries.append(CasimirEntry(label, UEAElement.gen(alg, "Q"), "verbatim"))
-        elif label.startswith("C1"):
-            entries.append(CasimirEntry(label, UEAElement.gen(alg, "M"), "verbatim"))
-        else:
-            entries.append(CasimirEntry(label, _c2_element(alg, spec), "verbatim"))
+    entries = [CasimirEntry(label, _element(alg, _words(spec, label)),
+                            "factored" if label.startswith("C4") else "verbatim")
+               for label in spec["labels"]]
     _CATALOG_CACHE[name] = tuple(entries)
     return _CATALOG_CACHE[name]
 

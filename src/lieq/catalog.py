@@ -94,7 +94,7 @@ def _build_poincare():
 
 
 def _build_poincare_trivial_ext():
-    return _build_poincare().trivial_extension("M", name="poincare_trivial_ext")
+    return catalog("poincare").trivial_extension("M", name="poincare_trivial_ext")
 
 
 def shifted_energy_basis(ext):
@@ -106,7 +106,7 @@ def shifted_energy_basis(ext):
 
 
 def _build_poincare_trivial_ext_hbar():
-    ext = _build_poincare_trivial_ext()
+    ext = catalog("poincare_trivial_ext")
     return ext.change_basis(*shifted_energy_basis(ext), name="poincare_trivial_ext_hbar")
 
 
@@ -123,13 +123,13 @@ def _build_heisenberg3():
 
 
 def _build_full_relativistic():
-    return _build_poincare_trivial_ext_hbar().direct_product(
-        _build_u1(), name="full_relativistic"
+    return catalog("poincare_trivial_ext_hbar").direct_product(
+        catalog("u1"), name="full_relativistic"
     )
 
 
 def _build_full_nonrelativistic():
-    return _build_galilei_central().direct_product(_build_u1(), name="full_nonrelativistic")
+    return catalog("galilei_central").direct_product(catalog("u1"), name="full_nonrelativistic")
 
 
 _BUILDERS = {
@@ -152,8 +152,10 @@ _CACHE = {}
 def catalog(name):
     """Return the named catalog algebra: built and validated once, cached, immutable.
 
-    A table that fails validate() raises AlgebraError; a passing one is
-    marked as a Lie table, so is_casimir checks it against fewer generators.
+    Builders take their parent tables from here, so each table is built once
+    per process.  A table that fails validate() raises AlgebraError; a
+    passing one is marked as a Lie table, so is_casimir checks it against
+    fewer generators.
     """
     if name not in _BUILDERS:
         raise AlgebraError(

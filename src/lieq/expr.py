@@ -127,7 +127,7 @@ class _Parser:
         while self.peek()[0] == "*":
             self.next()
             rhs = self.factor()
-            value = self._multiply(value, rhs)
+            value = value * rhs
         return value
 
     def factor(self):
@@ -193,12 +193,6 @@ class _Parser:
         if isinstance(a, Scalar) and isinstance(b, Scalar):
             return a, b
         return self._promote(a), self._promote(b)
-
-    def _multiply(self, a, b):
-        # scalars commute with everything, so scalar*element == element*scalar
-        if isinstance(a, Scalar) and not isinstance(b, Scalar):
-            return b * a
-        return a * b
 
 
 def parse_scalar(text, symbols=None):

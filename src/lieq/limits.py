@@ -36,27 +36,14 @@ def boost_elements():
     ct = Scalar.symbol("c") * Scalar.symbol("t")
     elems = {}
     for a in AXES:
-        elems["K" + a] = (
-            m0c2 * UEAElement.gen(alg, "X" + a) - ct * UEAElement.gen(alg, "P" + a)
-        )
+        elems["K" + a] = UEAElement.from_terms(alg, {("X" + a,): m0c2, ("P" + a,): -ct})
     for i in AXES:
-        j_i = UEAElement.zero(alg)
-        for j in AXES:
-            for k in AXES:
-                sign = eps3(i, j, k)
-                if sign:
-                    j_i = j_i + Scalar.from_int(sign) * UEAElement.word(
-                        alg, ("X" + j, "P" + k)
-                    )
-        elems["J" + i] = j_i
-    psq = UEAElement.zero(alg)
-    for a in AXES:
-        psq = psq + UEAElement.word(alg, ("P" + a, "P" + a))
-    elems["H2"] = (
-        (Scalar.from_int(2) * Scalar.symbol("m0", 2) * Scalar.symbol("c", 2))
-        * UEAElement.unit(alg)
-        + psq
-    )
+        elems["J" + i] = UEAElement.from_terms(alg, {
+            ("X" + j, "P" + k): Scalar.from_int(eps3(i, j, k))
+            for j in AXES for k in AXES if eps3(i, j, k)})
+    h2 = {("P" + a, "P" + a): Scalar.one() for a in AXES}
+    h2[()] = Scalar.from_int(2) * Scalar.symbol("m0", 2) * Scalar.symbol("c", 2)
+    elems["H2"] = UEAElement.from_terms(alg, h2)
     return alg, elems
 
 

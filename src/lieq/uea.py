@@ -19,11 +19,17 @@ Adv. Math. 29, 1978), so merging cannot change a normal form.  As each word
 is rewritten at its leftmost descent, the normal form is a linear map on
 words even on tables that break Jacobi, so each operation straightens its
 whole sum in one pass (all rows w1·w2 of a product, the whole [e, G] of a
-Casimir check, every arrangement of every word of a Weyl ordering) and
-equal words from different pieces merge too; a printed quartic ordering is
-a signed sum of two pieces, one pass each, and _casimir_checks checks such
-sums together.  A term-count budget (LIEQ_TERM_CAP, default 10**6) bounds
-the live terms of each pass.
+Casimir check, every arrangement of every word of a Weyl ordering, every
+row of every word of a substitution) and equal words from different pieces
+merge too; a printed quartic ordering is a signed sum of two pieces, one
+pass each, and _casimir_checks checks such sums together.  Straightening a
+product in one pass gives what multiplying from the left and straightening
+after each factor gives: N(u·v) = N(N(u)·v) for words u and v, because the
+leftmost descent of u·v lies inside u whenever u has one.  (Straightening a
+right factor first is another matter: on a table that breaks Jacobi,
+N(u·N(v)) can differ from N(u·v).)  A term-count budget
+(LIEQ_TERM_CAP, default 10**6) bounds the live terms of each pass, so a
+whole product, Casimir check, Weyl ordering or substitution.
 
 is_casimir straightens [e, G] from the derivation
 [w, G] = sum_k w[:k]·[w_k, G]·w[k+1:], summed over the terms of e, instead of
@@ -156,7 +162,7 @@ def _coerce_scalar(value):
     if isinstance(value, Scalar):
         return value
     if isinstance(value, (int, Fraction)):
-        return Scalar.rational(Fraction(value))
+        return Scalar.rational(value)
     return None
 
 
@@ -390,7 +396,9 @@ def substitute(e, mapping, formal=False):
     Without formal=True every substituted generator must be central — the
     only case where replacing letters inside arbitrary words is well defined.
     With formal=True, letters are replaced term-by-term in the normal form
-    and the result renormalized (the rest-frame specializations).
+    and the result renormalized (the rest-frame specializations).  Every
+    word's substituted rows are expanded as a product's are, and the whole
+    result is straightened in one pass.
     """
     alg = e.algebra
     values = {}
@@ -412,16 +420,22 @@ def substitute(e, mapping, formal=False):
         values[idx] = value
     if not values:
         return e
-    out = UEAElement.zero(alg)
+    raw = {}
     for word, coeff in e._terms.items():
-        term = UEAElement.unit(alg) * coeff
+        rows = {(): coeff._terms}  # word[:k] with its letters substituted: {word: raw map}
         for letter in word:
-            factor = values.get(letter)
-            if factor is None:
-                factor = UEAElement(alg, {(letter,): Scalar.one()})
-            term = term * factor
-        out = out + term
-    return out
+            value = values.get(letter)
+            if value is None:
+                rows = {w + (letter,): c for w, c in rows.items()}
+                continue
+            grown = {}
+            for w1, c1 in rows.items():
+                for w2, c2 in value._terms.items():
+                    _mac(grown.setdefault(w1 + w2, {}), c1, c2._terms)
+            rows = grown
+        for w, c in rows.items():
+            _add_into(raw.setdefault(w, {}), c)
+    return UEAElement(alg, _normalize(alg, raw))
 
 
 def scalar_substitute(e, symbol_map):

@@ -1,8 +1,10 @@
 """The built-in algebra catalog and the JSON algebra-file format."""
 
+import sys
+
 import pytest
 
-from lieq.algebra import AlgebraError
+from lieq.algebra import AlgebraError, LieAlgebra
 from lieq.catalog import (
     _BUILDERS,
     _CACHE,
@@ -115,6 +117,23 @@ def test_unknown_name_errors():
 
 def test_catalog_returns_same_instance():
     assert catalog("poincare") is catalog("poincare")
+
+
+def test_each_table_is_built_once_per_process(monkeypatch):
+    # lieq.catalog is also the name of the function, so reach the module by name
+    module = sys.modules["lieq.catalog"]
+    monkeypatch.setattr(module, "_CACHE", {})
+    built, bases = [], []
+    for name, build in list(module._BUILDERS.items()):
+        monkeypatch.setitem(module._BUILDERS, name,
+                            lambda name=name, build=build: built.append(name) or build())
+    change_basis = LieAlgebra.change_basis
+    monkeypatch.setattr(LieAlgebra, "change_basis",
+                        lambda self, *a, **k: bases.append(self.name) or change_basis(self, *a, **k))
+    for name in CATALOG_NAMES:
+        module.catalog(name)
+    assert sorted(built) == sorted(CATALOG_NAMES)
+    assert bases == ["poincare_trivial_ext"]
 
 
 def test_catalog_rejects_a_table_that_fails_jacobi(monkeypatch):

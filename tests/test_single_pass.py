@@ -2,11 +2,13 @@
 
 The library builds each whole unstraightened sum (all rows of a product,
 the whole [e, G] of a Casimir check, every arrangement of every monomial of
-a Weyl ordering) and straightens it once.  The references below straighten
-one row, one term of e or one monomial at a time and add the normal forms.
-Straightening always rewrites a word at its leftmost descent, so its normal
-form is linear in words and the two must agree exactly, on catalog tables
-and on copies that break Jacobi alike.
+a Weyl ordering, every row of a substitution) and straightens it once.  The
+references below straighten one row, one term of e, one monomial or one
+substituted letter at a time and add the normal forms.  Straightening always
+rewrites a word at its leftmost descent, so its normal form is linear in
+words, N(u·v) = N(N(u)·v), and the two must agree exactly, on catalog tables
+and on copies that break Jacobi alike (the factored quartic's reference
+straightens right factors first; see ref_casimir_variant).
 """
 
 import itertools
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieq import casimirs
+from lieq import casimirs, uea
 from lieq.casimirs import (
     C4_VARIANTS,
     CASIMIR_GROUPS,
@@ -24,7 +26,7 @@ from lieq.casimirs import (
     casimir_variant,
     ordering_study,
 )
-from lieq.catalog import AXES, catalog
+from lieq.catalog import AXES, catalog, eps3
 from lieq.scalars import Scalar
 from lieq.uea import (
     CasimirCheck,
@@ -33,6 +35,7 @@ from lieq.uea import (
     _normalize,
     is_casimir,
     rename_element,
+    substitute,
     weyl_symmetrize,
     weyl_word,
 )
@@ -102,17 +105,44 @@ def ref_weyl_symmetrize(e):
     return out
 
 
+def ref_substitute(e, mapping):
+    """substitute, one product per letter and one sum per word (checks left out)."""
+    alg = e.algebra
+    values = {alg.generator(name).index: value if isinstance(value, UEAElement)
+              else UEAElement.unit(alg) * value for name, value in mapping.items()}
+    out = UEAElement.zero(alg)
+    for word, coeff in e._terms.items():
+        term = UEAElement.unit(alg) * coeff
+        for letter in word:
+            factor = values.get(letter)
+            if factor is None:
+                factor = UEAElement(alg, {(letter,): Scalar.one()})
+            term = term * factor
+        out = out + term
+    return out
+
+
 def ref_casimir_variant(alg, name, variant):
     spec = casimirs._spec(name)
     out = UEAElement.zero(alg)
     if variant == "factored":
+        # sum_i N_i N_i [- (J.P)^2]: N_i = sum_pref p J_i - eps_ijk K_j P_k and J.P
+        # straightened first, then multiplied.  On a Lie table that is the one-pass
+        # element; on a copy that breaks Jacobi a right factor straightened first can
+        # change it (by Q on full_relativistic with [M, Jx] = Q and [Q, M] = M), an
+        # overlap the seeded copies here do not reach.
+        jp = UEAElement.zero(alg)
         for i in AXES:
             n_i = sum((UEAElement.word(alg, (p, "J" + i)) for p in spec["pref"]),
                       UEAElement.zero(alg))
-            n_i = n_i - casimirs._cross(alg, spec["boost"], i)
+            for j in AXES:
+                for k in AXES:
+                    if eps3(i, j, k):
+                        n_i = n_i - UEAElement.word(alg, (spec["boost"] + j, "P" + k),
+                                                    Scalar.from_int(eps3(i, j, k)))
             out = out + ref_mul(n_i, n_i)
+            jp = jp + UEAElement.word(alg, ("J" + i, "P" + i))
         if spec["jp"]:
-            jp = casimirs._jdotp(alg)
             out = out - ref_mul(jp, jp)
         return out
     sign = 1 if variant == "weyl_mirrored" else -1
@@ -271,3 +301,53 @@ def test_shared_checks_match_is_casimir_on_each_combination(name):
                     want = ref_is_casimir(e)
                     assert_same_check(check, want)
                     assert_same_check(is_casimir(e), want)
+
+
+# -- substitution in one pass ------------------------------------------------------------
+
+
+def random_value(rng, alg):
+    """A substitution value: an int, a Fraction, a Scalar or a multi-term element."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randint(-3, 3)
+    if kind == 1:
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+    if kind == 2:
+        return random_scalar(rng)
+    return random_element(rng, alg, max_len=2, max_terms=3)
+
+
+@pytest.mark.parametrize("name", ("poincare", "galilei_central", "heisenberg3",
+                                  "poincare_trivial_ext", "full_relativistic"))
+def test_substitute_matches_the_per_letter_reference(name):
+    rng = random.Random(4409 + len(name))
+    alg = catalog(name)
+    # every sign flip of the Heisenberg table keeps Jacobi
+    copy = flipped(rng, alg) if name == "heisenberg3" else broken_copy(rng, alg, flipped)
+    for table in (alg, copy):
+        central = [g for k, g in enumerate(table.generators)
+                   if not any(table.bracket_index(k, j) for j in range(table.dim))]
+        for _ in range(12):
+            e = random_element(rng, table, max_len=4, max_terms=5)
+            chosen = rng.sample(table.generators, rng.randint(1, 3))
+            mapping = {g: random_value(rng, table) for g in chosen}
+            assert_same_element(substitute(e, mapping, formal=True), ref_substitute(e, mapping))
+            if central:
+                mapping = {g: random_value(rng, table) for g in central}
+                assert_same_element(substitute(e, mapping), ref_substitute(e, mapping))
+        for entry in casimir_catalog(name) if name in CASIMIR_GROUPS else ():
+            e = rename_element(entry.element, table)
+            mapping = {g: random_value(rng, table) for g in rng.sample(table.generators, 2)}
+            assert_same_element(substitute(e, mapping, formal=True), ref_substitute(e, mapping))
+
+
+def test_substitute_straightens_once(monkeypatch):
+    alg = catalog("poincare_trivial_ext")
+    e = casimir_catalog("poincare_trivial_ext")[2].element
+    calls = []
+    normalize_once = uea._normalize
+    monkeypatch.setattr(uea, "_normalize", lambda *a: calls.append(1) or normalize_once(*a))
+    mapping = {"H": UEAElement.gen(alg, "M") + UEAElement.gen(alg, "Px"), "M": 2, "Jx": Scalar.i()}
+    substitute(e, mapping, formal=True)
+    assert len(calls) == 1
