@@ -34,7 +34,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from lieq.algebra import AlgebraError
-from lieq.catalog import AXES, catalog, eps3
+from lieq.catalog import _TABLES, AXES, catalog, eps3
 from lieq.scalars import Scalar
 from lieq.uea import UEAElement, _casimir_checks, _index_words, _normalize, _weyl_sum, is_casimir
 
@@ -43,22 +43,19 @@ OrderingStep = namedtuple("OrderingStep", ["variant", "ok", "witness", "shift", 
 
 C4_VARIANTS = ("verbatim", "weyl", "weyl_mirrored", "factored")
 
-# family: which low-order invariants exist and how the quartic is built.
+# group: its Casimir labels.  _spec adds how the quartic is built, read from
+# the group's _Kinematical description in lieq.catalog:
 #   boost: generator-name prefix of the boost family
-#   pref: generator names whose sum multiplies J_i in N_i
-#   jp: whether the quartic subtracts (J.P)^2 (Poincare family)
+#   pref: generator names whose sum multiplies J_i in N_i, those of [K_i, P_i]
+#   jp: whether the quartic subtracts (J.P)^2, i.e. [K_i, K_j] != 0 (Poincare family)
 _SPECS = {
-    "galilei_central": dict(labels=("C1G", "C2G", "C4G"), boost="KG", pref=("M",), jp=False),
-    "poincare": dict(labels=("C2P", "C4P"), boost="KP", pref=("H",), jp=True),
-    "poincare_trivial_ext": dict(
-        labels=("C1PE", "C2PE", "C4PE"), boost="KP", pref=("H",), jp=True),
-    "poincare_trivial_ext_hbar": dict(
-        labels=("C1PE", "C2PE", "C4PE"), boost="KP", pref=("Hb", "M"), jp=True),
-    "u1": dict(labels=("C1U",)),
-    "full_relativistic": dict(
-        labels=("C1PE", "C2PE", "C4PE", "C1U"), boost="KP", pref=("Hb", "M"), jp=True),
-    "full_nonrelativistic": dict(
-        labels=("C1G", "C2G", "C4G", "C1U"), boost="KG", pref=("M",), jp=False),
+    "galilei_central": ("C1G", "C2G", "C4G"),
+    "poincare": ("C2P", "C4P"),
+    "poincare_trivial_ext": ("C1PE", "C2PE", "C4PE"),
+    "poincare_trivial_ext_hbar": ("C1PE", "C2PE", "C4PE"),
+    "u1": ("C1U",),
+    "full_relativistic": ("C1PE", "C2PE", "C4PE", "C1U"),
+    "full_nonrelativistic": ("C1G", "C2G", "C4G", "C1U"),
 }
 
 CASIMIR_GROUPS = tuple(_SPECS)
@@ -69,7 +66,10 @@ def _spec(name):
         raise AlgebraError(
             "no Casimir catalog for %r (have: %s)" % (name, ", ".join(sorted(_SPECS)))
         )
-    return _SPECS[name]
+    kin = _TABLES[name]
+    if callable(kin):
+        return dict(labels=_SPECS[name])
+    return dict(labels=_SPECS[name], boost=kin.boost, pref=kin.kp, jp=kin.kk)
 
 
 def _words(spec, label):

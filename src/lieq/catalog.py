@@ -5,6 +5,10 @@ Generator naming is ASCII-flattened: boost families carry their group tag
 and the unextended Galilei table uses its abstract names (Gtau, Gth*, Gu*,
 Gr* for time translation, rotations, boosts, displacements).
 
+The seven kinematical tables (both Galilei tables, the Poincare family and
+the two full groups) are one Bacry-Levy-Leblond family, each built from one
+row of a description table; u1 and heisenberg3 have builders of their own.
+
 Listing order is significant: it is also the PBW normal-ordering for the
 enveloping algebra (boosts sort before momenta).
 """
@@ -12,6 +16,8 @@ enveloping algebra (boosts sort before momenta).
 from __future__ import annotations
 
 import json
+from collections import namedtuple
+from functools import partial
 
 from lieq.algebra import AlgebraError, LieAlgebra
 from lieq.expr import ExprError, parse_scalar
@@ -30,71 +36,28 @@ def eps3(i, j, k):
     return _EPS3.get((i, j, k), 0)
 
 
-def _rotation_action(brackets, rot, vec):
-    """[rot_i, vec_j] = i * eps_ijk * vec_k, expanded eagerly."""
-    for i in AXES:
-        for j in AXES:
-            if rot == vec and i >= j:
-                continue  # same family: store each unordered pair once
-            combo = {}
-            for k in AXES:
-                e = eps3(i, j, k)
-                if e:
-                    combo[vec + k] = Scalar.gaussian(0, e)
-            if combo:
-                brackets[(rot + i, vec + j)] = combo
-    return brackets
+# One kinematical table: the names of its time, rotation, boost and translation
+# generators; kp, the generators whose sum [K_i, P_i] gives times i; kk, whether
+# [K_i, K_j] = -i*eps_ijk*J_k; and the central generators, listed after P.
+_Kinematical = namedtuple("_Kinematical", "time rotation boost translation kp kk central")
 
 
-def _build_galilei():
+def _kinematical(name, kin):
+    """The described table: J_i acts on J, K and P as a vector, [K_i, time] = i*P_i."""
+    t, r, k, p = kin.time, kin.rotation, kin.boost, kin.translation
+    i = Scalar.i()
     brackets = {}
-    _rotation_action(brackets, "Gth", "Gth")
-    _rotation_action(brackets, "Gth", "Gu")
-    _rotation_action(brackets, "Gth", "Gr")
-    for ax in AXES:
-        brackets[("Gu" + ax, "Gtau")] = {"Gr" + ax: Scalar.i()}
-    gens = ("Gtau",) + tuple("Gth" + a for a in AXES) \
-        + tuple("Gu" + a for a in AXES) + tuple("Gr" + a for a in AXES)
-    return LieAlgebra("galilei", gens, brackets)
-
-
-def _build_galilei_central():
-    brackets = {}
-    _rotation_action(brackets, "J", "J")
-    _rotation_action(brackets, "J", "KG")
-    _rotation_action(brackets, "J", "P")
-    for ax in AXES:
-        brackets[("KG" + ax, "H")] = {"P" + ax: Scalar.i()}
-        brackets[("KG" + ax, "P" + ax)] = {"M": Scalar.i()}
-    gens = ("H",) + tuple("J" + a for a in AXES) \
-        + tuple("KG" + a for a in AXES) + tuple("P" + a for a in AXES) + ("M",)
-    return LieAlgebra("galilei_central", gens, brackets)
-
-
-def _build_poincare():
-    brackets = {}
-    _rotation_action(brackets, "J", "J")
-    _rotation_action(brackets, "J", "KP")
-    _rotation_action(brackets, "J", "P")
-    for i in AXES:
-        brackets[("KP" + i, "H")] = {"P" + i: Scalar.i()}
-        brackets[("KP" + i, "P" + i)] = {"H": Scalar.i()}
-        for j in AXES:
-            if i >= j:
-                continue
-            combo = {}
-            for k in AXES:
-                e = eps3(i, j, k)
-                if e:
-                    combo["J" + k] = Scalar.gaussian(0, -e)
-            brackets[("KP" + i, "KP" + j)] = combo
-    gens = ("H",) + tuple("J" + a for a in AXES) \
-        + tuple("KP" + a for a in AXES) + tuple("P" + a for a in AXES)
-    return LieAlgebra("poincare", gens, brackets)
-
-
-def _build_poincare_trivial_ext():
-    return catalog("poincare").trivial_extension("M", name="poincare_trivial_ext")
+    for (a, b, c), e in _EPS3.items():
+        for vec in (r, k, p):
+            if vec != r or a < b:  # same family: store each unordered pair once
+                brackets[(r + a, vec + b)] = {vec + c: Scalar.gaussian(0, e)}
+        if kin.kk and a < b:
+            brackets[(k + a, k + b)] = {r + c: Scalar.gaussian(0, -e)}
+    for a in AXES:
+        brackets[(k + a, t)] = {p + a: i}
+        brackets[(k + a, p + a)] = dict.fromkeys(kin.kp, i)
+    gens = (t,) + tuple(f + a for f in (r, k, p) for a in AXES) + kin.central
+    return LieAlgebra(name, gens, brackets)
 
 
 def shifted_energy_basis(ext):
@@ -103,11 +66,6 @@ def shifted_energy_basis(ext):
     matrix = [[Scalar.one() if r == c else Scalar.zero() for c in gens] for r in gens]
     matrix[gens.index("H")][gens.index("M")] = -Scalar.one()
     return matrix, tuple("Hb" if g == "H" else g for g in gens)
-
-
-def _build_poincare_trivial_ext_hbar():
-    ext = catalog("poincare_trivial_ext")
-    return ext.change_basis(*shifted_energy_basis(ext), name="poincare_trivial_ext_hbar")
 
 
 def _build_u1():
@@ -122,27 +80,21 @@ def _build_heisenberg3():
     return LieAlgebra("heisenberg3", gens, brackets)
 
 
-def _build_full_relativistic():
-    return catalog("poincare_trivial_ext_hbar").direct_product(
-        catalog("u1"), name="full_relativistic"
-    )
-
-
-def _build_full_nonrelativistic():
-    return catalog("galilei_central").direct_product(catalog("u1"), name="full_nonrelativistic")
-
-
-_BUILDERS = {
-    "galilei": _build_galilei,
-    "galilei_central": _build_galilei_central,
-    "poincare": _build_poincare,
-    "poincare_trivial_ext": _build_poincare_trivial_ext,
-    "poincare_trivial_ext_hbar": _build_poincare_trivial_ext_hbar,
+# Every catalog table in listing order: its _Kinematical description, or its own builder.
+_TABLES = {
+    "galilei": _Kinematical("Gtau", "Gth", "Gu", "Gr", (), False, ()),
+    "galilei_central": _Kinematical("H", "J", "KG", "P", ("M",), False, ("M",)),
+    "poincare": _Kinematical("H", "J", "KP", "P", ("H",), True, ()),
+    "poincare_trivial_ext": _Kinematical("H", "J", "KP", "P", ("H",), True, ("M",)),
+    "poincare_trivial_ext_hbar": _Kinematical("Hb", "J", "KP", "P", ("Hb", "M"), True, ("M",)),
     "u1": _build_u1,
     "heisenberg3": _build_heisenberg3,
-    "full_relativistic": _build_full_relativistic,
-    "full_nonrelativistic": _build_full_nonrelativistic,
+    "full_relativistic": _Kinematical("Hb", "J", "KP", "P", ("Hb", "M"), True, ("M", "Q")),
+    "full_nonrelativistic": _Kinematical("H", "J", "KG", "P", ("M",), False, ("M", "Q")),
 }
+
+_BUILDERS = {name: entry if callable(entry) else partial(_kinematical, name, entry)
+             for name, entry in _TABLES.items()}
 
 CATALOG_NAMES = tuple(_BUILDERS)
 
@@ -152,10 +104,8 @@ _CACHE = {}
 def catalog(name):
     """Return the named catalog algebra: built and validated once, cached, immutable.
 
-    Builders take their parent tables from here, so each table is built once
-    per process.  A table that fails validate() raises AlgebraError; a
-    passing one is marked as a Lie table, so is_casimir checks it against
-    fewer generators.
+    A table that fails validate() raises AlgebraError; a passing one is
+    marked as a Lie table, so is_casimir checks it against fewer generators.
     """
     if name not in _BUILDERS:
         raise AlgebraError(

@@ -7,15 +7,12 @@ Expected values here were fixed against an independently written
 normal-ordering oracle before this module existed.
 """
 
-from fractions import Fraction
-
 import pytest
 
 from lieq.algebra import AlgebraError
 from lieq.casimirs import (
     C4_VARIANTS,
     CASIMIR_GROUPS,
-    CasimirEntry,
     casimir_catalog,
     casimir_entries,
     casimir_variant,

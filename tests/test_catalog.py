@@ -133,7 +133,7 @@ def test_each_table_is_built_once_per_process(monkeypatch):
     for name in CATALOG_NAMES:
         module.catalog(name)
     assert sorted(built) == sorted(CATALOG_NAMES)
-    assert bases == ["poincare_trivial_ext"]
+    assert bases == []
 
 
 def test_catalog_rejects_a_table_that_fails_jacobi(monkeypatch):

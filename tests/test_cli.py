@@ -10,6 +10,7 @@ import pytest
 
 from lieq import CATALOG_NAMES
 from lieq.cli import run_command
+from lieq.contraction import STD_FULL_MAP, STD_FULL_RENAME, STD_PE_MAP, STD_PE_RENAME
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -210,6 +211,16 @@ def test_contract_with_check_lists_differences(capsys, tmp_path):
         "  [KGy, Py]: got 0, expected i*M",
         "  [KGy, Px]: got i*M, expected 0",
     ]
+
+
+@pytest.mark.parametrize("filename, mapping", [
+    ("std.json", STD_PE_MAP), ("std-rename.json", STD_PE_RENAME),
+    ("std-full.json", STD_FULL_MAP), ("std-full-rename.json", STD_FULL_RENAME),
+])
+def test_map_files_match_the_standard_maps(filename, mapping):
+    # the files the CLI examples pass to --map and --rename, key order included
+    loaded = json.loads((DATA / filename).read_text())
+    assert list(loaded.items()) == list(mapping.items())
 
 
 def test_contract_prints_table(capsys):

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from lieq.report import Check, Report, report_paper
+from lieq import casimirs
+from lieq.algebra import LieAlgebra
+from lieq.report import Report, report_paper
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "bench" / "golden_report.json"
@@ -119,6 +121,24 @@ def test_fault_injection_names_the_bracket():
     assert "Jacobi" in first.detail
     # only the corrupted algebra's validation fails; everything later is clean
     assert all(c.name == "validate galilei_central" for c in failed)
+
+
+def test_a_faulty_basis_change_fails_only_its_own_row(monkeypatch):
+    # No catalog table is built by a basis change, so a wrong change_basis shows
+    # in the one row that checks it.  Negating the matrix's off-diagonal entries
+    # still gives a valid Lie table, so every validate row keeps passing.
+    monkeypatch.setattr(sys.modules["lieq.catalog"], "_CACHE", {})
+    monkeypatch.setattr(casimirs, "_CATALOG_CACHE", {})
+    change_basis = LieAlgebra.change_basis
+
+    def faulty(self, matrix, *args, **kwargs):
+        negated = [[x if r == c else -x for c, x in enumerate(row)]
+                   for r, row in enumerate(matrix)]
+        return change_basis(self, negated, *args, **kwargs)
+
+    monkeypatch.setattr(LieAlgebra, "change_basis", faulty)
+    failed = [c.name for c in report_paper().checks if c.status == "fail"]
+    assert failed == ["basis change to the shifted energy"]
 
 
 def test_text_rendering(pristine):

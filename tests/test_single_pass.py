@@ -7,8 +7,7 @@ references below straighten one row, one term of e, one monomial or one
 substituted letter at a time and add the normal forms.  Straightening always
 rewrites a word at its leftmost descent, so its normal form is linear in
 words, N(u·v) = N(N(u)·v), and the two must agree exactly, on catalog tables
-and on copies that break Jacobi alike (the factored quartic's reference
-straightens right factors first; see ref_casimir_variant).
+and on copies that break Jacobi alike.
 """
 
 import itertools
@@ -126,24 +125,22 @@ def ref_casimir_variant(alg, name, variant):
     spec = casimirs._spec(name)
     out = UEAElement.zero(alg)
     if variant == "factored":
-        # sum_i N_i N_i [- (J.P)^2]: N_i = sum_pref p J_i - eps_ijk K_j P_k and J.P
-        # straightened first, then multiplied.  On a Lie table that is the one-pass
-        # element; on a copy that breaks Jacobi a right factor straightened first can
-        # change it (by Q on full_relativistic with [M, Jx] = Q and [Q, M] = M), an
-        # overlap the seeded copies here do not reach.
-        jp = UEAElement.zero(alg)
+        # sum_i N_i N_i [- (J.P)^2], N_i = sum_pref p J_i - eps_ijk K_j P_k, expanded
+        # into words here and each word straightened on its own, so the reference
+        # holds on every table, Jacobi or not.
         for i in AXES:
-            n_i = sum((UEAElement.word(alg, (p, "J" + i)) for p in spec["pref"]),
-                      UEAElement.zero(alg))
+            n_i = [((p, "J" + i), 1) for p in spec["pref"]]
             for j in AXES:
                 for k in AXES:
                     if eps3(i, j, k):
-                        n_i = n_i - UEAElement.word(alg, (spec["boost"] + j, "P" + k),
-                                                    Scalar.from_int(eps3(i, j, k)))
-            out = out + ref_mul(n_i, n_i)
-            jp = jp + UEAElement.word(alg, ("J" + i, "P" + i))
+                        n_i.append(((spec["boost"] + j, "P" + k), -eps3(i, j, k)))
+            for u, a in n_i:
+                for v, b in n_i:
+                    out = out + UEAElement.word(alg, u + v, Scalar.from_int(a * b))
         if spec["jp"]:
-            out = out - ref_mul(jp, jp)
+            for i in AXES:
+                for j in AXES:
+                    out = out - UEAElement.word(alg, ("J" + i, "P" + i, "J" + j, "P" + j))
         return out
     sign = 1 if variant == "weyl_mirrored" else -1
     build = UEAElement.word if variant == "verbatim" else ref_weyl_word
@@ -242,6 +239,19 @@ def test_c4_variants_match_the_per_monomial_reference(name, monkeypatch):
             want = ref_casimir_variant(alg, name, variant)
             assert_same_element(got, want)
             assert_same_check(is_casimir(got), ref_is_casimir(want))
+
+
+def test_factored_quartic_matches_the_per_word_reference_on_an_overlapping_copy(monkeypatch):
+    # [M, Jx] = Q and [Q, M] = M break Jacobi where straightening N_i before
+    # multiplying changes the quartic (by Q); the per-word reference still agrees.
+    one = Scalar.one()
+    alg = catalog("full_relativistic").with_bracket("M", "Jx", {"Q": one}) \
+        .with_bracket("Q", "M", {"M": one})
+    assert alg.validate().jacobi
+    monkeypatch.setattr(casimirs, "catalog", lambda _name: alg)
+    for variant in C4_VARIANTS:
+        got = casimir_variant("full_relativistic", "C4PE", variant)
+        assert_same_element(got, ref_casimir_variant(alg, "full_relativistic", variant))
 
 
 # -- shared straightening across the printed orderings -------------------------------
