@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from types import MappingProxyType
 
-from lieq.scalars import DEFAULT_SYMBOLS, LAURENT_SYMBOL, Scalar, _add_into, _freeze, _mac
+from lieq.scalars import DEFAULT_SYMBOLS, Scalar, _add_into, _freeze, _mac, _unit_inverse
 
 Generator = namedtuple("Generator", ["name", "index"])
 
@@ -349,26 +349,6 @@ class LieAlgebra:
         return "LieAlgebra(%r, dim=%d)" % (self.name, self.dim)
 
 
-def _scalar_inverse(s):
-    """Exact inverse of a Scalar if it is a unit in the ring, else None.
-
-    Units are single monomials with only powers of the contraction symbol
-    (eps) and a nonzero Gaussian-rational coefficient.
-    """
-    terms = s.items()
-    if len(terms) != 1:
-        return None
-    (mono, (re, im)), = terms
-    for sym, _ in mono:
-        if sym != LAURENT_SYMBOL:
-            return None
-    norm = re * re + im * im
-    out = Scalar.gaussian(re / norm, -im / norm)
-    for sym, exp in mono:
-        out = out.mul_power(sym, -exp)
-    return out
-
-
 def _invert(matrix):
     """Gauss-Jordan inverse over the scalar ring; pivots must be units."""
     n = len(matrix)
@@ -378,7 +358,7 @@ def _invert(matrix):
         pivot_row = None
         pivot_inv = None
         for r in range(col, n):
-            pivot_inv = _scalar_inverse(a[r][col])
+            pivot_inv = _unit_inverse(a[r][col])
             if pivot_inv is not None:
                 pivot_row = r
                 break

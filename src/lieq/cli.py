@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 import warnings
+from functools import cache
 from pathlib import Path
 
 from lieq.algebra import AlgebraError
@@ -273,7 +274,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, "error: %s\n" % " ".join(message.splitlines()))
 
 
+@cache
 def _build_parser():
+    """The one parser of this process; parse_args leaves it unchanged."""
     parser = _Parser(
         prog="lieq",
         description="Exact kinematical Lie algebra toolkit: tables, Casimir "

@@ -7,11 +7,13 @@ standard_casimir_limits computes those contractions once for every consumer.
 
 Traditional limit: the boosts act on a quantum particle through
 K_i = m0*c^2*X_i - c*t*P_i together with the orbital rotations
-J_i = eps_ijk X_j P_k, all inside the enveloping algebra of the
-three-dimensional canonical pairs with the central element set to 1.
-Scalars here are polynomial in m0, so the energy identity is checked in
-cleared form: with 2*m0*H = 2*m0^2*c^2 + P.P the claim [K_i, H] = i*P_i
-(at c = 1) becomes [K_i, 2*m0*H] = 2*i*m0*P_i.
+J_i = eps_ijk X_j P_k, all inside the enveloping algebra of heisenberg3,
+the three-dimensional canonical pairs, with the central element set to 1.
+The boost rows are the brackets of the Bargmann table
+catalog("galilei_central") realized there, so the realization checks that
+table independently. Scalars here are polynomial in m0, so the energy
+identity is checked in cleared form: with 2*m0*H = 2*m0^2*c^2 + P.P the
+table's [K_i, H] = i*P_i (at c = 1) becomes [K_i, 2*m0*H] = 2*i*m0*P_i.
 """
 
 from collections import namedtuple
@@ -20,7 +22,7 @@ from lieq.casimirs import casimir_entries
 from lieq.catalog import AXES, catalog, eps3
 from lieq.contraction import STD_PE_MAP, STD_PE_POWERS, STD_PE_RENAME, contract_casimir
 from lieq.scalars import Scalar
-from lieq.uea import UEAElement, commutator, rename_element, scalar_substitute, substitute
+from lieq.uea import UEAElement, commutator, format_sum, rename_element, scalar_substitute, substitute
 
 __all__ = ["CheckRow", "LimitRow", "boost_elements", "traditional_limit_report",
            "standard_casimir_limits", "conceptual_limit_rows", "conceptual_limit_check"]
@@ -48,53 +50,40 @@ def boost_elements():
 
 
 def traditional_limit_report():
-    """Verify the low-velocity boost brackets; one CheckRow per identity.
+    """Realize the Bargmann brackets through the boosts; one CheckRow per identity.
 
-    All commutators are taken with the central element set to 1 and then
-    specialized to c = 1; each row carries the exact residual element.
+    Each row is one bracket of catalog("galilei_central"), realized in
+    heisenberg3 by KG_i -> K_i, J_i -> J_i, P_i -> P_i, M -> m0*1 and
+    H -> H2, so the boost-energy rows are cleared by 2*m0. Commutators are
+    taken with the central element set to 1 and then specialized to c = 1;
+    each row carries the exact residual element.
     """
     alg, elems = boost_elements()
-    unit = UEAElement.unit(alg)
-    i_s = Scalar.i()
+    bargmann = catalog("galilei_central")
+    m0 = Scalar.symbol("m0")
+    # Bargmann generator -> (printed name, realized element)
+    real = {"M": ("m0", m0 * UEAElement.unit(alg)), "H": ("2*m0*H", elems["H2"])}
+    for a in AXES:
+        real["KG" + a] = ("K" + a, elems["K" + a])
+        real["J" + a] = ("J" + a, elems["J" + a])
+        real["P" + a] = ("P" + a, UEAElement.gen(alg, "P" + a))
+    pairs = ([("KG" + a, "KG" + b) for n, a in enumerate(AXES) for b in AXES[n + 1:]]
+             + [("J" + a, "KG" + b) for a in AXES for b in AXES]
+             + [("KG" + a, "P" + b) for a in AXES for b in AXES]
+             + [("KG" + a, "H") for a in AXES])
 
     def finish(e):
         return scalar_substitute(substitute(e, {"Z": 1}), {"c": Scalar.one()})
 
     rows = []
-
-    def check(name, lhs, rhs):
-        residue = finish(lhs) - finish(rhs)
+    for a, b in pairs:
+        clear = Scalar.from_int(2) * m0 if b == "H" else Scalar.one()
+        terms = [(real[d], clear * coeff) for d, coeff in bargmann.bracket(a, b).items()]
+        expected = sum((coeff * e for (_, e), coeff in terms), UEAElement.zero(alg))
+        residue = finish(commutator(real[a][1], real[b][1])) - finish(expected)
+        name = "[%s, %s] = %s" % (real[a][0], real[b][0],
+                                  format_sum((text, coeff) for (text, _), coeff in terms))
         rows.append(CheckRow(name, residue.is_zero(), residue))
-
-    for n, i in enumerate(AXES):
-        for j in AXES[n + 1:]:
-            check("[K%s, K%s] = 0" % (i, j),
-                  commutator(elems["K" + i], elems["K" + j]),
-                  UEAElement.zero(alg))
-    for i in AXES:
-        for j in AXES:
-            expected = UEAElement.zero(alg)
-            label = "0"
-            for k in AXES:
-                sign = eps3(i, j, k)
-                if sign:
-                    expected = (i_s * Scalar.from_int(sign)) * elems["K" + k]
-                    label = ("i*K%s" if sign > 0 else "-i*K%s") % k
-            check("[J%s, K%s] = %s" % (i, j, label),
-                  commutator(elems["J" + i], elems["K" + j]),
-                  expected)
-    for i in AXES:
-        for j in AXES:
-            diagonal = i == j
-            expected = (i_s * Scalar.symbol("m0")) * unit if diagonal else UEAElement.zero(alg)
-            check("[K%s, P%s] = %s" % (i, j, "i*m0" if diagonal else "0"),
-                  commutator(elems["K" + i], UEAElement.gen(alg, "P" + j)),
-                  expected)
-    for i in AXES:
-        expected = (Scalar.from_int(2) * i_s * Scalar.symbol("m0")) * UEAElement.gen(alg, "P" + i)
-        check("[K%s, 2*m0*H] = 2*i*m0*P%s" % (i, i),
-              commutator(elems["K" + i], elems["H2"]),
-              expected)
     return tuple(rows)
 
 

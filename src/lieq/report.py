@@ -131,6 +131,8 @@ def _ordering_detail(steps):
 
 def _check_validations(b):
     fault = b.fault
+    if fault is not None:
+        catalog(fault[0])  # a fault that names no catalog table fails this stage
     for name in CATALOG_NAMES:
         alg = catalog(name)
         if fault is not None and fault[0] == name:
@@ -297,7 +299,9 @@ def report_paper(fault=None):
     """Run the full pipeline; fault=(algebra, a, b, d) negates one constant.
 
     The fault hook flips the sign of one structure constant before the
-    validation step only; it exists for exercising the failure paths.
+    validation step only; it exists for exercising the failure paths. A
+    fault that names no catalog table, or a constant its table lacks, fails
+    the validation stage.
     """
     start = time.monotonic()
     b = _Builder(fault)

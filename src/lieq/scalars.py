@@ -192,6 +192,16 @@ def _freeze(raw):
     return {k: _checked(t) for k, t in raw.items() if t}
 
 
+def _unit_inverse(s):
+    """The inverse of s if it is a unit of the ring (one monomial in eps alone), else None."""
+    if len(s._terms) != 1:
+        return None
+    (mono, (re, im, den)), = s._terms.items()
+    if not -_BOUND <= mono < _BOUND:  # eps owns the lowest field, so any other symbol is outside
+        return None
+    return _checked({-mono: _reduce(den * re, -den * im, re * re + im * im)})
+
+
 class Scalar:
     """Canonical-form Gaussian-rational Laurent polynomial."""
 

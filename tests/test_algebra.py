@@ -1,11 +1,13 @@
 """Structure-constant tables: brackets, validation, extensions, basis changes."""
 
+from fractions import Fraction
+
 import pytest
 
-from lieq.algebra import AlgebraError, InvalidCocycle, LieAlgebra
+from lieq.algebra import AlgebraError, InvalidCocycle, LieAlgebra, _invert
 from lieq.catalog import catalog
 from lieq.contraction import STD_PE_MAP, rescale_algebra
-from lieq.scalars import Scalar
+from lieq.scalars import Scalar, ScalarError
 
 I = Scalar.i()
 ONE = Scalar.one()
@@ -198,6 +200,18 @@ def test_change_basis_singular_matrix_rejected():
     u1 = catalog("u1")
     with pytest.raises(AlgebraError):
         u1.change_basis([[Scalar.zero()]], ("Q2",))
+
+
+def test_invert_takes_only_eps_monomial_pivots():
+    eps = Scalar.symbol("eps")
+    pivot = Scalar.gaussian(2, 1) * Scalar.symbol("eps", -3)
+    inverse = Scalar.gaussian(Fraction(2, 5), Fraction(-1, 5)) * Scalar.symbol("eps", 3)
+    assert _invert([[pivot]]) == [[inverse]]
+    for non_unit in (Scalar.symbol("c"), Scalar.one() + eps, eps * Scalar.symbol("c")):
+        with pytest.raises(AlgebraError, match=r"singular \(no unit pivot in column 0\)"):
+            _invert([[non_unit]])
+    with pytest.raises(ScalarError):  # the inverse eps^(2^32) is out of range
+        _invert([[Scalar.symbol("eps", -2**32)]])
 
 
 def test_direct_product():

@@ -1,5 +1,9 @@
 """The paper's limit checks: the low-velocity boost realization and the Casimir contraction."""
 
+import sys
+
+import pytest
+
 from lieq.catalog import catalog
 from lieq.limits import (
     CheckRow,
@@ -84,6 +88,18 @@ def test_report_shape_and_global_pass():
     assert "[Kx, Py] = 0" in names
     assert "[Kx, 2*m0*H] = 2*i*m0*Px" in names
     assert len(set(names)) == 24
+
+
+@pytest.mark.parametrize("constant, row", [
+    (("Jx", "KGy", "KGz"), "[Jx, Ky] = -i*Kz"),
+    (("KGx", "Px", "M"), "[Kx, Px] = -i*m0"),
+    (("KGx", "H", "Px"), "[Kx, 2*m0*H] = -2*i*m0*Px"),
+], ids=("J-K", "K-P", "K-H"))
+def test_a_wrong_bargmann_sign_fails_only_its_row(monkeypatch, constant, row):
+    # The rows realize catalog("galilei_central"), so the boosts check that table.
+    flipped = catalog("galilei_central").flip_sign(*constant)
+    monkeypatch.setitem(sys.modules["lieq.catalog"]._CACHE, "galilei_central", flipped)
+    assert [r.name for r in traditional_limit_report() if not r.ok] == [row]
 
 
 def test_conceptual_limit_check_all_pass():

@@ -123,6 +123,14 @@ def test_fault_injection_names_the_bracket():
     assert all(c.name == "validate galilei_central" for c in failed)
 
 
+def test_a_fault_naming_no_table_fails_the_validation_stage():
+    # A misspelled table name must not leave the run untouched and all-pass.
+    report = report_paper(fault=("poincaré", "KPx", "Px", "H"))
+    failed = [c for c in report.checks if c.status == "fail"]
+    assert [c.name for c in failed] == ["catalog validations"]
+    assert "unknown catalog algebra 'poincaré'" in failed[0].detail
+
+
 def test_a_faulty_basis_change_fails_only_its_own_row(monkeypatch):
     # No catalog table is built by a basis change, so a wrong change_basis shows
     # in the one row that checks it.  Negating the matrix's off-diagonal entries
