@@ -165,23 +165,37 @@ class LieAlgebra:
                 extra = coeff.symbols() - declared
                 if extra:
                     issues.append("undeclared symbols %s in [%s,%s]" % (sorted(extra), a, b))
-        ad = {}  # ad[e] = [(z, {d: c_ez^d}), ...]
+        ad = {}  # ad[e] = [(z, ((d, raw c_ez^d), ...)), ...]
         for (e, z), entry in self._table.items():
-            ad.setdefault(e, []).append((z, entry))
-        sums = {}  # {(a, b, c): {d: raw}} for a < b < c: [[a,b],c] + [[b,c],a] + [[c,a],b]
+            ad.setdefault(e, []).append((z, tuple((d, c._terms) for d, c in entry.items())))
+        # {(a, b, c, d): raw} for a < b < c: the G_d part of [[a,b],c] + [[b,c],a] + [[c,a],b]
+        sums = {}
         for (x, y), entry in self._table.items():
-            for e, ce in entry.items():
+            rising = x < y
+            for e, coeff in entry.items():
+                xy = coeff._terms  # raw c_xy^e
                 for z, ez in ad.get(e, ()):
-                    if x < y < z or y < z < x or z < x < y:
-                        residue = sums.setdefault(tuple(sorted((x, y, z))), {})
-                        for d, coeff in ez.items():
-                            _mac(residue.setdefault(d, {}), ce._terms, coeff._terms)
+                    # (x, y, z) is cyclic in its sorted triple iff x < y < z, z < x < y or y < z < x
+                    if rising:
+                        if y < z:
+                            a, b, c = x, y, z
+                        elif z < x:
+                            a, b, c = z, x, y
+                        else:
+                            continue
+                    elif y < z < x:
+                        a, b, c = y, z, x
+                    else:
+                        continue
+                    for d, ez_d in ez:
+                        _mac(sums.setdefault((a, b, c, d), {}), xy, ez_d)
         gens = self.generators
-        jacobi = []
-        for triple in sorted(sums):
-            residue = sorted(_freeze(sums[triple]).items())
-            if residue:
-                jacobi.append((tuple(gens[k] for k in triple), {gens[d]: r for d, r in residue}))
+        jacobi = []  # residues that did not cancel, grouped by triple in basis order
+        for (a, b, c, d), r in sorted(_freeze(sums).items()):
+            triple = (gens[a], gens[b], gens[c])
+            if not jacobi or jacobi[-1][0] != triple:
+                jacobi.append((triple, {}))
+            jacobi[-1][1][gens[d]] = r
         if not jacobi:
             self._lie = True
         return ValidationReport(jacobi=jacobi, issues=issues)

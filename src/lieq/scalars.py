@@ -19,8 +19,9 @@ order, then other names as they first appear), and exponent e of the symbol
 in field k adds ``e << (128*k)``.  The fields are balanced digits with no
 bias, so the constant monomial is 0, a monomial product is one integer
 addition, and a new field leaves every existing code unchanged.  Every stored
-exponent lies in [-2^32, 2^32), checked by one add-and-mask test per monomial
-wherever a product becomes a Scalar; a larger one raises ScalarError.  The
+exponent lies in [-2^32, 2^32), checked wherever a product becomes a Scalar
+by an add-and-mask test over the default fields and, for a monomial that fails
+it, one as wide as its own top field; a larger one raises ScalarError.  The
 kernel adds monomials unchecked in between, and cannot overflow a field: each
 product adds less than 2^32 in magnitude to every field, so carrying into the
 next field (at 2^127) would take 2^95 products.  ``items()``, ``str`` and
@@ -31,7 +32,9 @@ exact mathematical equality and scalars can be dict keys.  Hot sums (here,
 in straightening and in table algebra) run on raw maps instead, the mutable
 {mono: triple} inside of a Scalar, through one in-place kernel (_mac,
 _add_into), and _freeze each finished sum once; only its owner writes to a
-raw map, and a live Scalar's _terms are only ever read.
+raw map, and a live Scalar's _terms are only ever read.  The kernel does the
+triple arithmetic inline, monomial by monomial, and calls gcd only where a
+denominator is not 1.
 """
 
 from __future__ import annotations
@@ -51,8 +54,7 @@ _WINDOW = 2 * _BOUND - 1
 
 _FIELDS = {}  # symbol -> (bit offset of its field, _BOUND in it and every field below)
 _NAMES = []  # field index -> symbol
-_BIAS = 0  # _BOUND in every registered field
-_OUTSIDE = -1  # every bit but the low 33 of each registered field
+_CHECKS = []  # k -> (_BOUND in fields 0..k, every bit but the low 33 of each of fields 0..k)
 _REGISTER = threading.Lock()
 
 
@@ -62,20 +64,20 @@ class ScalarError(ValueError):
 
 def _field(name):
     """_FIELDS[name]; a name met for the first time gets the next field."""
-    global _BIAS, _OUTSIDE
     if name not in _FIELDS:
         with _REGISTER:
             if name not in _FIELDS:
                 shift = _FIELD * len(_NAMES)
-                _OUTSIDE &= ~(_WINDOW << shift)  # widened before the bias is raised
-                _BIAS += _BOUND << shift
+                bias, outside = _CHECKS[-1] if _CHECKS else (0, -1)
+                _CHECKS.append((bias + (_BOUND << shift), outside & ~(_WINDOW << shift)))
                 _NAMES.append(name)
-                _FIELDS[name] = (shift, _BIAS)
+                _FIELDS[name] = (shift, _CHECKS[-1][0])
     return _FIELDS[name]
 
 
 for _name in DEFAULT_SYMBOLS:
     _field(_name)
+_DEFAULT_CHECK = _CHECKS[-1]
 
 
 def _decode(mono):
@@ -92,11 +94,24 @@ def _decode(mono):
 
 
 def _checked(terms):
-    """Scalar(terms), once every exponent is inside [-2^32, 2^32)."""
-    bias, outside = _BIAS, _OUTSIDE
+    """Scalar(terms), once every exponent is inside [-2^32, 2^32).
+
+    A monomial that passes the test over fields 0..k, for any k that is
+    registered, has every digit in range.  Conversely, if every digit is in
+    range, the top nonzero one lies in a field K with |mono| > 2^(128K - 1),
+    so the test up to the monomial's own field k = |mono|.bit_length() // 128
+    (or every registered field, if fewer) passes.  So a monomial that fails
+    the test over the default fields, as one with a later symbol does, is
+    tested again up to its own field, and no test grows with the number of
+    names ever registered.
+    """
+    bias, outside = _DEFAULT_CHECK
     for mono in terms:
         if mono and (mono + bias) & outside:
-            raise ScalarError("exponent out of range: exponents must lie in [-2^32, 2^32)")
+            checks = _CHECKS
+            wide_bias, wide_outside = checks[min(mono.bit_length() // _FIELD, len(checks) - 1)]
+            if (mono + wide_bias) & wide_outside:
+                raise ScalarError("exponent out of range: exponents must lie in [-2^32, 2^32)")
     return Scalar(terms)
 
 
@@ -111,19 +126,6 @@ def _reduce(re, im, den):
     """The canonical triple of (re + im*i)/den, for den > 0 and (re, im) != (0, 0)."""
     g = gcd(re, im, den)
     return (re, im, den) if g == 1 else (re // g, im // g, den // g)
-
-
-def _add(x, y):
-    """Sum of two canonical triples; None when it is zero."""
-    a, b, d = x
-    c, e, f = y
-    if d == f:
-        re, im = a + c, b + e
-    else:
-        re, im, d = a * f + c * d, b * f + e * d, d * f
-    if not (re or im):
-        return None
-    return (re, im, 1) if d == 1 else _reduce(re, im, d)
 
 
 def _mul(x, y):
@@ -164,27 +166,51 @@ def signed_sum(parts):
 
 def _add_into(acc, t):
     """acc += t on raw maps, in place; a monomial that cancels is deleted."""
+    get = acc.get
     for mono, y in t.items():
-        x = acc.get(mono)
-        s = y if x is None else _add(x, y)
-        if s is None:
-            del acc[mono]
+        x = get(mono)
+        if x is None:
+            acc[mono] = y
+            continue
+        a, b, d = x
+        c, e, f = y
+        if d == f:
+            re, im = a + c, b + e
         else:
-            acc[mono] = s
+            re, im, d = a * f + c * d, b * f + e * d, d * f
+        if not (re or im):
+            del acc[mono]
+        elif d == 1:
+            acc[mono] = (re, im, 1)
+        else:
+            acc[mono] = _reduce(re, im, d)
 
 
 def _mac(acc, t1, t2):
-    """acc += t1 * t2 on raw maps, in place; a monomial that cancels is deleted."""
-    for m1, x in t1.items():
-        for m2, y in t2.items():
+    """acc += t1 * t2 on raw maps, in place; a monomial that cancels is deleted.
+
+    A product that meets a stored monomial is added to it unreduced and the sum
+    reduced once, which gives the same canonical triple as reducing both.
+    """
+    get = acc.get
+    for m1, (a, b, d) in t1.items():
+        for m2, (c, e, f) in t2.items():
             mono = m1 + m2
-            p = _mul(x, y)
-            cur = acc.get(mono)
-            s = p if cur is None else _add(cur, p)
-            if s is None:
-                del acc[mono]
+            re, im, den = a * c - b * e, a * e + b * c, d * f
+            cur = get(mono)
+            if cur is not None:
+                p, q, h = cur
+                if h == den:
+                    re, im = re + p, im + q
+                else:
+                    re, im, den = re * h + p * den, im * h + q * den, den * h
+                if not (re or im):
+                    del acc[mono]
+                    continue
+            if den == 1:
+                acc[mono] = (re, im, 1)
             else:
-                acc[mono] = s
+                acc[mono] = _reduce(re, im, den)
 
 
 def _freeze(raw):

@@ -276,8 +276,10 @@ class UEAElement:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise UEAError("element power must be a nonnegative integer")
-        out = UEAElement.unit(self.algebra)
-        for _ in range(n):
+        if n == 0:
+            return UEAElement.unit(self.algebra)
+        out = self  # already in normal form, so x**n takes n - 1 straightening passes
+        for _ in range(n - 1):
             out = out * self
         return out
 

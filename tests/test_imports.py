@@ -1,8 +1,11 @@
-"""No unused module-level imports in the package or its tests.
+"""No unused module-level imports, and no dead private helpers in the package.
 
-The project runs no linter, so this stdlib `ast` scan stands in for one: a
-name bound by a module-level import must be read somewhere in its module, or
-listed in the module's `__all__` (a re-export).
+The project runs no linter, so these stdlib `ast` scans stand in for one:
+- a name bound by a module-level import must be read somewhere in its module,
+  or listed in the module's `__all__` (a re-export);
+- a module-level `_private` function or class in the package must be named
+  somewhere in `src/`, `tests/` or `bench/`: read, imported, or given as an
+  attribute or a string (as `monkeypatch.setattr` takes it).
 """
 
 import ast
@@ -12,6 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "lieq").rglob("*.py"))
 
 
 def unused_imports(tree):
@@ -38,3 +42,51 @@ def test_no_unused_module_level_imports(path):
 def test_the_scan_flags_an_unused_import():
     tree = ast.parse("import os\nfrom x import a, b as c\nimport p.q\n__all__ = ['a']\np.r()\n")
     assert unused_imports(tree) == ["c", "os"]
+
+
+def private_helpers(tree):
+    """Names of the module-level `_private` functions and classes a module defines."""
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def names_used(tree):
+    """Every name a module reads, imports, or gives as an attribute or a string."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def unused_private_helpers(module, trees):
+    """The private helpers of module that no tree in trees names."""
+    used = set().union(*map(names_used, trees))
+    return sorted(set(private_helpers(module)) - used)
+
+
+@pytest.fixture(scope="module")
+def every_tree():
+    paths = SOURCES + sorted((ROOT / "bench").rglob("*.py"))
+    return [ast.parse(p.read_text(), str(p)) for p in paths]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_private_helpers(path, every_tree):
+    assert unused_private_helpers(ast.parse(path.read_text(), str(path)), every_tree) == []
+
+
+def test_the_scan_flags_an_unused_private_helper():
+    module = ast.parse(
+        "def _dead(): pass\nclass _Gone: pass\ndef _called(): pass\n"
+        "def _imported(): pass\ndef _patched(): pass\ndef __getattr__(name): pass\n"
+        "def public(): return _called()\n")
+    other = ast.parse("from m import _imported\nmonkeypatch.setattr(m, '_patched', None)\n")
+    assert unused_private_helpers(module, [module, other]) == ["_Gone", "_dead"]

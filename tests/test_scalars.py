@@ -1,7 +1,12 @@
 """Exact coefficient ring: Gaussian-rational Laurent polynomials."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -267,6 +272,59 @@ def test_pole_bound_and_late_symbols():
     assert late.mul_power("aa_late", -1) == before and late.min_degree("aa_late") == 1
 
 
+# The check runs in a child process, so its 2,000 extra fields stay out of this
+# one's registry.  Field 2006 is past the last registered field.
+_WIDE_REGISTRY_CHECK = textwrap.dedent("""
+    import random
+    from lieq import scalars
+    from lieq.scalars import Scalar, ScalarError, _checked, _field
+
+    for k in range(2000):
+        _field("extra%d" % k)
+    assert len(scalars._NAMES) == 2006
+    B = 2**32
+    bias = sum(B << (128 * k) for k in range(2006))
+    outside = ~sum((2 * B - 1) << (128 * k) for k in range(2006))
+
+    def full_width(terms):
+        return not any(mono and (mono + bias) & outside for mono in terms)
+
+    fields = (0, 1, 5, 6, 7, 1000, 2004, 2005, 2006)
+    exps = (1, -1, 7, B - 1, -B, B, -B - 1, 2**40, -2**40, 2**126, -2**127)
+    monos = [e << (128 * k) for k in fields for e in exps]
+    rng = random.Random(5)
+    for _ in range(3000):
+        monos.append(sum(rng.choice(exps) << (128 * k) for k in rng.sample(fields, 2)))
+    rng.shuffle(monos)
+    kept = 0
+    for terms in [[m] for m in monos] + [monos[i:i + 3] for i in range(0, len(monos), 3)]:
+        terms = {m: (1, 0, 1) for m in terms}
+        try:
+            made = _checked(terms)
+        except ScalarError:
+            assert not full_width(terms), terms
+        else:
+            assert full_width(terms) and made._terms == terms, terms
+            kept += 1
+    assert 100 < kept < len(monos)
+    top = Scalar.symbol("extra1999", B - 1)
+    assert top.min_degree("extra1999") == B - 1 and str(top) == "extra1999^4294967295"
+    try:
+        top * Scalar.symbol("extra1999")
+    except ScalarError:
+        print("ok")
+""")
+
+
+def test_exponent_check_matches_the_full_width_check_after_many_names():
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _WIDE_REGISTRY_CHECK],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "ok\n", "")
+
+
 # ---------------------------------------------------------------------------
 # differential test: the integer-triple core against a Fraction-pair reference
 
@@ -460,9 +518,18 @@ def test_triple_core_matches_fraction_reference(dx, dy, dz, n, k):
 @example([(1, 1, {"eps": -2})], [(1, -1, {"eps": 2})], [(-2, 0, {})])
 @example(_SIXTHS, [(1, 0, {"eps": -1})], [(-Fraction(1, 6), -Fraction(1, 6), {"c": 1, "eps": -1})])
 @example([(1, 0, {"eps": BOUND - 1})], [(1, 0, {"eps": 1}), (2, 0, {})], [(1, 0, {})])
+# equal denominators above 1 that reduce after the sum: c/6 + c/2 * 1/3 = c/3
+@example([(Fraction(1, 2), 0, {"c": 1})], [(Fraction(1, 3), 0, {})], [(Fraction(1, 6), 0, {"c": 1})])
+# unequal denominators: c/3 + c/2 * (1+i) = (5+3i)c/6
+@example([(Fraction(1, 2), 0, {"c": 1})], [(1, 1, {})], [(Fraction(1, 3), 0, {"c": 1})])
+# a product whose gcd reduces: (1+i)/2 * (1+i)c/3 = ic/3, onto another monomial
+@example([(Fraction(1, 2), Fraction(1, 2), {})], [(Fraction(1, 3), Fraction(1, 3), {"c": 1})],
+         [(1, 0, {})])
+# a denominator product of 1, alone and onto a stored monomial: (1+i)c * (2-i+t) + 3c + 5
+@example([(1, 1, {"c": 1})], [(2, -1, {}), (1, 0, {"t": 1})], [(3, 0, {"c": 1}), (5, 0, {})])
 def test_kernel_matches_scalar_arithmetic(dx, dy, dz):
-    # each explicit example but the last sums to zero, e.g. (1+i)/6 * (1+3i)/6 = (-1+2i)/18;
-    # the last leaves the exponent bound
+    # the first three explicit examples sum to zero, e.g. (1+i)/6 * (1+3i)/6 = (-1+2i)/18;
+    # the fourth leaves the exponent bound
     x, y, z = _from_desc(dx), _from_desc(dy), _from_desc(dz)
     rx, ry, rz = _Ref.build(dx), _Ref.build(dy), _Ref.build(dz)
     before = [(s, dict(s._terms), hash(s)) for s in (x, y, z)]

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from lieq import uea
 from lieq.algebra import AlgebraError, LieAlgebra
 from lieq.casimirs import casimir_entries, casimir_variant, ordering_study
 from lieq.catalog import catalog, shifted_energy_basis
@@ -57,10 +58,20 @@ def test_product_and_unit():
     assert (kx + px) * Scalar.from_int(2) == kx * Scalar.from_int(2) + px + px
 
 
-def test_pow():
+def test_pow(monkeypatch):
     px = gen(GC, "Px")
     assert px ** 0 == UEAElement.unit(GC)
     assert px ** 3 == UEAElement.word(GC, ("Px", "Px", "Px"))
+    x = gen(GC, "KGx") + px + I * gen(GC, "M")
+    assert x ** 1 == x
+    calls = []
+    normalize_once = uea._normalize
+    monkeypatch.setattr(uea, "_normalize", lambda *a: calls.append(1) or normalize_once(*a))
+    for n in range(5):
+        calls.clear()
+        power = x ** n
+        assert len(calls) == max(n - 1, 0)
+        assert power == (x ** (n - 1) * x if n else UEAElement.unit(GC))
 
 
 def test_commutators_match_table():
