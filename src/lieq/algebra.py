@@ -14,6 +14,8 @@ and change_basis accumulate raw maps (lieq.scalars); validate and change_basis
 walk only stored entries and nonzero matrix entries, never every index tuple.
 One fact is cached on an instance: that a validate() call found no Jacobi
 violation, which cannot go stale; it lets is_casimir skip generators (_casimir_plan).
+That plan and lieq.uea's rewrite table (_descent_table) are derived once per
+instance too, since the table never changes after construction.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ class InvalidCocycle(AlgebraError):
 
 
 class LieAlgebra:
-    __slots__ = ("name", "generators", "symbols", "_index", "_table", "_lie", "_plan")
+    __slots__ = ("name", "generators", "symbols", "_index", "_table", "_lie", "_plan",
+                 "_descents")
 
     def __init__(self, name, generators, brackets, symbols=DEFAULT_SYMBOLS):
         """brackets: {(name_a, name_b): {name_d: Scalar}}; pairs in any order."""
@@ -95,6 +98,7 @@ class LieAlgebra:
             self._table[(ib, ia)] = MappingProxyType({d: -coeff for d, coeff in entry.items()})
         self._lie = False  # set by a validate() that finds no Jacobi violation
         self._plan = None  # cached _casimir_plan() of a Lie table
+        self._descents = None  # cached _descent_table()
 
     # -- lookups --------------------------------------------------------------
 
@@ -114,6 +118,17 @@ class LieAlgebra:
     def bracket_index(self, ia, ib):
         """[G_ia, G_ib] as a read-only {index: Scalar}, empty when it vanishes."""
         return self._table.get((ia, ib), _EMPTY)
+
+    def _descent_table(self):
+        """{(-b, -a): ((-d, raw c_ba^d), ...)} for each nonzero [G_b, G_a], b > a.
+
+        lieq.uea._normalize's rewrite table, in its negated index space.
+        """
+        if self._descents is None:
+            self._descents = {
+                (-b, -a): tuple((-d, c._terms) for d, c in entry.items())
+                for (b, a), entry in self._table.items() if b > a}
+        return self._descents
 
     def bracket(self, x, y):
         """Bilinear bracket of generator names or {name: Scalar} combinations."""
@@ -158,13 +173,17 @@ class LieAlgebra:
         A nonzero Jacobi term c_xy^e c_ez^d pairs two stored entries with (x, y, z)
         in cyclic order, so walking those pairs reaches every such term exactly once.
         """
+        gens = self.generators
         issues = []
         declared = set(self.symbols)
-        for (a, b), combo in self.nonzero_brackets():
-            for coeff in combo.values():
-                extra = coeff.symbols() - declared
-                if extra:
-                    issues.append("undeclared symbols %s in [%s,%s]" % (sorted(extra), a, b))
+        for (a, b), entry in self._table.items():
+            if a < b:
+                for coeff in entry.values():
+                    if any(coeff._terms):  # a symbol needs a monomial other than the constant 0
+                        extra = coeff.symbols() - declared
+                        if extra:
+                            issues.append("undeclared symbols %s in [%s,%s]"
+                                          % (sorted(extra), gens[a], gens[b]))
         ad = {}  # ad[e] = [(z, ((d, raw c_ez^d), ...)), ...]
         for (e, z), entry in self._table.items():
             ad.setdefault(e, []).append((z, tuple((d, c._terms) for d, c in entry.items())))
@@ -189,7 +208,6 @@ class LieAlgebra:
                         continue
                     for d, ez_d in ez:
                         _mac(sums.setdefault((a, b, c, d), {}), xy, ez_d)
-        gens = self.generators
         jacobi = []  # residues that did not cancel, grouped by triple in basis order
         for (a, b, c, d), r in sorted(_freeze(sums).items()):
             triple = (gens[a], gens[b], gens[c])

@@ -14,6 +14,10 @@ w with b·a turned into a·b, of the same length and lexicographically
 smaller, and w with b·a replaced by the terms of [b,a], which are shorter;
 so every contribution to a word arrives before the word is rewritten, and
 the work grows with the number of distinct words, not of rewrite paths.
+A rewrite whose bracket [b,a] is zero is a swap alone, so _settle makes
+those swaps before a word is queued.  Each is the rewrite the word would
+get when popped, so no result changes, on any table, and contributions
+that would meet at a swapped word merge at the word it settles to.
 PBW rewriting is confluent (Bergman, "The diamond lemma for ring theory",
 Adv. Math. 29, 1978), so merging cannot change a normal form.  As each word
 is rewritten at its leftmost descent, the normal form is a linear map on
@@ -97,52 +101,82 @@ def _term_cap():
     raise UEAError("LIEQ_TERM_CAP must be a positive integer, got %r" % env)
 
 
+def _settle(key, pos, descents):
+    """Swap key's zero-bracket leftmost descents; (key, leftmost descent or 0 if normal).
+
+    Scans from pos, before which key must have no descent.  A swap moves the
+    smaller letter one place left, so the scan goes on from one place before it.
+    """
+    end = len(key) - 1
+    while pos < end:
+        if key[pos] < key[pos + 1]:
+            if (key[pos], key[pos + 1]) in descents:
+                return key, pos
+            key = key[:pos] + (key[pos + 1], key[pos]) + key[pos + 2:]
+            if pos > 1:
+                pos -= 1
+        else:
+            pos += 1
+    return key, 0
+
+
 def _normalize(alg, raw):
     """Straighten {word(index tuple): raw map} into PBW normal form {word: Scalar}.
 
     Owns raw and its maps: callers pass fresh maps, never a live Scalar's
     _terms.  A rewritten word's map moves to its swap uncopied, bracket
     terms are _mac'd into their slots, and only output words become Scalars.
-    Pending words are keyed by (-len(w), -w[0], -w[1], ...), which is also
-    their min-heap entry: longest first, then descending lexicographic.
+    Words are keyed by (-len(w), -w[0], -w[1], ...), which is also their
+    min-heap entry: longest first, then descending lexicographic.  As
+    _settle runs before a word is queued, pending holds only normal words
+    and words whose leftmost descent has a nonzero bracket, each with that
+    descent's position (0 if normal).  A swap's word is popped later, so
+    words still leave in key order.  Rewrites read alg._descent_table().
     """
+    descents = alg._descent_table()
     budget = _term_cap()
     out = {}
-    pending = {}
+    pending = {}  # {key: (leftmost descent position or 0, raw map)}
     for word, coeff in raw.items():
         if coeff:
-            pending[(-len(word),) + tuple(map(neg, word))] = coeff
+            key, pos = _settle((-len(word),) + tuple(map(neg, word)), 1, descents)
+            entry = pending.get(key)
+            if entry is None:
+                pending[key] = (pos, coeff)
+            else:
+                _add_into(entry[1], coeff)
     heap = list(pending)
     heapify(heap)
     while heap:
         key = heappop(heap)
-        coeff = pending.pop(key)
+        pos, coeff = pending.pop(key)
         if not coeff:
             continue
-        # key[k] < key[k + 1] is a descent of the word at k - 1
-        for pos in range(1, len(key) - 1):
-            if key[pos] < key[pos + 1]:
-                break
-        else:
+        if not pos:
             out[tuple(map(neg, key[1:]))] = _checked(coeff)
             continue
+        # b·a at pos becomes a·b + [b, a]; key[1:pos] stays sorted in both
         nb, na = key[pos], key[pos + 1]
         tail = key[pos + 2:]
-        swapped = key[:pos] + (na, nb) + tail
-        cur = pending.get(swapped)
-        if cur is None:
-            pending[swapped] = coeff
+        start = pos - 1 or 1
+        swapped, at = _settle(key[:pos] + (na, nb) + tail, start, descents)
+        entry = pending.get(swapped)
+        if entry is None:
+            pending[swapped] = (at, coeff)
             heappush(heap, swapped)
         else:
-            _add_into(cur, coeff)
+            _add_into(entry[1], coeff)
         shorter = (key[0] + 1,) + key[1:pos]
-        for d, c in alg.bracket_index(-nb, -na).items():
-            nkey = shorter + (-d,) + tail
-            cur = pending.get(nkey)
-            if cur is None:
-                pending[nkey] = cur = {}
+        for nd, c in descents[nb, na]:
+            nkey, at = _settle(shorter + (nd,) + tail, start, descents)
+            entry = pending.get(nkey)
+            if entry is None:
+                cur = {}
+                pending[nkey] = (at, cur)
                 heappush(heap, nkey)
-            _mac(cur, coeff, c._terms)
+            else:
+                cur = entry[1]
+            _mac(cur, coeff, c)
         live = len(pending) + len(out)
         if live > budget:
             gens = alg.generators

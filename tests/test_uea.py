@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lieq import uea
-from lieq.algebra import AlgebraError, LieAlgebra
+from lieq.algebra import AlgebraError
 from lieq.casimirs import casimir_entries, casimir_variant, ordering_study
 from lieq.catalog import catalog, shifted_energy_basis
 from lieq.scalars import Scalar
@@ -224,68 +224,68 @@ def test_term_budget_bounds_a_whole_product(monkeypatch):
 
 def test_term_budget_bounds_a_whole_casimir_check(monkeypatch):
     # is_casimir straightens each whole [e, G] in one pass, so the cap bounds
-    # all of it: 1704 live terms here, though no single term of e needs 1500.
+    # all of it: 1577 live terms here, though no single term of e needs 1500.
     c4 = casimir_entries("poincare")["C4P"]
     square = c4 * c4
     monkeypatch.setenv("LIEQ_TERM_CAP", "1500")
     with pytest.raises(TermBudgetExceeded) as info:
         is_casimir(square)
-    assert (info.value.budget, info.value.live) == (1500, 1704)
+    assert (info.value.budget, info.value.live) == (1500, 1577)
 
 
-def count_lookups(monkeypatch):
-    """Record every bracket_index call from now on; returns the list."""
-    calls = []
-    lookup = LieAlgebra.bracket_index
+def count_pops(monkeypatch):
+    """Count the words _normalize pops from now on; returns a one-item list."""
+    pops = [0]
+    heappop = uea.heappop
 
-    def counting(self, ia, ib):
-        calls.append((ia, ib))
-        return lookup(self, ia, ib)
+    def counting(heap):
+        pops[0] += 1
+        return heappop(heap)
 
-    monkeypatch.setattr(LieAlgebra, "bracket_index", counting)
-    return calls
+    monkeypatch.setattr(uea, "heappop", counting)
+    return pops
 
 
 def test_straightening_merges_equal_words(monkeypatch):
     # Equal intermediate words merge before they are rewritten, so one product
-    # step costs rewrites per distinct word, not per rewrite path: 675 table
-    # lookups here, where a worklist that never merges makes 63,053.
+    # step costs work per distinct word, not per rewrite path: 607 words popped
+    # here, where a worklist that never merges pops 125,312.
     x = gen(POI, "KPx") + gen(POI, "Px")
     power = x ** 10
-    calls = count_lookups(monkeypatch)
+    pops = count_pops(monkeypatch)
     assert (power * x).term_count() == 107
-    assert len(calls) <= 1000
+    assert pops[0] <= 700
 
 
 def test_weyl_ordering_merges_words_across_monomials(monkeypatch):
     # Every arrangement of every base monomial is straightened in one pass,
-    # and of every cross monomial in another: 382 lookups, where one pass per
-    # monomial makes 685.
-    calls = count_lookups(monkeypatch)
+    # and of every cross monomial in another: 203 words popped, where one
+    # pass per monomial pops 483.
+    pops = count_pops(monkeypatch)
     assert casimir_variant("poincare", "C4P", "weyl").term_count() == 31
-    assert len(calls) <= 400
+    assert pops[0] <= 250
 
 
 def test_casimir_check_merges_words_across_terms(monkeypatch):
-    # Each [e, G] is straightened in one pass over all terms of e: 25,149
-    # lookups, where one pass per term makes 28,157.
+    # Each [e, G] is straightened in one pass over all terms of e: 5,823
+    # words popped, where one pass per term pops 14,190.
     c4 = casimir_entries("poincare")["C4P"]
     square = c4 * c4
-    calls = count_lookups(monkeypatch)
+    pops = count_pops(monkeypatch)
     assert is_casimir(square).ok
-    assert len(calls) <= 26_000
+    assert pops[0] <= 6_500
 
 
 def test_ordering_study_shares_straightening_across_orderings(monkeypatch):
     # Base and cross monomials are straightened, and Weyl ordered, once each,
-    # and each [piece, G] once for all orderings: 1,782 lookups, where
-    # building and checking every ordering on its own makes 2,635.
+    # and each [piece, G] once for all orderings: 552 words popped, where
+    # building and checking every ordering on its own pops 848.
     casimir_entries("poincare")
     POI._casimir_plan()
-    calls = count_lookups(monkeypatch)
+    pops = count_pops(monkeypatch)
     study = ordering_study("poincare")
     assert [step.ok for step in study["C4P"]] == [False, False, True, True]
-    assert len(calls) <= 2_000
+    assert pops[0] <= 650
 
 
 def test_printing_roundtrip_shape():
