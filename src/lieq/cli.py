@@ -29,7 +29,7 @@ from lieq.limits import traditional_limit_report
 from lieq.mhi import MHIError, actual_valued_observables, n_particle_labels
 from lieq.report import report_paper
 from lieq.scalars import ScalarError
-from lieq.uea import TermBudgetExceeded, UEAError, format_sum, is_casimir
+from lieq.uea import DEFAULT_TERM_CAP, TermBudgetExceeded, UEAError, format_sum, is_casimir
 
 __all__ = ["run_command", "main"]
 
@@ -282,7 +282,7 @@ def _build_parser():
         description="Exact kinematical Lie algebra toolkit: tables, Casimir "
                     "checks, contractions, and the full reproduction report.",
         epilog="Environment: LIEQ_TERM_CAP overrides the rewriting term budget "
-               "(default 1000000).",
+               "(default %d)." % DEFAULT_TERM_CAP,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

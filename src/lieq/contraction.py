@@ -31,7 +31,6 @@ __all__ = [
     "DivergentLimit",
     "ZeroLimitWarning",
     "TableDiff",
-    "AUTO_POWER_WINDOW",
     "STD_PE_MAP",
     "STD_PE_RENAME",
     "STD_FULL_MAP",
@@ -80,8 +79,6 @@ class ZeroLimitWarning(UserWarning):
 
 
 TableDiff = namedtuple("TableDiff", ["pair_a", "pair_b", "left", "right"])
-
-AUTO_POWER_WINDOW = 10
 
 _PRIME = "p"
 
@@ -238,30 +235,22 @@ def rescale_element(element, exponents):
 def contract_casimir(element, exponents, power="auto"):
     """(limit of eps**power * rescaled element, power used).
 
-    power="auto" picks the smallest integer giving a finite nonzero limit,
-    searched inside [-AUTO_POWER_WINDOW, AUTO_POWER_WINDOW].  Too small a
-    power raises DivergentLimit; too large a one returns zero under a
+    power="auto" uses -(lowest eps degree of the rescaled terms), the
+    smallest power giving a finite nonzero limit, however large.  Too small
+    a power raises DivergentLimit; too large a one returns zero under a
     ZeroLimitWarning.  The result lives in contract(element.algebra,
     exponents), whose check of the source is the only validation per call.
     """
     contracted = contract(element.algebra, exponents)
+    if power != "auto" and (not isinstance(power, int) or isinstance(power, bool)):
+        raise ContractionError("power must be an integer or 'auto', got %r" % (power,))
     rescaled = _rescaled_terms(element, exponents)
     if not rescaled:
         return UEAElement.zero(contracted), 0 if power == "auto" else power
     low = min(coeff.min_degree(LAURENT_SYMBOL) for coeff in rescaled.values())
-    if power == "auto":
-        used = -low
-        if abs(used) > AUTO_POWER_WINDOW:
-            raise ContractionError(
-                "no admissible power within [-%d, %d] (needs %d)"
-                % (AUTO_POWER_WINDOW, AUTO_POWER_WINDOW, used)
-            )
-    else:
-        if not isinstance(power, int) or isinstance(power, bool):
-            raise ContractionError("power must be an integer or 'auto', got %r" % (power,))
-        used = power
-        if low + used < 0:
-            raise DivergentLimit(-(low + used))
+    used = -low if power == "auto" else power
+    if low + used < 0:
+        raise DivergentLimit(-(low + used))
     terms = {}
     for word, coeff in rescaled.items():
         kept = coeff.mul_power(LAURENT_SYMBOL, used).limit0(LAURENT_SYMBOL)

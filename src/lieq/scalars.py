@@ -128,16 +128,6 @@ def _reduce(re, im, den):
     return (re, im, den) if g == 1 else (re // g, im // g, den // g)
 
 
-def _mul(x, y):
-    """Product of two canonical triples (never zero: Z[i] has no zero divisors)."""
-    a, b, d = x
-    c, e, f = y
-    re, im = a * c - b * e, a * e + b * c
-    if d == 1 and f == 1:
-        return (re, im, 1)
-    return _reduce(re, im, d * f)
-
-
 def _gauss_str(re, im):
     """Render a Gaussian rational; the result is a safe product prefix."""
     if im == 0:
@@ -231,12 +221,11 @@ def _unit_inverse(s):
 class Scalar:
     """Canonical-form Gaussian-rational Laurent polynomial."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
-    def __init__(self, terms=None):
+    def __init__(self, terms):
         # internal: terms must already be canonical ({mono: (re, im, den)}, no zeros, in bound)
-        self._terms = terms or {}
-        self._hash = None
+        self._terms = terms
 
     # -- constructors -------------------------------------------------------
 
@@ -297,13 +286,8 @@ class Scalar:
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        t1, t2 = self._terms, other._terms
-        if len(t1) == 1 and len(t2) == 1:
-            (m1, x), = t1.items()
-            (m2, y), = t2.items()
-            return _checked({m1 + m2: _mul(x, y)})
         terms = {}
-        _mac(terms, t1, t2)
+        _mac(terms, self._terms, other._terms)
         return _checked(terms)
 
     def __pow__(self, n):
@@ -401,9 +385,7 @@ class Scalar:
         return self._terms == other._terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(tuple(sorted(self._terms.items())))
-        return self._hash
+        return hash(tuple(sorted(self._terms.items())))
 
     def __str__(self):
         parts = []

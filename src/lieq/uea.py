@@ -201,13 +201,12 @@ def _coerce_scalar(value):
 
 
 class UEAElement:
-    __slots__ = ("algebra", "_terms", "_hash")
+    __slots__ = ("algebra", "_terms")
 
     def __init__(self, algebra, terms):
         # internal: terms must already be normalized {index word: Scalar}
         self.algebra = algebra
         self._terms = terms
-        self._hash = None
 
     # -- constructors -------------------------------------------------------
 
@@ -325,9 +324,7 @@ class UEAElement:
         return self.algebra == other.algebra and self._terms == other._terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.algebra, tuple(sorted(self._terms.items(), key=lambda t: t[0]))))
-        return self._hash
+        return hash((self.algebra, tuple(sorted(self._terms.items(), key=lambda t: t[0]))))
 
     def __str__(self):
         return format_sum((_word_str(names), coeff) for names, coeff in self.terms())
@@ -355,7 +352,7 @@ def format_sum(terms):
 
 def _coeff_prefix(coeff, standalone):
     s = str(coeff)
-    multi = len(coeff.items()) > 1
+    multi = len(coeff._terms) > 1
     if standalone:
         return "(%s)" % s if multi else s
     if coeff.is_one():

@@ -235,3 +235,25 @@ def test_flip_sign_mutation_suite():
         assert len(entries) == (21 if name == "galilei_central" else 24)
         for a, b, d in entries:
             assert not alg.flip_sign(a, b, d).validate().ok, (name, a, b, d)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LieAlgebra("x", ("A", "A"), {}), "duplicate generator"),
+    (lambda: LieAlgebra("x", ("A", "c"), {}), "collides with a scalar symbol"),
+    (lambda: LieAlgebra("x", ("A", "i"), {}), "collides with a scalar symbol"),
+    (lambda: LieAlgebra("x", ("A", "B"), {("A", "B"): {"A": 1}}), "is not a Scalar"),
+    (lambda: LieAlgebra("x", ("A", "B"), {("A", "A"): {"B": ONE}}), r"nonzero bracket \[A,A\]"),
+    (lambda: LieAlgebra("x", ("A", "B"), {("A", "B"): {"A": ONE}, ("B", "A"): {"A": -ONE}}),
+     "given twice"),
+    (lambda: catalog("poincare").flip_sign("Px", "Py", "H"), "no constant"),
+    (lambda: catalog("u1").change_basis([[ONE, ONE]], ("A",)), "basis matrix must be"),
+    (lambda: catalog("u1").change_basis([[ONE]], ("A", "B")), "need 1 new names"),
+    (lambda: catalog("u1").central_extension("Q", {}), "already present"),
+    (lambda: catalog("u1").central_extension("Z", {("Q", "Z"): {"Z": ONE}}),
+     "must pair existing generators"),
+], ids=["duplicate_names", "symbol_clash", "i_clash", "not_a_scalar", "self_bracket",
+        "pair_twice", "flip_missing", "matrix_shape", "name_count", "central_present",
+        "central_override"])
+def test_rejects_bad_input(build, message):
+    with pytest.raises(AlgebraError, match=message):
+        build()

@@ -252,3 +252,13 @@ def test_catalog_is_parse_stable():
         alg = catalog(name)
         for entry in casimir_catalog(name):
             assert parse_element(alg, str(entry.element)) == entry.element
+
+
+@pytest.mark.parametrize("label, variant, message", [
+    ("C2G", "factored", "no ordering variants"),
+    ("C4X", "factored", "no ordering variants"),
+    ("C4G", "sideways", "unknown variant"),
+], ids=["not_quartic", "unknown_label", "unknown_variant"])
+def test_casimir_variant_rejects_bad_input(label, variant, message):
+    with pytest.raises(AlgebraError, match=message):
+        casimir_variant("galilei_central", label, variant)

@@ -176,3 +176,16 @@ def test_json_rejects_garbage():
         algebra_from_json("not json at all {")
     with pytest.raises(AlgebraError):
         algebra_from_json('{"name": "x"}')
+
+
+@pytest.mark.parametrize("doc, message", [
+    ("[]", "must be a JSON object"),
+    ('{"name": "x", "generators": ["A"], "brackets": {}}', "must be a list of entries"),
+    ('{"name": "x", "generators": ["A", "B"], "brackets": '
+     '[{"a": "A", "b": "B", "result": [{"gen": "A", "coeff": "1/0"}]}]}', "bad coefficient"),
+    ('{"name": "x", "generators": ["A", "B"], "brackets": ['
+     '{"a": "A", "b": "B", "result": []}, {"a": "A", "b": "B", "result": []}]}', "given twice"),
+], ids=["not_an_object", "brackets_not_a_list", "bad_coefficient", "duplicate_pair"])
+def test_json_rejects_malformed_files(doc, message):
+    with pytest.raises(AlgebraError, match=message):
+        algebra_from_json(doc)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from lieq import CATALOG_NAMES
+from lieq.catalog import catalog
 from lieq.cli import run_command
 from lieq.contraction import STD_FULL_MAP, STD_FULL_RENAME, STD_PE_MAP, STD_PE_RENAME
 
@@ -270,6 +271,11 @@ def test_casimir_contract(capsys):
     code, _, err = run(capsys, *base, "--expr", "M", "--power", "two")
     assert code == 2
 
+    # the automatic power has no window: C1PE^6 needs eps^12
+    code, out, _ = run(capsys, *base, "--expr", "M^6")
+    assert code == 0
+    assert out.splitlines() == ["power 12", "limit = Mp^6"]
+
 
 def test_limit_traditional(capsys):
     code, out, _ = run(capsys, "limit", "traditional")
@@ -277,6 +283,21 @@ def test_limit_traditional(capsys):
     lines = [l for l in out.splitlines() if l.startswith("PASS")]
     assert len(lines) == 24
     assert any("[Kx, Px] = i*m0" in l for l in lines)
+
+
+@pytest.mark.parametrize("argv, fail_lines", [
+    (("casimir", "verify", "galilei_central", "--all"),
+     ["FAIL C2G (verbatim ordering): witness KGx, residue -2*i*Px*M",
+      "FAIL C4G (factored ordering): witness Jy, residue -2*KGx*Pz*M - 2*KGz*Px*M"]),
+    (("limit", "traditional"), ["FAIL [Kx, Px] = -i*m0 [residue: 2*i*m0]"]),
+], ids=["casimir_verify_all", "limit_traditional"])
+def test_a_wrong_sign_prints_fail_lines(argv, fail_lines, capsys, monkeypatch):
+    flipped = catalog("galilei_central").flip_sign("KGx", "Px", "M")
+    monkeypatch.setitem(sys.modules["lieq.catalog"]._CACHE, "galilei_central", flipped)
+    monkeypatch.setattr(sys.modules["lieq.casimirs"], "_CATALOG_CACHE", {})
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert [l for l in out.splitlines() if l.startswith("FAIL")] == fail_lines
 
 
 def test_mhi_commands(capsys):
@@ -327,7 +348,7 @@ def _algebra_file(tmp_path, **fields):
 
 @pytest.mark.parametrize(
     "case", ["term_cap", "no_coeff", "deep_nesting", "string_generators", "unwritable_out",
-             "exponent_expr", "exponent_squared", "exponent_json"])
+             "exponent_expr", "exponent_squared", "exponent_json", "exponent_map"])
 def test_bad_inputs_exit_2_with_one_line(case, capsys, monkeypatch, tmp_path):
     # scalar exponents must lie in [-2^32, 2^32)
     if case == "exponent_expr":
@@ -337,6 +358,11 @@ def test_bad_inputs_exit_2_with_one_line(case, capsys, monkeypatch, tmp_path):
     elif case == "exponent_json":
         brackets = [{"a": "A", "b": "B", "result": [{"coeff": "c^4294967296", "gen": "C"}]}]
         argv = ["validate", _algebra_file(tmp_path, symbols=["c"], brackets=brackets)]
+    elif case == "exponent_map":
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(dict(STD_PE_MAP, M=2 ** 40)))
+        argv = ["casimir", "contract", "poincare_trivial_ext_hbar", "--map", str(huge),
+                "--expr", "M"]
     elif case == "term_cap":
         monkeypatch.setenv("LIEQ_TERM_CAP", "abc")
         argv = ["casimir", "verify", "galilei_central", "--all"]

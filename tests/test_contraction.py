@@ -125,6 +125,8 @@ def test_tables_equal_diff_content():
         tables_equal(POI, GC, POI_TO_GAL)  # dimension mismatch
     with pytest.raises(ContractionError):
         tables_equal(POI, GAL, dict(POI_TO_GAL, H="Gthx"))  # not a bijection
+    with pytest.raises(ContractionError, match="total"):
+        tables_equal(POI, GAL, {"H": "Gthx"})  # not total
 
 
 def test_rescale_element_examples():
@@ -197,12 +199,26 @@ def test_contract_casimir_rejects_sign_flips(flip):
         contract(broken, STD_PE_MAP)
 
 
-def test_auto_power_window():
+def test_auto_power_is_minus_the_lowest_eps_degree():
     free = LieAlgebra("free1", ("A",), {})
-    with pytest.raises(ContractionError):
-        contract_casimir(UEAElement.gen(free, "A"), {"A": 11}, "auto")
-    e, p = contract_casimir(UEAElement.gen(free, "A"), {"A": 10}, "auto")
-    assert p == 10
+    e, p = contract_casimir(UEAElement.gen(free, "A"), {"A": 11}, "auto")
+    assert p == 11 and str(e) == "Ap"
+    e, p = contract_casimir(UEAElement.gen(PEB, "M") ** 6, STD_PE_MAP, "auto")
+    assert p == 12 and str(e) == "Mp^6"
+
+
+def test_contract_casimir_of_zero_keeps_the_power():
+    zero = UEAElement.zero(PEB)
+    assert contract_casimir(zero, STD_PE_MAP) == (UEAElement.zero(contract(PEB, STD_PE_MAP)), 0)
+    assert contract_casimir(zero, STD_PE_MAP, 3)[1] == 3
+
+
+@pytest.mark.parametrize("element", [UEAElement.gen(PEB, "M"), UEAElement.zero(PEB)],
+                         ids=["M", "zero"])
+@pytest.mark.parametrize("power", ["2", 2.0, True, None])
+def test_contract_casimir_rejects_a_non_int_power(element, power):
+    with pytest.raises(ContractionError, match="power must be an integer"):
+        contract_casimir(element, STD_PE_MAP, power)
 
 
 def test_full_group_contraction():

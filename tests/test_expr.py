@@ -159,3 +159,12 @@ def small_elements(draw):
 @settings(max_examples=60, deadline=None)
 def test_roundtrip_property(e):
     assert parse_element(GC, str(e)) == e
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1/0", "division by zero"),
+    ("7" * 5000 + "*c", "integer of 5000 digits is too long"),
+], ids=["divide_by_zero", "long_integer"])
+def test_scalar_rejects_bad_input(text, message):
+    with pytest.raises(ExprError, match=message):
+        parse_scalar(text)

@@ -5,7 +5,9 @@ The project runs no linter, so these stdlib `ast` scans stand in for one:
   or listed in the module's `__all__` (a re-export);
 - a module-level `_private` function or class in the package must be named
   somewhere in `src/`, `tests/` or `bench/`: read, imported, or given as an
-  attribute or a string (as `monkeypatch.setattr` takes it).
+  attribute or a string (as `monkeypatch.setattr` takes it);
+- every name in a package module's `__all__` must be bound at the module's top
+  level, so an entry left behind by a deletion fails here, not on `import *`.
 """
 
 import ast
@@ -27,11 +29,14 @@ def unused_imports(tree):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound += [a.asname or a.name for a in node.names if a.name != "*"]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
-    return sorted(set(bound) - used)
+    return sorted(set(bound) - used - exported_names(tree))
+
+
+def exported_names(tree):
+    """The string entries of the module's top-level `__all__` assignments."""
+    return {e.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
@@ -90,3 +95,27 @@ def test_the_scan_flags_an_unused_private_helper():
         "def public(): return _called()\n")
     other = ast.parse("from m import _imported\nmonkeypatch.setattr(m, '_patched', None)\n")
     assert unused_private_helpers(module, [module, other]) == ["_Gone", "_dead"]
+
+
+def undefined_exports(tree):
+    """Names listed in the module's `__all__` that no top-level statement binds."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.Assign):
+            bound |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return sorted(exported_names(tree) - bound)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_exported_name_is_defined(path):
+    assert undefined_exports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_the_scan_flags_a_stale_export():
+    tree = ast.parse("import os\nfrom x import a\nB = 1\ndef f(): pass\nclass C: pass\n"
+                     "__all__ = ['os', 'a', 'B', 'f', 'C', 'GONE']\n")
+    assert undefined_exports(tree) == ["GONE"]
