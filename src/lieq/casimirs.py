@@ -23,9 +23,10 @@ pass, and ordering_study straightens each [piece, G] once for all orderings.
 
 Every element here starts as a word table: _words lists a catalog label's
 (names, coefficient) pairs, C4 expanded word by word from N_i, and
-_c4_monomials the printed quartic's.  _element straightens a whole table
-(or Weyl orders it) in one pass; no element is assembled from products and
-sums of smaller elements.
+_c4_monomials the printed quartic's, both read from the group's _Kinematical
+row in lieq.catalog (kp, kk, boost).  lieq.uea._from_words straightens a
+whole table (or Weyl orders it) in one pass; no element is assembled from
+products and sums of smaller elements.
 """
 
 from __future__ import annotations
@@ -36,18 +37,14 @@ from fractions import Fraction
 from lieq.algebra import AlgebraError
 from lieq.catalog import _TABLES, AXES, catalog, eps3
 from lieq.scalars import Scalar
-from lieq.uea import UEAElement, _casimir_checks, _index_words, _normalize, _weyl_sum, is_casimir
+from lieq.uea import _casimir_checks, _from_words, is_casimir
 
 CasimirEntry = namedtuple("CasimirEntry", ["label", "element", "ordering"])
 OrderingStep = namedtuple("OrderingStep", ["variant", "ok", "witness", "shift", "residue"])
 
 C4_VARIANTS = ("verbatim", "weyl", "weyl_mirrored", "factored")
 
-# group: its Casimir labels.  _spec adds how the quartic is built, read from
-# the group's _Kinematical description in lieq.catalog:
-#   boost: generator-name prefix of the boost family
-#   pref: generator names whose sum multiplies J_i in N_i, those of [K_i, P_i]
-#   jp: whether the quartic subtracts (J.P)^2, i.e. [K_i, K_j] != 0 (Poincare family)
+# group: its Casimir labels
 _SPECS = {
     "galilei_central": ("C1G", "C2G", "C4G"),
     "poincare": ("C2P", "C4P"),
@@ -61,56 +58,54 @@ _SPECS = {
 CASIMIR_GROUPS = tuple(_SPECS)
 
 
-def _spec(name):
+def _labels(name):
     if name not in _SPECS:
         raise AlgebraError(
             "no Casimir catalog for %r (have: %s)" % (name, ", ".join(sorted(_SPECS)))
         )
-    kin = _TABLES[name]
-    if callable(kin):
-        return dict(labels=_SPECS[name])
-    return dict(labels=_SPECS[name], boost=kin.boost, pref=kin.kp, jp=kin.kk)
+    return _SPECS[name]
 
 
-def _words(spec, label):
-    """The catalog element `label` as unstraightened (names, int or Fraction) pairs.
+def _words(kin, label):
+    """The catalog element `label` of the group whose _Kinematical row is kin,
+    as unstraightened (names, int or Fraction) pairs.
 
     C1 is M (Q for u(1)); C2 is the printed form (Galilei: M*H - P.P/2,
     Poincare family: the energy square expanded as printed, minus P.P); C4 is
-    sum_i N_i N_i [- (J.P)^2] expanded word by word.
+    sum_i N_i N_i [- (J.P)^2] expanded word by word, N_i's prefactor the sum
+    of kin.kp and (J.P)^2 subtracted when kin.kk ([K_i, K_j] != 0).
     """
     if label.startswith("C1"):
         return [(("Q",) if label == "C1U" else ("M",), 1)]
-    pref = spec["pref"]
+    pref = kin.kp
     if label.startswith("C2"):
-        if not spec["jp"]:
+        if not kin.kk:
             return [(("M", "H"), 1)] + [(("P" + a, "P" + a), Fraction(-1, 2)) for a in AXES]
         square = [((p, q), 1 if p == q else 2) for n, p in enumerate(pref) for q in pref[n:]]
         return square + [(("P" + a, "P" + a), -1) for a in AXES]
     words = []
     for i in AXES:
         n_i = [((p, "J" + i), 1) for p in pref]
-        n_i += [((spec["boost"] + j, "P" + k), -eps3(i, j, k))
+        n_i += [((kin.boost + j, "P" + k), -eps3(i, j, k))
                 for j in AXES for k in AXES if eps3(i, j, k)]
         words += [(u + v, a * b) for u, a in n_i for v, b in n_i]
-    if spec["jp"]:
+    if kin.kk:
         words += [(("J" + i, "P" + i, "J" + j, "P" + j), -1) for i in AXES for j in AXES]
     return words
 
 
 def _element(alg, words, weyl=False):
     """(names, int or Fraction) pairs straightened, or Weyl ordered when weyl, in one pass."""
-    raw = _index_words(alg, ((names, Scalar.rational(c)) for names, c in words))
-    return _weyl_sum(alg, raw) if weyl else UEAElement(alg, _normalize(alg, raw))
+    return _from_words(alg, ((names, Scalar.rational(c)) for names, c in words), weyl)
 
 
-def _c4_monomials(spec):
+def _c4_monomials(kin):
     """The printed quartic's (base, cross) (names, int coeff) monomials; cross at +2*eps_ijk."""
-    pref, boost = spec["pref"], spec["boost"]
+    pref, boost = kin.kp, kin.boost
     base = [((a, b, "J" + i, "J" + i), 1) for a in pref for b in pref for i in AXES]
     base += [(("P" + i, "P" + i, boost + j, boost + j), 1) for i in AXES for j in AXES]
     base += [(("P" + i, boost + i, "P" + j, boost + j), -1) for i in AXES for j in AXES]
-    if spec["jp"]:
+    if kin.kk:
         base += [(("J" + i, "P" + i, "J" + j, "P" + j), -1) for i in AXES for j in AXES]
     cross = [((a, "J" + k, "P" + i, boost + j), 2 * eps3(i, j, k))
              for a in pref for i in AXES for j in AXES for k in AXES if eps3(i, j, k)]
@@ -121,24 +116,23 @@ def _c4_monomials(spec):
 _PRINTED = {False: {"verbatim": -1}, True: {"weyl": -1, "weyl_mirrored": 1}}
 
 
-def _c4_pieces(alg, spec, weyl):
+def _c4_pieces(alg, kin, weyl):
     """[N(B), N(X)], or [W(B), W(X)] when weyl: the base and cross monomials
     straightened (N) or Weyl ordered (W), each in one pass.  N and W are
     linear, so a printed ordering is base + sign * cross."""
-    return [_element(alg, monomials, weyl) for monomials in _c4_monomials(spec)]
+    return [_element(alg, monomials, weyl) for monomials in _c4_monomials(kin)]
 
 
 def casimir_variant(name, label, variant):
     """One candidate ordering of the quartic invariant (label must be a C4)."""
-    spec = _spec(name)
-    if label not in spec["labels"] or not label.startswith("C4"):
+    if label not in _labels(name) or not label.startswith("C4"):
         raise AlgebraError("no ordering variants for %s in %r" % (label, name))
-    alg = catalog(name)
+    alg, kin = catalog(name), _TABLES[name]
     if variant == "factored":
-        return _element(alg, _words(spec, label))
+        return _element(alg, _words(kin, label))
     for weyl, signs in _PRINTED.items():
         if variant in signs:
-            base, cross = _c4_pieces(alg, spec, weyl)
+            base, cross = _c4_pieces(alg, kin, weyl)
             return base + cross * signs[variant]
     raise AlgebraError("unknown variant %r (have: %s)" % (variant, ", ".join(C4_VARIANTS)))
 
@@ -155,11 +149,11 @@ def casimir_catalog(name):
     """
     if name in _CATALOG_CACHE:
         return _CATALOG_CACHE[name]
-    spec = _spec(name)
-    alg = catalog(name)
-    entries = [CasimirEntry(label, _element(alg, _words(spec, label)),
+    labels = _labels(name)
+    alg, kin = catalog(name), _TABLES[name]
+    entries = [CasimirEntry(label, _element(alg, _words(kin, label)),
                             "factored" if label.startswith("C4") else "verbatim")
-               for label in spec["labels"]]
+               for label in labels]
     _CATALOG_CACHE[name] = tuple(entries)
     return _CATALOG_CACHE[name]
 
@@ -179,13 +173,14 @@ def ordering_study(name):
     exact difference variant - catalog element for passing variants (it is
     a Casimir itself), None for failing ones.
     """
-    spec, alg = _spec(name), catalog(name)
+    entries = casimir_catalog(name)
+    alg, kin = catalog(name), _TABLES[name]
     out = {}
-    for entry in casimir_catalog(name):
+    for entry in entries:
         candidates = []
         if entry.label.startswith("C4"):
             for weyl, signs in _PRINTED.items():
-                base, cross = _c4_pieces(alg, spec, weyl)
+                base, cross = _c4_pieces(alg, kin, weyl)
                 checks = _casimir_checks((base, cross), [(1, s) for s in signs.values()])
                 candidates += [(v, base + cross * s, check)
                                for (v, s), check in zip(signs.items(), checks)]

@@ -7,7 +7,10 @@ Gr* for time translation, rotations, boosts, displacements).
 
 The seven kinematical tables (both Galilei tables, the Poincare family and
 the two full groups) are one Bacry-Levy-Leblond family, each built from one
-row of a description table; u1 and heisenberg3 have builders of their own.
+_Kinematical row; u1 and heisenberg3 have builders of their own.  _TABLES,
+which maps every catalog name to its row or its builder, is the one
+description of the catalog: catalog() builds from that entry directly, and
+lieq.casimirs reads its Casimir words from the same rows.
 
 Listing order is significant: it is also the PBW normal-ordering for the
 enveloping algebra (boosts sort before momenta).
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from functools import partial
 
 from lieq.algebra import AlgebraError, LieAlgebra
 from lieq.expr import ExprError, parse_scalar
@@ -93,10 +95,7 @@ _TABLES = {
     "full_nonrelativistic": _Kinematical("H", "J", "KG", "P", ("M",), False, ("M", "Q")),
 }
 
-_BUILDERS = {name: entry if callable(entry) else partial(_kinematical, name, entry)
-             for name, entry in _TABLES.items()}
-
-CATALOG_NAMES = tuple(_BUILDERS)
+CATALOG_NAMES = tuple(_TABLES)
 
 _CACHE = {}
 
@@ -107,12 +106,13 @@ def catalog(name):
     A table that fails validate() raises AlgebraError; a passing one is
     marked as a Lie table, so is_casimir checks it against fewer generators.
     """
-    if name not in _BUILDERS:
+    if name not in _TABLES:
         raise AlgebraError(
             "unknown catalog algebra %r (known: %s)" % (name, ", ".join(CATALOG_NAMES))
         )
     if name not in _CACHE:
-        alg = _BUILDERS[name]()
+        entry = _TABLES[name]
+        alg = entry() if callable(entry) else _kinematical(name, entry)
         if not alg.validate().ok:
             raise AlgebraError("catalog algebra %r fails validation" % name)
         _CACHE[name] = alg

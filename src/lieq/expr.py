@@ -164,13 +164,8 @@ class _Parser:
                 return Scalar.i(), None
             if value in self.symbols:
                 return Scalar.symbol(value), value
-            if self.algebra is not None:
-                try:
-                    self.algebra.generator(value)
-                except Exception:
-                    pass
-                else:
-                    return UEAElement.gen(self.algebra, value), value
+            if self.algebra is not None and value in self.algebra.generators:
+                return UEAElement.gen(self.algebra, value), value
             self.fail("unknown identifier %r" % value, tok)
         if kind == "(":
             self.depth += 1

@@ -364,6 +364,9 @@ class Scalar:
 
     def substitute(self, mapping):
         """Simultaneously replace symbols by Scalar values (nonnegative powers only)."""
+        for sym, value in mapping.items():
+            if not isinstance(value, Scalar):
+                raise ScalarError("substitution value for %r must be a Scalar" % sym)
         out = Scalar.zero()
         for mono, coeff in self._terms.items():
             term = Scalar({0: coeff})

@@ -15,9 +15,11 @@ smaller, and w with b·a replaced by the terms of [b,a], which are shorter;
 so every contribution to a word arrives before the word is rewritten, and
 the work grows with the number of distinct words, not of rewrite paths.
 A rewrite whose bracket [b,a] is zero is a swap alone, so _settle makes
-those swaps before a word is queued.  Each is the rewrite the word would
-get when popped, so no result changes, on any table, and contributions
-that would meet at a swapped word merge at the word it settles to.
+those swaps before a word is held.  Each is the rewrite the word would get
+when popped, so no result changes, on any table, and contributions that
+would meet at a swapped word merge at the word it settles to.  Only held
+words with a descent are queued; the normal words held when the queue
+empties are the result.
 PBW rewriting is confluent (Bergman, "The diamond lemma for ring theory",
 Adv. Math. 29, 1978), so merging cannot change a normal form.  As each word
 is rewritten at its leftmost descent, the normal form is a linear map on
@@ -32,8 +34,8 @@ after each factor gives: N(u·v) = N(N(u)·v) for words u and v, because the
 leftmost descent of u·v lies inside u whenever u has one.  (Straightening a
 right factor first is another matter: on a table that breaks Jacobi,
 N(u·N(v)) can differ from N(u·v).)  A term-count budget
-(LIEQ_TERM_CAP, default 10**6) bounds the live terms of each pass, so a
-whole product, Casimir check, Weyl ordering or substitution.
+(LIEQ_TERM_CAP, default 10**6) bounds the live terms of each pass, the
+words it holds: a whole product, Casimir check, Weyl ordering or substitution.
 
 is_casimir straightens [e, G] from the derivation
 [w, G] = sum_k w[:k]·[w_k, G]·w[k+1:], summed over the terms of e, instead of
@@ -126,34 +128,32 @@ def _normalize(alg, raw):
     Owns raw and its maps: callers pass fresh maps, never a live Scalar's
     _terms.  A rewritten word's map moves to its swap uncopied, bracket
     terms are _mac'd into their slots, and only output words become Scalars.
-    Words are keyed by (-len(w), -w[0], -w[1], ...), which is also their
-    min-heap entry: longest first, then descending lexicographic.  As
-    _settle runs before a word is queued, pending holds only normal words
-    and words whose leftmost descent has a nonzero bracket, each with that
-    descent's position (0 if normal).  A swap's word is popped later, so
-    words still leave in key order.  Rewrites read alg._descent_table().
+    Words are keyed by (-len(w), -w[0], -w[1], ...): longest first, then
+    descending lexicographic.  pending holds each live word once, settled,
+    with its leftmost descent's position (0 if normal) and its summed map.
+    The heap holds the pending words with a descent and pops them in key
+    order; normal words are never queued, and what pending holds when the
+    heap empties is the result, in key order.  Rewrites read alg._descent_table().
     """
     descents = alg._descent_table()
     budget = _term_cap()
-    out = {}
     pending = {}  # {key: (leftmost descent position or 0, raw map)}
+    heap = []
     for word, coeff in raw.items():
         if coeff:
             key, pos = _settle((-len(word),) + tuple(map(neg, word)), 1, descents)
             entry = pending.get(key)
             if entry is None:
                 pending[key] = (pos, coeff)
+                if pos:
+                    heap.append(key)
             else:
                 _add_into(entry[1], coeff)
-    heap = list(pending)
     heapify(heap)
     while heap:
         key = heappop(heap)
         pos, coeff = pending.pop(key)
         if not coeff:
-            continue
-        if not pos:
-            out[tuple(map(neg, key[1:]))] = _checked(coeff)
             continue
         # b·a at pos becomes a·b + [b, a]; key[1:pos] stays sorted in both
         nb, na = key[pos], key[pos + 1]
@@ -163,7 +163,8 @@ def _normalize(alg, raw):
         entry = pending.get(swapped)
         if entry is None:
             pending[swapped] = (at, coeff)
-            heappush(heap, swapped)
+            if at:
+                heappush(heap, swapped)
         else:
             _add_into(entry[1], coeff)
         shorter = (key[0] + 1,) + key[1:pos]
@@ -173,23 +174,35 @@ def _normalize(alg, raw):
             if entry is None:
                 cur = {}
                 pending[nkey] = (at, cur)
-                heappush(heap, nkey)
+                if at:
+                    heappush(heap, nkey)
             else:
                 cur = entry[1]
             _mac(cur, coeff, c)
-        live = len(pending) + len(out)
-        if live > budget:
+        if len(pending) > budget:
             gens = alg.generators
-            raise TermBudgetExceeded(budget, live, tuple(gens[-x] for x in key[1:]))
-    return out
+            raise TermBudgetExceeded(budget, len(pending), tuple(gens[-x] for x in key[1:]))
+    return {tuple(map(neg, key[1:])): _checked(coeff)
+            for key, (_, coeff) in sorted(pending.items()) if coeff}
 
 
-def _index_words(alg, named_terms):
-    """Sum (name word, Scalar) pairs into fresh {index word: raw map} over alg's basis."""
+def _from_words(alg, named_terms, weyl=False):
+    """Sum (name word, Scalar) pairs over alg's basis, then straighten the sum in
+    one pass; when weyl, each summed word is first replaced by the average of its
+    distinct arrangements (Weyl ordering)."""
     raw = {}
     for names, coeff in named_terms:
         _add_into(raw.setdefault(tuple(alg._gen_index(n) for n in names), {}), coeff._terms)
-    return raw
+    if weyl:
+        arranged = {}
+        for word, coeff in raw.items():
+            arrangements = set(itertools.permutations(word))
+            weight = {}
+            _mac(weight, coeff, Scalar.rational(1, len(arrangements))._terms)
+            for arr in arrangements:
+                _add_into(arranged.setdefault(arr, {}), weight)
+        raw = arranged
+    return UEAElement(alg, _normalize(alg, raw))
 
 
 def _coerce_scalar(value):
@@ -221,21 +234,20 @@ class UEAElement:
     @staticmethod
     def gen(algebra, name):
         try:
-            idx = algebra.generator(name).index
-        except Exception:
+            idx = algebra._gen_index(name)
+        except AlgebraError:
             raise UEAError("unknown generator %r in %r" % (name, algebra.name)) from None
         return UEAElement(algebra, {(idx,): Scalar.one()})
 
     @staticmethod
     def word(algebra, names, coeff=None):
         """coeff * G_n1 G_n2 ..., normalized."""
-        coeff = Scalar.one() if coeff is None else coeff
-        return UEAElement(algebra, _normalize(algebra, _index_words(algebra, [(names, coeff)])))
+        return _from_words(algebra, [(names, Scalar.one() if coeff is None else coeff)])
 
     @staticmethod
     def from_terms(algebra, terms):
         """terms: {name tuple: Scalar}; normalized on construction."""
-        return UEAElement(algebra, _normalize(algebra, _index_words(algebra, terms.items())))
+        return _from_words(algebra, terms.items())
 
     # -- inspection ----------------------------------------------------------
 
@@ -368,8 +380,7 @@ def _coeff_prefix(coeff, standalone):
 
 def normal_form(e):
     """Re-run straightening; a fixed point for any constructed element."""
-    raw = {w: dict(c._terms) for w, c in e._terms.items()}
-    return UEAElement(e.algebra, _normalize(e.algebra, raw))
+    return _from_words(e.algebra, e.terms())
 
 
 def commutator(a, b):
@@ -436,7 +447,7 @@ def substitute(e, mapping, formal=False):
     alg = e.algebra
     values = {}
     for name, value in mapping.items():
-        idx = alg.generator(name).index
+        idx = alg._gen_index(name)
         scalar = _coerce_scalar(value)
         if scalar is not None:
             value = UEAElement.unit(alg) * scalar
@@ -493,35 +504,20 @@ def rename_element(e, target, mapping=None):
     named = [(tuple(mapping.get(src[k], src[k]) for k in word), coeff)
              for word, coeff in e._terms.items()]
     try:
-        raw = _index_words(target, named)
+        return _from_words(target, named)
     except AlgebraError:
         missing = next(m for m in ([n for n in names if n not in target.generators]
                                    for names, _ in named) if m)
         raise UEAError(
             "cannot rename into %r: unknown generator(s) %s" % (target.name, missing)
         ) from None
-    return UEAElement(target, _normalize(target, raw))
-
-
-def _weyl_sum(alg, raw):
-    """Weyl ordering of {index word: raw map} (only read), straightened in one
-    pass: each word becomes the average of its distinct arrangements."""
-    arranged = {}
-    for word, coeff in raw.items():
-        arrangements = set(itertools.permutations(word))
-        weight = {}
-        _mac(weight, coeff, Scalar.rational(1, len(arrangements))._terms)
-        for arr in arrangements:
-            _add_into(arranged.setdefault(arr, {}), weight)
-    return UEAElement(alg, _normalize(alg, arranged))
 
 
 def weyl_word(algebra, names, coeff=None):
     """Weyl (symmetric) ordering of one monomial: average over all
     arrangements of its letters.  Depends only on the multiset of letters.
     """
-    coeff = Scalar.one() if coeff is None else coeff
-    return _weyl_sum(algebra, _index_words(algebra, [(names, coeff)]))
+    return _from_words(algebra, [(names, Scalar.one() if coeff is None else coeff)], weyl=True)
 
 
 def weyl_symmetrize(e):
@@ -530,4 +526,4 @@ def weyl_symmetrize(e):
     This is the usual vector-space symmetrization read through the PBW
     basis, so it is well defined on elements (normal forms are unique).
     """
-    return _weyl_sum(e.algebra, {w: c._terms for w, c in e._terms.items()})
+    return _from_words(e.algebra, e.terms(), weyl=True)

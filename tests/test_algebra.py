@@ -251,9 +251,11 @@ def test_flip_sign_mutation_suite():
     (lambda: catalog("u1").central_extension("Q", {}), "already present"),
     (lambda: catalog("u1").central_extension("Z", {("Q", "Z"): {"Z": ONE}}),
      "must pair existing generators"),
+    (lambda: LieAlgebra("x", ("Q", "Q_2"), {}).direct_product(catalog("u1")),
+     "cannot disambiguate clashing generator 'Q'"),
 ], ids=["duplicate_names", "symbol_clash", "i_clash", "not_a_scalar", "self_bracket",
         "pair_twice", "flip_missing", "matrix_shape", "name_count", "central_present",
-        "central_override"])
+        "central_override", "product_clash"])
 def test_rejects_bad_input(build, message):
     with pytest.raises(AlgebraError, match=message):
         build()

@@ -6,9 +6,10 @@ import pytest
 
 from lieq.algebra import AlgebraError, LieAlgebra
 from lieq.catalog import (
-    _BUILDERS,
     _CACHE,
+    _TABLES,
     CATALOG_NAMES,
+    _kinematical,
     algebra_from_json,
     algebra_to_json,
     catalog,
@@ -124,8 +125,9 @@ def test_each_table_is_built_once_per_process(monkeypatch):
     module = sys.modules["lieq.catalog"]
     monkeypatch.setattr(module, "_CACHE", {})
     built, bases = [], []
-    for name, build in list(module._BUILDERS.items()):
-        monkeypatch.setitem(module._BUILDERS, name,
+    for name, entry in list(module._TABLES.items()):
+        build = entry if callable(entry) else lambda name=name, entry=entry: _kinematical(name, entry)
+        monkeypatch.setitem(module._TABLES, name,
                             lambda name=name, build=build: built.append(name) or build())
     change_basis = LieAlgebra.change_basis
     monkeypatch.setattr(LieAlgebra, "change_basis",
@@ -139,7 +141,7 @@ def test_each_table_is_built_once_per_process(monkeypatch):
 def test_catalog_rejects_a_table_that_fails_jacobi(monkeypatch):
     broken = catalog("poincare").flip_sign("KPx", "Px", "H")
     monkeypatch.delitem(_CACHE, "poincare")
-    monkeypatch.setitem(_BUILDERS, "poincare", lambda: broken)
+    monkeypatch.setitem(_TABLES, "poincare", lambda: broken)
     with pytest.raises(AlgebraError, match="poincare"):
         catalog("poincare")
     assert "poincare" not in _CACHE

@@ -3,9 +3,10 @@
 The project runs no linter, so these stdlib `ast` scans stand in for one:
 - a name bound by a module-level import must be read somewhere in its module,
   or listed in the module's `__all__` (a re-export);
-- a module-level `_private` function or class in the package must be named
-  somewhere in `src/`, `tests/` or `bench/`: read, imported, or given as an
-  attribute or a string (as `monkeypatch.setattr` takes it);
+- a module-level `_private` function, class or assigned name in the package
+  must be named somewhere in `src/`, `tests/` or `bench/`: read, imported, or
+  given as an attribute or a string (as `monkeypatch.setattr` takes it), so a
+  derived table that nothing reads any more fails too;
 - every name in a package module's `__all__` must be bound at the module's top
   level, so an entry left behind by a deletion fails here, not on `import *`.
 """
@@ -50,17 +51,22 @@ def test_the_scan_flags_an_unused_import():
 
 
 def private_helpers(tree):
-    """Names of the module-level `_private` functions and classes a module defines."""
-    return [node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")]
+    """Names of the module-level `_private` functions, classes and assignments of a module."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
 
 
 def names_used(tree):
     """Every name a module reads, imports, or gives as an attribute or a string."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
@@ -92,9 +98,11 @@ def test_the_scan_flags_an_unused_private_helper():
     module = ast.parse(
         "def _dead(): pass\nclass _Gone: pass\ndef _called(): pass\n"
         "def _imported(): pass\ndef _patched(): pass\ndef __getattr__(name): pass\n"
-        "def public(): return _called()\n")
+        "_DERIVED = {}\n_READ = {}\n_TYPED: dict = {}\n__version__ = '1'\n"
+        "def public(): return _called(), _READ\n")
     other = ast.parse("from m import _imported\nmonkeypatch.setattr(m, '_patched', None)\n")
-    assert unused_private_helpers(module, [module, other]) == ["_Gone", "_dead"]
+    assert unused_private_helpers(module, [module, other]) == [
+        "_DERIVED", "_Gone", "_TYPED", "_dead"]
 
 
 def undefined_exports(tree):

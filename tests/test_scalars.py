@@ -182,7 +182,8 @@ def test_additive_and_multiplicative_identity(x):
 
 
 # ---------------------------------------------------------------------------
-# inexact inputs are refused at construction
+# inexact inputs are refused at construction, and so are powers and
+# substitutions outside the ring (negative or fractional powers, a value for a pole)
 
 
 @pytest.mark.parametrize("make", [
@@ -194,9 +195,12 @@ def test_additive_and_multiplicative_identity(x):
     lambda: Scalar.rational(1, 0),
     lambda: Scalar.symbol("c", 0.5),
     lambda: Scalar.one().mul_power("eps", 1.5),
+    lambda: Scalar.symbol("c") ** -1,
+    lambda: Scalar.symbol("c") ** 1.5,
+    lambda: (Scalar.one() + Scalar.symbol("eps", -1)).substitute({"eps": Scalar.one()}),
 ], ids=["gaussian-float", "gaussian-float-im", "gaussian-str", "from_int-float",
         "rational-float", "rational-zero-denominator", "symbol-float-exponent",
-        "mul_power-float-exponent"])
+        "mul_power-float-exponent", "pow-negative", "pow-float", "substitute-into-pole"])
 def test_inexact_inputs_raise(make):
     with pytest.raises(ScalarError):
         make()

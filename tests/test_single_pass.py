@@ -25,7 +25,7 @@ from lieq.casimirs import (
     casimir_variant,
     ordering_study,
 )
-from lieq.catalog import AXES, catalog, eps3
+from lieq.catalog import _TABLES, AXES, catalog, eps3
 from lieq.scalars import Scalar
 from lieq.uea import (
     CasimirCheck,
@@ -40,7 +40,7 @@ from lieq.uea import (
 )
 
 C4_GROUPS = tuple(g for g in CASIMIR_GROUPS if any(
-    label.startswith("C4") for label in casimirs._spec(g)["labels"]))
+    label.startswith("C4") for label in casimirs._SPECS[g]))
 
 # -- references: one straightening per row, term or monomial ------------------
 
@@ -122,29 +122,29 @@ def ref_substitute(e, mapping):
 
 
 def ref_casimir_variant(alg, name, variant):
-    spec = casimirs._spec(name)
+    kin = _TABLES[name]
     out = UEAElement.zero(alg)
     if variant == "factored":
         # sum_i N_i N_i [- (J.P)^2], N_i = sum_pref p J_i - eps_ijk K_j P_k, expanded
         # into words here and each word straightened on its own, so the reference
         # holds on every table, Jacobi or not.
         for i in AXES:
-            n_i = [((p, "J" + i), 1) for p in spec["pref"]]
+            n_i = [((p, "J" + i), 1) for p in kin.kp]
             for j in AXES:
                 for k in AXES:
                     if eps3(i, j, k):
-                        n_i.append(((spec["boost"] + j, "P" + k), -eps3(i, j, k)))
+                        n_i.append(((kin.boost + j, "P" + k), -eps3(i, j, k)))
             for u, a in n_i:
                 for v, b in n_i:
                     out = out + UEAElement.word(alg, u + v, Scalar.from_int(a * b))
-        if spec["jp"]:
+        if kin.kk:
             for i in AXES:
                 for j in AXES:
                     out = out - UEAElement.word(alg, ("J" + i, "P" + i, "J" + j, "P" + j))
         return out
     sign = 1 if variant == "weyl_mirrored" else -1
     build = UEAElement.word if variant == "verbatim" else ref_weyl_word
-    base, cross = casimirs._c4_monomials(spec)
+    base, cross = casimirs._c4_monomials(kin)
     for names, coeff in base + [(names, sign * coeff) for names, coeff in cross]:
         out = out + build(alg, names, Scalar.from_int(coeff))
     return out
@@ -231,7 +231,7 @@ def test_products_checks_and_weyl_match_the_per_piece_reference(name):
 @pytest.mark.parametrize("name", C4_GROUPS)
 def test_c4_variants_match_the_per_monomial_reference(name, monkeypatch):
     rng = random.Random(6007 + len(name))
-    label = next(lbl for lbl in casimirs._spec(name)["labels"] if lbl.startswith("C4"))
+    label = next(lbl for lbl in casimirs._SPECS[name] if lbl.startswith("C4"))
     for alg in tables(rng, name):
         monkeypatch.setattr(casimirs, "catalog", lambda _name, alg=alg: alg)
         for variant in C4_VARIANTS:

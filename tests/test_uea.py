@@ -8,7 +8,7 @@ from lieq import uea
 from lieq.algebra import AlgebraError
 from lieq.casimirs import casimir_entries, casimir_variant, ordering_study
 from lieq.catalog import catalog, shifted_energy_basis
-from lieq.scalars import Scalar
+from lieq.scalars import Scalar, ScalarError
 from lieq.uea import (
     TermBudgetExceeded,
     UEAElement,
@@ -83,6 +83,16 @@ def test_commutators_match_table():
     ksq = gen(GC, "KGx") ** 2
     expected = UEAElement.word(GC, ("KGx", "M"), Scalar.from_int(2) * I)
     assert commutator(ksq, gen(GC, "Px")) == expected
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gen(GC, "Px") ** -1, "nonnegative integer"),
+    (lambda: gen(GC, "Px") ** 1.5, "nonnegative integer"),
+    (lambda: substitute(gen(GC, "M"), {"M": "m"}), "must be UEAElement or Scalar"),
+], ids=["pow_negative", "pow_float", "substitute_str"])
+def test_rejects_bad_input(call, message):
+    with pytest.raises(UEAError, match=message):
+        call()
 
 
 def test_cross_algebra_operations_rejected():
@@ -167,6 +177,15 @@ def test_scalar_substitute():
     assert out == gen(GC, "Px") + gen(GC, "M")
 
 
+def test_scalar_substitute_rejects_a_non_scalar_value():
+    # an int would leak a TypeError from Scalar * int; the error names the symbol
+    e = gen(GC, "Px") * Scalar.symbol("c")
+    with pytest.raises(ScalarError, match="^substitution value for 'c' must be a Scalar$"):
+        Scalar.symbol("c").substitute({"c": 2})
+    with pytest.raises(ScalarError, match="'c'"):
+        scalar_substitute(e, {"c": 2})
+
+
 def test_weyl_word():
     # sym{Px,KGx} = (Px*KGx + KGx*Px)/2 = KGx*Px - (i/2) M
     half_i = Scalar.gaussian(0, Fraction(1, 2))
@@ -248,44 +267,72 @@ def count_pops(monkeypatch):
 
 def test_straightening_merges_equal_words(monkeypatch):
     # Equal intermediate words merge before they are rewritten, so one product
-    # step costs work per distinct word, not per rewrite path: 607 words popped
-    # here, where a worklist that never merges pops 125,312.
+    # step costs work per distinct word, not per rewrite path: 500 words popped.
     x = gen(POI, "KPx") + gen(POI, "Px")
     power = x ** 10
     pops = count_pops(monkeypatch)
     assert (power * x).term_count() == 107
-    assert pops[0] <= 700
+    assert pops[0] <= 575
 
 
 def test_weyl_ordering_merges_words_across_monomials(monkeypatch):
     # Every arrangement of every base monomial is straightened in one pass,
-    # and of every cross monomial in another: 203 words popped, where one
-    # pass per monomial pops 483.
+    # and of every cross monomial in another: 159 words popped, where one
+    # pass per monomial pops 321.
     pops = count_pops(monkeypatch)
     assert casimir_variant("poincare", "C4P", "weyl").term_count() == 31
-    assert pops[0] <= 250
+    assert pops[0] <= 195
 
 
 def test_casimir_check_merges_words_across_terms(monkeypatch):
-    # Each [e, G] is straightened in one pass over all terms of e: 5,823
-    # words popped, where one pass per term pops 14,190.
+    # Each [e, G] is straightened in one pass over all terms of e: 3,752
+    # words popped, where one pass per term pops 5,111.
     c4 = casimir_entries("poincare")["C4P"]
     square = c4 * c4
     pops = count_pops(monkeypatch)
     assert is_casimir(square).ok
-    assert pops[0] <= 6_500
+    assert pops[0] <= 4_180
 
 
 def test_ordering_study_shares_straightening_across_orderings(monkeypatch):
     # Base and cross monomials are straightened, and Weyl ordered, once each,
-    # and each [piece, G] once for all orderings: 552 words popped, where
-    # building and checking every ordering on its own pops 848.
+    # and each [piece, G] once for all orderings: 307 words popped, where
+    # building and checking each of the four orderings on its own pops 558.
     casimir_entries("poincare")
     POI._casimir_plan()
     pops = count_pops(monkeypatch)
     study = ordering_study("poincare")
     assert [step.ok for step in study["C4P"]] == [False, False, True, True]
-    assert pops[0] <= 650
+    assert pops[0] <= 360
+
+
+def test_only_words_with_a_branching_descent_are_queued(monkeypatch):
+    # Normal words stay in the pending map and are never queued: every key
+    # that enters the heap has a leftmost descent whose bracket is nonzero.
+    queued = []
+
+    def descent(key):
+        return next((key[i:i + 2] for i in range(1, len(key) - 1) if key[i] < key[i + 1]), None)
+
+    def check(alg, keys):
+        table = alg._descent_table()
+        for key in keys:
+            assert descent(key) in table, key
+        queued.extend(keys)
+
+    for alg, run in (
+        (POI, lambda: (gen(POI, "KPx") + gen(POI, "Px")) ** 4),
+        (POI, lambda: is_casimir(casimir_entries("poincare")["C4P"])),
+        (GC, lambda: weyl_word(GC, ("Px", "KGx", "Jz", "H"))),
+    ):
+        heapify, heappush = uea.heapify, uea.heappush
+        monkeypatch.setattr(uea, "heapify", lambda heap: check(alg, heap) or heapify(heap))
+        monkeypatch.setattr(uea, "heappush",
+                            lambda heap, key: check(alg, [key]) or heappush(heap, key))
+        before = len(queued)
+        run()
+        assert len(queued) > before
+        monkeypatch.undo()
 
 
 def test_printing_roundtrip_shape():
