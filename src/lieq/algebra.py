@@ -316,7 +316,7 @@ class LieAlgebra:
         for g in other.generators:
             if g in self._index:
                 mapping[g] = g + "_2"
-                if mapping[g] in self._index:
+                if mapping[g] in self._index or mapping[g] in other._index:
                     raise AlgebraError("cannot disambiguate clashing generator %r" % g)
         b = other.rename(mapping) if mapping else other
         brackets = dict(self.nonzero_brackets())

@@ -15,11 +15,15 @@ smaller, and w with b·a replaced by the terms of [b,a], which are shorter;
 so every contribution to a word arrives before the word is rewritten, and
 the work grows with the number of distinct words, not of rewrite paths.
 A rewrite whose bracket [b,a] is zero is a swap alone, so _settle makes
-those swaps before a word is held.  Each is the rewrite the word would get
-when popped, so no result changes, on any table, and contributions that
-would meet at a swapped word merge at the word it settles to.  Only held
-words with a descent are queued; the normal words held when the queue
-empties are the result.
+those swaps before a word is held, all in one list, so that a word with s
+of them costs O(len + s).  Each is the rewrite the word would get when
+popped, so no result changes, on any table, and contributions that would
+meet at a swapped word merge at the word it settles to.  Only held words
+with a descent are queued; the normal words held when the queue empties are
+the result.  A word's scan for its leftmost descent starts past the prefix
+known to be sorted: at the junction of a product row w1·w2, as w1 is
+normal; at the letter before the replaced one in a row of a Casimir check;
+and at the letter before the rewrite in a rewritten word.
 PBW rewriting is confluent (Bergman, "The diamond lemma for ring theory",
 Adv. Math. 29, 1978), so merging cannot change a normal form.  As each word
 is rewritten at its leftmost descent, the normal form is a linear map on
@@ -103,45 +107,67 @@ def _term_cap():
     raise UEAError("LIEQ_TERM_CAP must be a positive integer, got %r" % env)
 
 
+def _key(word):
+    """_normalize's key for an index word: (-len(w), -w[0], -w[1], ...)."""
+    return (-len(word),) + tuple(map(neg, word))
+
+
 def _settle(key, pos, descents):
     """Swap key's zero-bracket leftmost descents; (key, leftmost descent or 0 if normal).
 
     Scans from pos, before which key must have no descent.  A swap moves the
     smaller letter one place left, so the scan goes on from one place before it.
+    The first swap copies key into a list that takes every later swap, so a
+    word with s swaps costs O(len + s) and one tuple; a word with none is
+    returned as it came.
     """
     end = len(key) - 1
     while pos < end:
         if key[pos] < key[pos + 1]:
             if (key[pos], key[pos + 1]) in descents:
                 return key, pos
-            key = key[:pos] + (key[pos + 1], key[pos]) + key[pos + 2:]
+            break
+        pos += 1
+    else:
+        return key, 0
+    word = list(key)
+    while pos < end:
+        b, a = word[pos], word[pos + 1]
+        if b < a:
+            if (b, a) in descents:
+                return tuple(word), pos
+            word[pos], word[pos + 1] = a, b
             if pos > 1:
                 pos -= 1
         else:
             pos += 1
-    return key, 0
+    return tuple(word), 0
 
 
 def _normalize(alg, raw):
-    """Straighten {word(index tuple): raw map} into PBW normal form {word: Scalar}.
+    """Straighten {key: (start, raw map)} into PBW normal form {word: Scalar}.
 
+    A row's key is _key(word): words sort longest first, then descending
+    lexicographic.  Its start is a key position before which the key has no
+    descent (1 always qualifies), and the row's first scan begins there;
+    callers that know a sorted prefix pass its end.  As that is a property
+    of the word, rows that merge under one key may keep any of their starts.
     Owns raw and its maps: callers pass fresh maps, never a live Scalar's
     _terms.  A rewritten word's map moves to its swap uncopied, bracket
     terms are _mac'd into their slots, and only output words become Scalars.
-    Words are keyed by (-len(w), -w[0], -w[1], ...): longest first, then
-    descending lexicographic.  pending holds each live word once, settled,
-    with its leftmost descent's position (0 if normal) and its summed map.
-    The heap holds the pending words with a descent and pops them in key
-    order; normal words are never queued, and what pending holds when the
-    heap empties is the result, in key order.  Rewrites read alg._descent_table().
+    pending holds each live word once, settled, with its leftmost descent's
+    position (0 if normal) and its summed map.  The heap holds the pending
+    words with a descent and pops them in key order; normal words are never
+    queued, and what pending holds when the heap empties is the result, in
+    key order.  Rewrites read alg._descent_table().
     """
     descents = alg._descent_table()
     budget = _term_cap()
     pending = {}  # {key: (leftmost descent position or 0, raw map)}
     heap = []
-    for word, coeff in raw.items():
+    for key, (start, coeff) in raw.items():
         if coeff:
-            key, pos = _settle((-len(word),) + tuple(map(neg, word)), 1, descents)
+            key, pos = _settle(key, start, descents)
             entry = pending.get(key)
             if entry is None:
                 pending[key] = (pos, coeff)
@@ -202,7 +228,7 @@ def _from_words(alg, named_terms, weyl=False):
             for arr in arrangements:
                 _add_into(arranged.setdefault(arr, {}), weight)
         raw = arranged
-    return UEAElement(alg, _normalize(alg, raw))
+    return UEAElement(alg, _normalize(alg, {_key(w): (1, c) for w, c in raw.items()}))
 
 
 def _coerce_scalar(value):
@@ -306,10 +332,17 @@ class UEAElement:
         if not isinstance(other, UEAElement):
             return NotImplemented
         self._check_same(other)
+        # w1 is normal, so a row w1·w2 has no descent before the junction
+        lefts = []
+        for w1, c1 in self._terms.items():
+            k1 = _key(w1)
+            lefts.append((k1[0], k1[1:], len(w1) or 1, c1._terms))
         raw = {}
         for w2, c2 in other._terms.items():
-            for w1, c1 in self._terms.items():
-                _mac(raw.setdefault(w1 + w2, {}), c1._terms, c2._terms)
+            k2 = _key(w2)
+            head, tail, c2 = k2[0], k2[1:], c2._terms
+            for n1, letters, start, c1 in lefts:
+                _mac(raw.setdefault((n1 + head,) + letters + tail, (start, {}))[1], c1, c2)
         return UEAElement(self.algebra, _normalize(self.algebra, raw))
 
     def __rmul__(self, other):
@@ -409,17 +442,24 @@ def _casimir_checks(pieces, combos):
     Each [piece, G] is straightened once per planned generator some combination
     awaits; by linearity a combination's residue is the signed sum of its pieces'."""
     alg = pieces[0].algebra
+    keyed = [[(_key(w), c._terms) for w, c in piece._terms.items()] for piece in pieces]
     checks = [None] * len(combos)
     pending = range(len(combos))
     for g in alg._casimir_plan():
+        brackets = {}  # {-letter: ((-d, raw c), ...)}: [letter, g], read when first met
         residues = []
-        for piece in pieces:
+        for terms in keyed:
             raw = {}
-            for word, coeff in piece._terms.items():
-                for k, letter in enumerate(word):
-                    for d, c in alg.bracket_index(letter, g).items():
-                        _mac(raw.setdefault(word[:k] + (d,) + word[k + 1:], {}),
-                             c._terms, coeff._terms)
+            for key, coeff in terms:
+                # key is normal, so the row with key[k] replaced has no descent before k - 1
+                for k in range(1, len(key)):
+                    bracket = brackets.get(key[k])
+                    if bracket is None:
+                        bracket = brackets[key[k]] = tuple(
+                            (-d, c._terms) for d, c in alg.bracket_index(-key[k], g).items())
+                    for nd, c in bracket:
+                        _mac(raw.setdefault(key[:k] + (nd,) + key[k + 1:], (k - 1 or 1, {}))[1],
+                             c, coeff)
             residues.append(UEAElement(alg, _normalize(alg, raw)))
         if not any(residues):
             continue
@@ -478,7 +518,7 @@ def substitute(e, mapping, formal=False):
                     _mac(grown.setdefault(w1 + w2, {}), c1, c2._terms)
             rows = grown
         for w, c in rows.items():
-            _add_into(raw.setdefault(w, {}), c)
+            _add_into(raw.setdefault(_key(w), (1, {}))[1], c)
     return UEAElement(alg, _normalize(alg, raw))
 
 

@@ -253,9 +253,11 @@ def test_flip_sign_mutation_suite():
      "must pair existing generators"),
     (lambda: LieAlgebra("x", ("Q", "Q_2"), {}).direct_product(catalog("u1")),
      "cannot disambiguate clashing generator 'Q'"),
+    (lambda: LieAlgebra("x", ("A",), {}).direct_product(LieAlgebra("y", ("A", "A_2"), {})),
+     "cannot disambiguate clashing generator 'A'"),
 ], ids=["duplicate_names", "symbol_clash", "i_clash", "not_a_scalar", "self_bracket",
         "pair_twice", "flip_missing", "matrix_shape", "name_count", "central_present",
-        "central_override", "product_clash"])
+        "central_override", "product_clash", "product_clash_in_other"])
 def test_rejects_bad_input(build, message):
     with pytest.raises(AlgebraError, match=message):
         build()

@@ -1,5 +1,6 @@
 """Enveloping-algebra elements: PBW normal form, commutators, Casimir checks."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from lieq import uea
 from lieq.algebra import AlgebraError
 from lieq.casimirs import casimir_entries, casimir_variant, ordering_study
 from lieq.catalog import catalog, shifted_energy_basis
+from lieq.expr import parse_element
 from lieq.scalars import Scalar, ScalarError
 from lieq.uea import (
     TermBudgetExceeded,
@@ -371,3 +373,22 @@ def test_rename_element():
         rename_element(e, poi)  # KGx and M have no image in poincare
     with pytest.raises(AlgebraError, match=r"^unknown generator 'Q' in algebra 'poincare'$"):
         UEAElement.from_terms(poi, {("H",): I, ("Q", "H"): I})
+
+
+def test_casimir_check_of_a_long_word_grows_quadratically():
+    # [Px^n, Jy] has n rows Px^k·Pz·Px^(n-k-1), and Pz commutes past the
+    # Px to its right.  With the swaps of a row made in one list the check
+    # grows as n^2 (x4 per doubling); rebuilding the row per swap made it
+    # n^3, and this ratio read 7 to 11.
+    best = {}
+    for n in (600, 1200):
+        e = parse_element(POI, "Px^%d" % n)
+        want = parse_element(POI, "%d*i*Px^%d*Pz" % (n, n - 1))
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            check = is_casimir(e)
+            times.append(time.perf_counter() - start)
+            assert (check.ok, check.witness, check.residue) == (False, "Jy", want)
+        best[n] = min(times)
+    assert best[1200] / best[600] < 6, best

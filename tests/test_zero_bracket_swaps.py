@@ -10,6 +10,12 @@ descent b·a as a·b + [b, a] through `bracket_index`, and queue both parts.
 The arithmetic is exact and both rewrite every word at its leftmost
 descent, so the term maps must agree exactly, dict order included, on
 catalog tables and on a table that breaks Jacobi alike.
+
+`_settle` makes a word's zero-bracket swaps in one list, copied at the
+first swap; the loop it replaced rebuilt the word tuple at every swap,
+which made a word with s swaps cost O(s * len).  Both scan from the same
+start and make the same swaps, so they must return the same key and
+position, on seeded words and on long commuting runs alike.
 """
 
 import random
@@ -22,7 +28,7 @@ from test_properties import SYMBOLIC
 
 from lieq.catalog import CATALOG_NAMES, catalog
 from lieq.scalars import Scalar, _add_into, _checked, _mac
-from lieq.uea import _normalize
+from lieq.uea import _key, _normalize, _settle
 
 ONE = Scalar.one()
 
@@ -69,6 +75,21 @@ def ref_normalize(alg, raw):
     return out
 
 
+def ref_settle(key, pos, descents):
+    """_settle as one new tuple per zero-bracket swap."""
+    end = len(key) - 1
+    while pos < end:
+        if key[pos] < key[pos + 1]:
+            if (key[pos], key[pos + 1]) in descents:
+                return key, pos
+            key = key[:pos] + (key[pos + 1], key[pos]) + key[pos + 2:]
+            if pos > 1:
+                pos -= 1
+        else:
+            pos += 1
+    return key, 0
+
+
 # -- inputs and comparison ----------------------------------------------------
 
 
@@ -89,7 +110,7 @@ def random_sum(rng, alg, max_len=5, max_words=5):
 
 def assert_same_normal_form(alg, terms):
     """Both loops on fresh raw maps of terms: equal maps, equal order; returns the result."""
-    got = _normalize(alg, {w: dict(c._terms) for w, c in terms.items()})
+    got = _normalize(alg, {_key(w): (1, dict(c._terms)) for w, c in terms.items()})
     want = ref_normalize(alg, {w: dict(c._terms) for w, c in terms.items()})
     assert list(got.items()) == list(want.items()), alg.name
     return got
@@ -138,3 +159,46 @@ def test_words_one_zero_bracket_swap_apart_cancel_where_they_are_queued():
             extra = tuple(rng.randrange(alg.dim) for _ in range(rng.randint(0, 5)))
             pair.setdefault(extra, random_scalar(rng))
             assert_same_normal_form(alg, pair)
+
+
+# -- swaps in one list ------------------------------------------------------------
+
+
+def assert_same_settle(alg, word):
+    """_settle and ref_settle from every valid start of word; returns the result."""
+    descents = alg._descent_table()
+    key = _key(word)
+    first = next((p for p in range(1, len(key) - 1) if key[p] < key[p + 1]), len(key) - 1)
+    for start in range(1, max(first, 1) + 1):
+        got = _settle(key, start, descents)
+        assert got == ref_settle(key, start, descents), (alg.name, word, start)
+        assert type(got[0]) is tuple
+        if got[0] == key:
+            assert got[0] is key  # a word without a swap is not copied
+    return got
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_settle_matches_the_tuple_rebuild_loop_on_catalog_tables(name):
+    rng = random.Random("settle-" + name)
+    alg = catalog(name)
+    for _ in range(200):
+        assert_same_settle(alg, tuple(rng.randrange(alg.dim) for _ in range(rng.randint(0, 9))))
+
+
+def test_settle_carries_a_letter_through_long_commuting_runs():
+    # Pz commutes with Px and sorts after it, so Px^k·Pz·Px^m settles to
+    # Px^(k+m)·Pz in m swaps; Z is central in heisenberg3 and sorts last.
+    poi = catalog("poincare")
+    px, pz = poi._gen_index("Px"), poi._gen_index("Pz")
+    for k, m in ((0, 0), (0, 1), (1, 0), (3, 5), (0, 40), (40, 0), (17, 33), (60, 60)):
+        got = assert_same_settle(poi, (px,) * k + (pz,) + (px,) * m)
+        assert got == (_key((px,) * (k + m) + (pz,)), 0)
+    heis = catalog("heisenberg3")
+    z = heis._gen_index("Z")
+    rng = random.Random(1925)
+    for _ in range(60):
+        word = [rng.randrange(z) for _ in range(rng.randint(0, 12))]
+        for _ in range(rng.randint(1, 4)):
+            word.insert(rng.randint(0, len(word)), z)
+        assert_same_settle(heis, tuple(word))
