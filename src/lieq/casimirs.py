@@ -21,6 +21,18 @@ differ only in the sign of the cross monomials: each is base ± cross, where
 the base and cross pieces are each straightened (or Weyl ordered) in one
 pass, and ordering_study straightens each [piece, G] once for all orderings.
 
+Some catalog tables are another table plus spectators: central generators
+outside kp, which no bracket reaches and which the table lists last
+(poincare_trivial_ext is poincare plus M; full_relativistic and
+full_nonrelativistic add Q to poincare_trivial_ext_hbar and
+galilei_central).  The shared generators keep their indices and brackets,
+and no C4 word holds a spectator, so every normal form, every [piece, G]
+and every residue is the same in both tables; a spectator S adds only
+[e, S] = 0, checked last, so no witness changes either.  _ordering_studies
+therefore builds one C4 study per row with its spectators dropped and
+carries it into the other tables of that row by renaming; it keeps the
+studies for that one call only.
+
 Every element here starts as a word table: _words lists a catalog label's
 (names, coefficient) pairs, C4 expanded word by word from N_i, and
 _c4_monomials the printed quartic's, both read from the group's _Kinematical
@@ -37,7 +49,7 @@ from fractions import Fraction
 from lieq.algebra import AlgebraError
 from lieq.catalog import _TABLES, AXES, catalog, eps3
 from lieq.scalars import Scalar
-from lieq.uea import _casimir_checks, _from_words, is_casimir
+from lieq.uea import _casimir_checks, _from_words, is_casimir, rename_element
 
 CasimirEntry = namedtuple("CasimirEntry", ["label", "element", "ordering"])
 OrderingStep = namedtuple("OrderingStep", ["variant", "ok", "witness", "shift", "residue"])
@@ -173,20 +185,57 @@ def ordering_study(name):
     exact difference variant - catalog element for passing variants (it is
     a Casimir itself), None for failing ones.
     """
-    entries = casimir_catalog(name)
-    alg, kin = catalog(name), _TABLES[name]
+    return _ordering_studies((name,))[name]
+
+
+def _spectator_free(kin):
+    """kin without its spectators: central generators outside kin.kp, which no bracket reaches."""
+    return kin._replace(central=tuple(c for c in kin.central if c in kin.kp))
+
+
+def _steps(entry, candidates):
+    """OrderingSteps of (variant, element, CasimirCheck) candidates, then of the entry itself."""
+    own = (entry.ordering, entry.element, is_casimir(entry.element))
+    return tuple(OrderingStep(variant, check.ok, check.witness,
+                              e - entry.element if check.ok else None, check.residue)
+                 for variant, e, check in (*candidates, own))
+
+
+def _c4_candidates(alg, kin):
+    """(variant, element, CasimirCheck) of each printed quartic ordering, checked together."""
+    candidates = []
+    for weyl, signs in _PRINTED.items():
+        base, cross = _c4_pieces(alg, kin, weyl)
+        checks = _casimir_checks((base, cross), [(1, s) for s in signs.values()])
+        candidates += [(v, base + cross * s, check)
+                       for (v, s), check in zip(signs.items(), checks)]
+    return candidates
+
+
+def _ordering_studies(names):
+    """{name: ordering_study(name)} for each name, each distinct C4 study built once.
+
+    Tables whose _Kinematical rows differ only in spectators share one C4
+    study (see the module docstring for why it is exact): it is built on the
+    first such table named and carried into the others by renaming each
+    step's residue and shift.  The studies live only as long as this call.
+    """
+    c4 = {}  # {spectator-free row: (table the study was built on, its C4 steps)}
     out = {}
-    for entry in entries:
-        candidates = []
-        if entry.label.startswith("C4"):
-            for weyl, signs in _PRINTED.items():
-                base, cross = _c4_pieces(alg, kin, weyl)
-                checks = _casimir_checks((base, cross), [(1, s) for s in signs.values()])
-                candidates += [(v, base + cross * s, check)
-                               for (v, s), check in zip(signs.items(), checks)]
-        candidates.append((entry.ordering, entry.element, is_casimir(entry.element)))
-        out[entry.label] = tuple(
-            OrderingStep(variant, check.ok, check.witness,
-                         e - entry.element if check.ok else None, check.residue)
-            for variant, e, check in candidates)
+    for name in names:
+        entries = casimir_catalog(name)
+        alg, kin = catalog(name), _TABLES[name]
+        study = out[name] = {}
+        for entry in entries:
+            if not entry.label.startswith("C4"):
+                study[entry.label] = _steps(entry, ())
+                continue
+            key = _spectator_free(kin)
+            if key not in c4:
+                c4[key] = alg, _steps(entry, _c4_candidates(alg, kin))
+            home, steps = c4[key]
+            study[entry.label] = steps if home is alg else tuple(
+                step._replace(shift=None if step.shift is None else rename_element(step.shift, alg),
+                              residue=rename_element(step.residue, alg))
+                for step in steps)
     return out

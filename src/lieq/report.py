@@ -13,7 +13,7 @@ import time
 from collections import namedtuple
 from functools import cached_property
 
-from lieq.casimirs import CASIMIR_GROUPS, casimir_entries, ordering_study
+from lieq.casimirs import CASIMIR_GROUPS, _ordering_studies, casimir_entries
 from lieq.catalog import CATALOG_NAMES, catalog, shifted_energy_basis
 from lieq.contraction import (
     STD_FULL_MAP,
@@ -92,8 +92,13 @@ class _Builder:
 
     @cached_property
     def studies(self):
-        """One ordering study per Casimir group; steps[-1] is each entry's verdict."""
-        return {name: ordering_study(name) for name in CASIMIR_GROUPS}
+        """One ordering study per Casimir group; steps[-1] is each entry's verdict.
+
+        A table that only adds spectators (central generators no bracket
+        reaches, listed last) to another shares that table's C4 study, built
+        once for this report; see lieq.casimirs.
+        """
+        return _ordering_studies(CASIMIR_GROUPS)
 
     @cached_property
     def casimir_limits(self):

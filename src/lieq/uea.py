@@ -212,17 +212,35 @@ def _normalize(alg, raw):
             for key, (_, coeff) in sorted(pending.items()) if coeff}
 
 
+def _arrangements(letters):
+    """The distinct arrangements of a sorted letter tuple, each once.
+
+    Without repeated letters these are its permutations.  With them, each
+    letter is inserted at every place of every distinct arrangement of the
+    letters before it, so the work follows the count of distinct
+    arrangements, n!/(m1!...mk!), not n!.
+    """
+    if len(set(letters)) == len(letters):
+        return list(itertools.permutations(letters))
+    rows = {()}
+    for letter in letters:
+        rows = {arr[:p] + (letter,) + arr[p:] for arr in rows for p in range(len(arr) + 1)}
+    return rows
+
+
 def _from_words(alg, named_terms, weyl=False):
     """Sum (name word, Scalar) pairs over alg's basis, then straighten the sum in
     one pass; when weyl, each summed word is first replaced by the average of its
-    distinct arrangements (Weyl ordering)."""
+    distinct arrangements (Weyl ordering).  That average depends only on the
+    word's letters, so words are summed by their sorted letters first."""
     raw = {}
     for names, coeff in named_terms:
-        _add_into(raw.setdefault(tuple(alg._gen_index(n) for n in names), {}), coeff._terms)
+        word = tuple(alg._gen_index(n) for n in names)
+        _add_into(raw.setdefault(tuple(sorted(word)) if weyl else word, {}), coeff._terms)
     if weyl:
         arranged = {}
-        for word, coeff in raw.items():
-            arrangements = set(itertools.permutations(word))
+        for letters, coeff in raw.items():
+            arrangements = _arrangements(letters)
             weight = {}
             _mac(weight, coeff, Scalar.rational(1, len(arrangements))._terms)
             for arr in arrangements:

@@ -21,6 +21,7 @@ from lieq.casimirs import (
     C4_VARIANTS,
     CASIMIR_GROUPS,
     OrderingStep,
+    _ordering_studies,
     casimir_catalog,
     casimir_variant,
     ordering_study,
@@ -277,9 +278,7 @@ def ref_ordering_study(name):
     return out
 
 
-@pytest.mark.parametrize("name", CASIMIR_GROUPS)
-def test_ordering_study_matches_the_step_by_step_reference(name):
-    got, want = ordering_study(name), ref_ordering_study(name)
+def assert_same_study(got, want):
     assert list(got) == list(want)
     for label, steps in got.items():
         assert len(steps) == len(want[label])
@@ -289,6 +288,56 @@ def test_ordering_study_matches_the_step_by_step_reference(name):
             if ref.shift is not None:
                 assert_same_element(step.shift, ref.shift)
             assert_same_element(step.residue, ref.residue)
+
+
+@pytest.mark.parametrize("name", CASIMIR_GROUPS)
+def test_ordering_study_matches_the_step_by_step_reference(name):
+    assert_same_study(ordering_study(name), ref_ordering_study(name))
+
+
+# -- one C4 study per table up to spectators ---------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def shared_studies():
+    return _ordering_studies(CASIMIR_GROUPS)
+
+
+@pytest.mark.parametrize("name", CASIMIR_GROUPS)
+def test_shared_studies_match_the_step_by_step_reference(name, shared_studies):
+    # Three of these studies are carried from another table, not built here.
+    assert_same_study(shared_studies[name], ref_ordering_study(name))
+
+
+def test_tables_that_share_a_study_differ_only_by_trailing_spectators():
+    by_key = {}
+    for name in C4_GROUPS:
+        by_key.setdefault(casimirs._spectator_free(_TABLES[name]), []).append(catalog(name))
+    shared = [algs for algs in by_key.values() if len(algs) > 1]
+    assert {tuple(alg.name for alg in algs) for algs in shared} == {
+        ("galilei_central", "full_nonrelativistic"),
+        ("poincare", "poincare_trivial_ext"),
+        ("poincare_trivial_ext_hbar", "full_relativistic")}
+    for small, large in shared:
+        assert large.generators[:small.dim] == small.generators
+        assert large._table == small._table
+
+
+def test_c4_pieces_are_built_once_per_key_and_call(monkeypatch):
+    calls = []
+    c4_pieces = casimirs._c4_pieces
+
+    def counting(alg, kin, weyl):
+        calls.append(alg.name)
+        return c4_pieces(alg, kin, weyl)
+
+    monkeypatch.setattr(casimirs, "_c4_pieces", counting)
+    _ordering_studies(CASIMIR_GROUPS)
+    assert len(calls) == 6
+    calls.clear()
+    report_paper()
+    report_paper()
+    assert len(calls) == 12
 
 
 @pytest.mark.parametrize("name", ("poincare", "galilei_central", "full_relativistic"))

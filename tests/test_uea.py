@@ -1,5 +1,6 @@
 """Enveloping-algebra elements: PBW normal form, commutators, Casimir checks."""
 
+import itertools
 import time
 from fractions import Fraction
 
@@ -197,6 +198,25 @@ def test_weyl_word():
     assert weyl_word(GC, ("KGx", "Px")) == expected
     assert weyl_word(GC, ("Px", "Px")) == UEAElement.word(GC, ("Px", "Px"))
     assert weyl_word(GC, ("M",), Scalar.from_int(3)) == Scalar.from_int(3) * gen(GC, "M")
+
+
+def test_weyl_word_expands_distinct_arrangements_only(monkeypatch):
+    # n!/(m1!...mk!) arrangements, never all n! permutations of a word with repeats
+    for letters in ((0, 0, 1, 2), (0, 0, 1, 1, 2), (0, 1, 2, 3), (1, 1, 1)):
+        got = uea._arrangements(letters)
+        assert sorted(got) == sorted(set(itertools.permutations(letters)))
+        assert len(got) == len(set(got))
+    assert weyl_word(POI, ("Px",) * 30) == gen(POI, "Px") ** 30
+    sizes = []
+    normalize = uea._normalize
+
+    def counting(alg, raw):
+        sizes.append(len(raw))
+        return normalize(alg, raw)
+
+    monkeypatch.setattr(uea, "_normalize", counting)
+    weyl_word(POI, ("Px",) * 11 + ("KPx",))
+    assert sizes == [12]
 
 
 def test_weyl_symmetrize():
