@@ -54,7 +54,9 @@ from lieq.uea import _casimir_checks, _from_words, is_casimir, rename_element
 CasimirEntry = namedtuple("CasimirEntry", ["label", "element", "ordering"])
 OrderingStep = namedtuple("OrderingStep", ["variant", "ok", "witness", "shift", "residue"])
 
-C4_VARIANTS = ("verbatim", "weyl", "weyl_mirrored", "factored")
+# The printed orderings by piece kind (Weyl ordered or not): {variant: sign of the cross piece}.
+_PRINTED = {False: {"verbatim": -1}, True: {"weyl": -1, "weyl_mirrored": 1}}
+C4_VARIANTS = tuple(v for signs in _PRINTED.values() for v in signs) + ("factored",)
 
 # group: its Casimir labels
 _SPECS = {
@@ -123,9 +125,6 @@ def _c4_monomials(kin):
              for a in pref for i in AXES for j in AXES for k in AXES if eps3(i, j, k)]
     return base, cross
 
-
-# The printed orderings by piece kind (Weyl ordered or not): {variant: sign of the cross piece}.
-_PRINTED = {False: {"verbatim": -1}, True: {"weyl": -1, "weyl_mirrored": 1}}
 
 
 def _c4_pieces(alg, kin, weyl):

@@ -214,22 +214,21 @@ def tables_equal(algebra_a, algebra_b, renaming):
 # -- elements ------------------------------------------------------------------
 
 def _rescaled_terms(element, exponents):
-    """{primed word: coeff * eps**(-sum of the word's exponents)}."""
-    return {
-        tuple(_primed(n) for n in word):
-            coeff.mul_power(LAURENT_SYMBOL, -sum(exponents[n] for n in word))
-        for word, coeff in element.terms()
-    }
+    """{index word: coeff * eps**(-sum of the word's exponents)}.  Primed
+    tables keep the basis order, so the normal words stay normal there."""
+    shifts = [exponents[g] for g in element.algebra.generators]
+    return {word: coeff.mul_power(LAURENT_SYMBOL, -sum(shifts[k] for k in word))
+            for word, coeff in element._terms.items()}
 
 
 def rescale_element(element, exponents):
     """Rewrite an enveloping-algebra element in the primed generators.
 
     Inverting G_a' = eps**k_a G_a gives G_a = eps**(-k_a) G_a', so each
-    word picks up eps**(-sum of its letters' exponents).
+    word picks up eps**(-sum of its letters' exponents); the words stay normal.
     """
     target = rescale_algebra(element.algebra, exponents)
-    return UEAElement.from_terms(target, _rescaled_terms(element, exponents))
+    return UEAElement(target, _rescaled_terms(element, exponents))
 
 
 def contract_casimir(element, exponents, power="auto"):
@@ -240,10 +239,11 @@ def contract_casimir(element, exponents, power="auto"):
     a power raises DivergentLimit; too large a one returns zero under a
     ZeroLimitWarning.  The result lives in contract(element.algebra,
     exponents), whose check of the source is the only validation per call.
+    Its words are the element's, still normal there, so it is not straightened.
     """
-    contracted = contract(element.algebra, exponents)
     if power != "auto" and (not isinstance(power, int) or isinstance(power, bool)):
         raise ContractionError("power must be an integer or 'auto', got %r" % (power,))
+    contracted = contract(element.algebra, exponents)
     rescaled = _rescaled_terms(element, exponents)
     if not rescaled:
         return UEAElement.zero(contracted), 0 if power == "auto" else power
@@ -263,5 +263,5 @@ def contract_casimir(element, exponents, power="auto"):
             stacklevel=2,
         )
         return UEAElement.zero(contracted), used
-    return UEAElement.from_terms(contracted, terms), used
+    return UEAElement(contracted, terms), used
 

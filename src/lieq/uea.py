@@ -20,10 +20,9 @@ of them costs O(len + s).  Each is the rewrite the word would get when
 popped, so no result changes, on any table, and contributions that would
 meet at a swapped word merge at the word it settles to.  Only held words
 with a descent are queued; the normal words held when the queue empties are
-the result.  A word's scan for its leftmost descent starts past the prefix
-known to be sorted: at the junction of a product row w1·w2, as w1 is
-normal; at the letter before the replaced one in a row of a Casimir check;
-and at the letter before the rewrite in a rewritten word.
+the result.  An input word is scanned for its leftmost descent from its
+first letter; a rewritten word from the letter before the rewrite, as the
+letters before it stay sorted, which keeps long branching words linear.
 PBW rewriting is confluent (Bergman, "The diamond lemma for ring theory",
 Adv. Math. 29, 1978), so merging cannot change a normal form.  As each word
 is rewritten at its leftmost descent, the normal form is a linear map on
@@ -60,6 +59,7 @@ are those of the full check.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from collections import namedtuple
 from fractions import Fraction
@@ -145,16 +145,14 @@ def _settle(key, pos, descents):
 
 
 def _normalize(alg, raw):
-    """Straighten {key: (start, raw map)} into PBW normal form {word: Scalar}.
+    """Straighten {key: raw map} into PBW normal form {word: Scalar}.
 
     A row's key is _key(word): words sort longest first, then descending
-    lexicographic.  Its start is a key position before which the key has no
-    descent (1 always qualifies), and the row's first scan begins there;
-    callers that know a sorted prefix pass its end.  As that is a property
-    of the word, rows that merge under one key may keep any of their starts.
-    Owns raw and its maps: callers pass fresh maps, never a live Scalar's
-    _terms.  A rewritten word's map moves to its swap uncopied, bracket
-    terms are _mac'd into their slots, and only output words become Scalars.
+    lexicographic.  Each row is settled from its first letter, and a
+    rewritten word from the letter before the rewrite.  Owns raw and its
+    maps: callers pass fresh maps, never a live Scalar's _terms.  A rewritten
+    word's map moves to its swap uncopied, bracket terms are _mac'd into
+    their slots, and only output words become Scalars.
     pending holds each live word once, settled, with its leftmost descent's
     position (0 if normal) and its summed map.  The heap holds the pending
     words with a descent and pops them in key order; normal words are never
@@ -165,9 +163,9 @@ def _normalize(alg, raw):
     budget = _term_cap()
     pending = {}  # {key: (leftmost descent position or 0, raw map)}
     heap = []
-    for key, (start, coeff) in raw.items():
+    for key, coeff in raw.items():
         if coeff:
-            key, pos = _settle(key, start, descents)
+            key, pos = _settle(key, 1, descents)
             entry = pending.get(key)
             if entry is None:
                 pending[key] = (pos, coeff)
@@ -232,21 +230,26 @@ def _from_words(alg, named_terms, weyl=False):
     """Sum (name word, Scalar) pairs over alg's basis, then straighten the sum in
     one pass; when weyl, each summed word is first replaced by the average of its
     distinct arrangements (Weyl ordering).  That average depends only on the
-    word's letters, so words are summed by their sorted letters first."""
+    word's letters, so words are summed by their sorted letters first; no two
+    share an arrangement, so LIEQ_TERM_CAP bounds their count before any is built."""
     raw = {}
     for names, coeff in named_terms:
         word = tuple(alg._gen_index(n) for n in names)
         _add_into(raw.setdefault(tuple(sorted(word)) if weyl else word, {}), coeff._terms)
     if weyl:
-        arranged = {}
+        budget, live, arranged = _term_cap(), 0, {}
         for letters, coeff in raw.items():
-            arrangements = _arrangements(letters)
+            count = math.factorial(len(letters)) // math.prod(
+                math.factorial(len(tuple(run))) for _, run in itertools.groupby(letters))
+            live += count
+            if live > budget:
+                raise TermBudgetExceeded(budget, live, tuple(alg.generators[k] for k in letters))
             weight = {}
-            _mac(weight, coeff, Scalar.rational(1, len(arrangements))._terms)
-            for arr in arrangements:
+            _mac(weight, coeff, Scalar.rational(1, count)._terms)
+            for arr in _arrangements(letters):
                 _add_into(arranged.setdefault(arr, {}), weight)
         raw = arranged
-    return UEAElement(alg, _normalize(alg, {_key(w): (1, c) for w, c in raw.items()}))
+    return UEAElement(alg, _normalize(alg, {_key(w): c for w, c in raw.items()}))
 
 
 def _coerce_scalar(value):
@@ -350,17 +353,16 @@ class UEAElement:
         if not isinstance(other, UEAElement):
             return NotImplemented
         self._check_same(other)
-        # w1 is normal, so a row w1·w2 has no descent before the junction
         lefts = []
         for w1, c1 in self._terms.items():
             k1 = _key(w1)
-            lefts.append((k1[0], k1[1:], len(w1) or 1, c1._terms))
+            lefts.append((k1[0], k1[1:], c1._terms))
         raw = {}
         for w2, c2 in other._terms.items():
             k2 = _key(w2)
             head, tail, c2 = k2[0], k2[1:], c2._terms
-            for n1, letters, start, c1 in lefts:
-                _mac(raw.setdefault((n1 + head,) + letters + tail, (start, {}))[1], c1, c2)
+            for n1, letters, c1 in lefts:
+                _mac(raw.setdefault((n1 + head,) + letters + tail, {}), c1, c2)
         return UEAElement(self.algebra, _normalize(self.algebra, raw))
 
     def __rmul__(self, other):
@@ -469,15 +471,13 @@ def _casimir_checks(pieces, combos):
         for terms in keyed:
             raw = {}
             for key, coeff in terms:
-                # key is normal, so the row with key[k] replaced has no descent before k - 1
                 for k in range(1, len(key)):
                     bracket = brackets.get(key[k])
                     if bracket is None:
                         bracket = brackets[key[k]] = tuple(
                             (-d, c._terms) for d, c in alg.bracket_index(-key[k], g).items())
                     for nd, c in bracket:
-                        _mac(raw.setdefault(key[:k] + (nd,) + key[k + 1:], (k - 1 or 1, {}))[1],
-                             c, coeff)
+                        _mac(raw.setdefault(key[:k] + (nd,) + key[k + 1:], {}), c, coeff)
             residues.append(UEAElement(alg, _normalize(alg, raw)))
         if not any(residues):
             continue
@@ -536,7 +536,7 @@ def substitute(e, mapping, formal=False):
                     _mac(grown.setdefault(w1 + w2, {}), c1, c2._terms)
             rows = grown
         for w, c in rows.items():
-            _add_into(raw.setdefault(_key(w), (1, {}))[1], c)
+            _add_into(raw.setdefault(_key(w), {}), c)
     return UEAElement(alg, _normalize(alg, raw))
 
 

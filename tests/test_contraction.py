@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from lieq import contraction, uea
 from lieq.algebra import LieAlgebra
-from lieq.casimirs import casimir_entries
+from lieq.casimirs import CASIMIR_GROUPS, casimir_entries
 from lieq.catalog import catalog
 from lieq.contraction import (
     STD_FULL_MAP,
@@ -219,6 +220,57 @@ def test_contract_casimir_of_zero_keeps_the_power():
 def test_contract_casimir_rejects_a_non_int_power(element, power):
     with pytest.raises(ContractionError, match="power must be an integer"):
         contract_casimir(element, STD_PE_MAP, power)
+
+
+def test_a_non_int_power_is_rejected_before_any_contraction(monkeypatch):
+    monkeypatch.setattr(contraction, "contract", lambda *a: pytest.fail("contracted"))
+    with pytest.raises(ContractionError, match="power must be an integer"):
+        contract_casimir(UEAElement.gen(PEB, "M"), STD_PE_MAP, 1.5)
+
+
+def std_cases():
+    """(group, map) for each Casimir group that a standard map covers."""
+    maps = (STD_PE_MAP, STD_FULL_MAP)
+    return [(name, m) for name in CASIMIR_GROUPS for m in maps
+            if set(catalog(name).generators) == set(m)]
+
+
+def from_primed_names(target, element, exponents, power=None):
+    """The element rescaled (and, given a power, contracted) by name, then straightened."""
+    terms = {}
+    for names, coeff in element.terms():
+        coeff = coeff.mul_power("eps", -sum(exponents[n] for n in names))
+        if power is not None:
+            coeff = coeff.mul_power("eps", power).limit0("eps")
+        if not coeff.is_zero():
+            terms[tuple(n + "p" for n in names)] = coeff
+    return UEAElement.from_terms(target, terms)
+
+
+def test_rescaled_and_contracted_casimirs_match_the_straightened_names():
+    cases = std_cases()
+    assert [name for name, _ in cases] == ["poincare_trivial_ext_hbar", "full_relativistic"]
+    for name, exponents in cases:
+        rescaled = rescale_algebra(catalog(name), exponents)
+        contracted = contract(catalog(name), exponents)
+        for label, element in casimir_entries(name).items():
+            got = rescale_element(element, exponents)
+            want = from_primed_names(rescaled, element, exponents)
+            assert got == want and str(got) == str(want), (name, label)
+            got, power = contract_casimir(element, exponents)
+            want = from_primed_names(contracted, element, exponents, power)
+            assert got == want and str(got) == str(want), (name, label)
+
+
+def test_rescaling_and_contracting_elements_never_straighten(monkeypatch):
+    elements = [(e, m) for name, m in std_cases() for e in casimir_entries(name).values()]
+    calls = []
+    normalize = uea._normalize
+    monkeypatch.setattr(uea, "_normalize", lambda *a: calls.append(1) or normalize(*a))
+    for element, exponents in elements:
+        rescale_element(element, exponents)
+        contract_casimir(element, exponents)
+    assert calls == []
 
 
 def test_full_group_contraction():

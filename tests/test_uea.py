@@ -1,5 +1,6 @@
 """Enveloping-algebra elements: PBW normal form, commutators, Casimir checks."""
 
+import gc
 import itertools
 import time
 from fractions import Fraction
@@ -219,6 +220,29 @@ def test_weyl_word_expands_distinct_arrangements_only(monkeypatch):
     assert sizes == [12]
 
 
+def test_weyl_budget_counts_arrangements_before_building_them(monkeypatch):
+    # eight distinct letters have 8! arrangements; the cap trips on that count
+    monkeypatch.setenv("LIEQ_TERM_CAP", "1000")
+    monkeypatch.setattr(uea, "_arrangements", lambda letters: pytest.fail("enumerated"))
+    letters = POI.generators[:8]
+    start = time.perf_counter()
+    with pytest.raises(TermBudgetExceeded) as info:
+        weyl_word(POI, letters)
+    assert time.perf_counter() - start < 0.05
+    assert (info.value.budget, info.value.live) == (1000, 40320)
+    assert sorted(info.value.word) == sorted(letters)
+
+
+def test_weyl_budget_stops_twelve_distinct_letters_under_the_default_cap():
+    fr = catalog("full_relativistic")
+    assert len(fr.generators) == 12
+    start = time.perf_counter()
+    with pytest.raises(TermBudgetExceeded) as info:
+        weyl_word(fr, fr.generators)
+    assert time.perf_counter() - start < 1
+    assert (info.value.budget, info.value.live) == (uea.DEFAULT_TERM_CAP, 479001600)
+
+
 def test_weyl_symmetrize():
     # element-level map: symmetrize each normal word of the element
     assert weyl_symmetrize(gen(GC, "KGx")) == gen(GC, "KGx")
@@ -399,16 +423,22 @@ def test_casimir_check_of_a_long_word_grows_quadratically():
     # [Px^n, Jy] has n rows Px^k·Pz·Px^(n-k-1), and Pz commutes past the
     # Px to its right.  With the swaps of a row made in one list the check
     # grows as n^2 (x4 per doubling); rebuilding the row per swap made it
-    # n^3, and this ratio read 7 to 11.
+    # n^3, and this ratio read 7 to 11.  Collection runs before each timed
+    # call and is off during it, so garbage from earlier tests adds no pause.
     best = {}
     for n in (600, 1200):
         e = parse_element(POI, "Px^%d" % n)
         want = parse_element(POI, "%d*i*Px^%d*Pz" % (n, n - 1))
         times = []
         for _ in range(3):
-            start = time.perf_counter()
-            check = is_casimir(e)
-            times.append(time.perf_counter() - start)
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                check = is_casimir(e)
+                times.append(time.perf_counter() - start)
+            finally:
+                gc.enable()
             assert (check.ok, check.witness, check.residue) == (False, "Jy", want)
         best[n] = min(times)
     assert best[1200] / best[600] < 6, best
