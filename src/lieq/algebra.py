@@ -9,13 +9,22 @@ lookup is one dictionary read.  Generator order is significant — it doubles
 as the PBW basis order in lieq.uea — and nonzero_brackets lists the table in
 it: by pair, then by result generator.
 
+One private core (_build) stores every table from upper-triangle index rows
+{(ia, ib): {d: nonzero Scalar}}, ia < ib.  The constructor indexes its
+name-keyed table once; change_basis, and contract and rescale_algebra in
+lieq.contraction, hand the core index rows directly (_from_rows), so no
+derived table is spelled out in names and indexed again.
+
 All values are immutable; operations return new algebras.  bracket, validate
 and change_basis accumulate raw maps (lieq.scalars); validate and change_basis
-walk only stored entries and nonzero matrix entries, never every index tuple.
-One fact is cached on an instance: that a validate() call found no Jacobi
-violation, which cannot go stale; it lets is_casimir skip generators (_casimir_plan).
-That plan and lieq.uea's rewrite table (_descent_table) are derived once per
-instance too, since the table never changes after construction.
+walk only stored entries and nonzero matrix entries, never every index tuple,
+and _invert reduces sparse rows of [A | I].  Two facts are cached on an
+instance, each set by a validate() call and never stale, since the table never
+changes after construction: _lie, that the call found no Jacobi violation,
+which lets is_casimir skip generators (_casimir_plan); and _valid, that its
+report was ok, which lets lieq.contraction skip validating a source again.
+validate() itself always recomputes.  The plan and lieq.uea's rewrite table
+(_descent_table) are derived once per instance too.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from lieq.scalars import DEFAULT_SYMBOLS, Scalar, _add_into, _freeze, _mac, _uni
 Generator = namedtuple("Generator", ["name", "index"])
 
 _EMPTY = MappingProxyType({})
+_ZERO = Scalar.zero()
 
 
 class AlgebraError(ValueError):
@@ -56,11 +66,26 @@ class InvalidCocycle(AlgebraError):
 
 
 class LieAlgebra:
-    __slots__ = ("name", "generators", "symbols", "_index", "_table", "_lie", "_plan",
-                 "_descents")
+    __slots__ = ("name", "generators", "symbols", "_index", "_table", "_lie", "_valid",
+                 "_plan", "_descents")
 
     def __init__(self, name, generators, brackets, symbols=DEFAULT_SYMBOLS):
         """brackets: {(name_a, name_b): {name_d: Scalar}}; pairs in any order."""
+        self._build(name, generators, symbols, brackets, named=True)
+
+    @classmethod
+    def _from_rows(cls, name, generators, upper, symbols):
+        """The algebra of index rows {(ia, ib): {d: nonzero Scalar}}, ia < ib."""
+        alg = cls.__new__(cls)
+        alg._build(name, generators, symbols, upper)
+        return alg
+
+    def _build(self, name, generators, symbols, rows, named=False):
+        """The one constructor core: check the names, store both triangles, reset the facts.
+
+        rows are index rows as in _from_rows, where an empty row is a vanishing
+        bracket, or, when named, a constructor table indexed after the checks.
+        """
         self.name = name
         self.generators = tuple(generators)
         self.symbols = tuple(symbols)
@@ -70,6 +95,22 @@ class LieAlgebra:
             if g in self.symbols or g == "i":
                 raise AlgebraError("generator name %r collides with a scalar symbol" % g)
         self._index = {g: k for k, g in enumerate(self.generators)}
+        upper = self._index_rows(rows) if named else rows
+        # {(ia, ib): read-only {d: c}} for both triangles, upper pairs in basis order
+        self._table = {}
+        for (ia, ib) in sorted(upper):
+            entry = upper[(ia, ib)]
+            if entry:
+                entry = dict(sorted(entry.items()))
+                self._table[(ia, ib)] = MappingProxyType(entry)
+                self._table[(ib, ia)] = MappingProxyType({d: -c for d, c in entry.items()})
+        self._lie = False  # set by a validate() that finds no Jacobi violation
+        self._valid = False  # set by a validate() whose report is ok
+        self._plan = None  # cached _casimir_plan() of a Lie table
+        self._descents = None  # cached _descent_table()
+
+    def _index_rows(self, brackets):
+        """Upper-triangle index rows of a name-keyed constructor table."""
         upper = {}
         for (a, b), combo in brackets.items():
             ia, ib = self._gen_index(a), self._gen_index(b)
@@ -90,15 +131,7 @@ class LieAlgebra:
                 raise AlgebraError("bracket (%s,%s) given twice" % (a, b))
             if entry:
                 upper[(ia, ib)] = entry
-        # {(ia, ib): read-only {d: c}} for both triangles, upper pairs in basis order
-        self._table = {}
-        for (ia, ib) in sorted(upper):
-            entry = dict(sorted(upper[(ia, ib)].items()))
-            self._table[(ia, ib)] = MappingProxyType(entry)
-            self._table[(ib, ia)] = MappingProxyType({d: -coeff for d, coeff in entry.items()})
-        self._lie = False  # set by a validate() that finds no Jacobi violation
-        self._plan = None  # cached _casimir_plan() of a Lie table
-        self._descents = None  # cached _descent_table()
+        return upper
 
     # -- lookups --------------------------------------------------------------
 
@@ -214,9 +247,11 @@ class LieAlgebra:
             if not jacobi or jacobi[-1][0] != triple:
                 jacobi.append((triple, {}))
             jacobi[-1][1][gens[d]] = r
+        report = ValidationReport(jacobi=jacobi, issues=issues)
         if not jacobi:
             self._lie = True
-        return ValidationReport(jacobi=jacobi, issues=issues)
+            self._valid = report.ok
+        return report
 
     def _casimir_plan(self):
         """Indices of the generators is_casimir straightens [e, G] against, in basis order.
@@ -340,27 +375,27 @@ class LieAlgebra:
         if len(new_names) != n:
             raise AlgebraError("need %d new names" % n)
         inv = _invert(matrix)
-        cols = [[(a, matrix[a][c]) for a in range(n) if matrix[a][c]] for c in range(n)]
+        cols = [[(a, matrix[a][c]._terms) for a in range(n) if matrix[a][c]] for c in range(n)]
         inv_rows = [[(f, w._terms) for f, w in enumerate(row) if w] for row in inv]
         old = {}  # {(a, b): {e: raw}}: [new_a, new_b] in the old basis, a < b
         for (c, d), entry in self._table.items():
             for a, ac in cols[c]:
                 for b, bd in cols[d]:
                     if a < b:
-                        w = (ac * bd)._terms
+                        w = {}  # raw A[a][c] * A[b][d]
+                        _mac(w, ac, bd)
                         acc = old.setdefault((a, b), {})
                         for e, coeff in entry.items():
                             _mac(acc.setdefault(e, {}), w, coeff._terms)
-        table = {}
-        for (a, b), combo in old.items():
+        upper = {}
+        for pair, combo in old.items():
             entry = {}
             for e, coeff in combo.items():
                 for f, w in inv_rows[e]:
                     _mac(entry.setdefault(f, {}), coeff, w)
-            # a pair whose entry cancelled is a vanishing bracket, as in the constructor
-            table[(new_names[a], new_names[b])] = {
-                new_names[f]: coeff for f, coeff in _freeze(entry).items()}
-        return LieAlgebra(name or self.name + "_basis", new_names, table, self.symbols)
+            upper[pair] = _freeze(entry)  # empty when the bracket cancelled
+        return LieAlgebra._from_rows(name or self.name + "_basis", new_names, upper,
+                                     self.symbols)
 
     # -- equality ---------------------------------------------------------------
 
@@ -382,28 +417,34 @@ class LieAlgebra:
 
 
 def _invert(matrix):
-    """Gauss-Jordan inverse over the scalar ring; pivots must be units."""
+    """Gauss-Jordan inverse over the scalar ring; pivots must be units.
+
+    The sparse rows {col: Scalar} of [A | I], column n + c holding I's column
+    c, are reduced to [I | A^-1]: the pivot of column k is the first unit at
+    or below row k, and a row operation visits only the pivot row's entries.
+    """
     n = len(matrix)
-    a = [row[:] for row in matrix]
-    inv = [[Scalar.one() if r == c else Scalar.zero() for c in range(n)] for r in range(n)]
+    rows = [{c: x for c, x in enumerate(row) if x} for row in matrix]
+    for r, row in enumerate(rows):
+        row[n + r] = Scalar.one()
     for col in range(n):
-        pivot_row = None
-        pivot_inv = None
         for r in range(col, n):
-            pivot_inv = _unit_inverse(a[r][col])
+            pivot_inv = _unit_inverse(rows[r].get(col, _ZERO))
             if pivot_inv is not None:
-                pivot_row = r
                 break
-        if pivot_row is None:
+        else:
             raise AlgebraError("basis matrix is singular (no unit pivot in column %d)" % col)
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        a[col] = [x * pivot_inv if x else x for x in a[col]]
-        inv[col] = [x * pivot_inv if x else x for x in inv[col]]
-        for r in range(n):
-            if r == col or a[r][col].is_zero():
+        rows[col], rows[r] = rows[r], rows[col]
+        if not pivot_inv.is_one():
+            rows[col] = {c: x * pivot_inv for c, x in rows[col].items()}
+        pivot = rows[col]
+        for r, row in enumerate(rows):
+            factor = row.get(col)
+            if factor is None or r == col:
                 continue
-            factor = a[r][col]
-            a[r] = [x - factor * y if y else x for x, y in zip(a[r], a[col])]
-            inv[r] = [x - factor * y if y else x for x, y in zip(inv[r], inv[col])]
-    return inv
+            for c, y in pivot.items():
+                x = row.pop(c, None)
+                x = -(factor * y) if x is None else x - factor * y
+                if x:
+                    row[c] = x
+    return [[row.get(n + c, _ZERO) for c in range(n)] for row in rows]

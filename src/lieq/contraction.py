@@ -7,12 +7,15 @@ the rescaled table.  Casimir elements travel the same road: rewrite them
 in the primed generators (picking up inverse powers of eps), multiply by
 a compensating overall power, and take the limit term by term.
 
-Each rescaling or contraction validates exactly one table: the source.  The
-rescaled table has Jacobi residues eps**(k_a + k_b + k_c - k_d) times those
-of the source, so it is valid exactly when the source is; a finite limit of
-a valid table is valid by construction and is not checked again.  Checking
-the limit alone would miss faults that the limit hides, such as a wrong
-sign on a bracket whose every term vanishes as eps -> 0.
+Each rescaling or contraction checks exactly one table, the source, and
+validates it once unless a validate() call has already found it ok (every
+catalog() table; LieAlgebra caches that fact).  The rescaled table has
+Jacobi residues eps**(k_a + k_b + k_c - k_d) times those of the source, so
+it is valid exactly when the source is; a finite limit of a valid table is
+valid by construction and is not checked again.  Checking the limit alone
+would miss faults that the limit hides, such as a wrong sign on a bracket
+whose every term vanishes as eps -> 0.  The derived tables are built from
+the source's index rows, never through generator names.
 
 This module is the engine and the standard maps (STD_*) only; the paper's
 limit claims built on it live in lieq.limits.
@@ -125,6 +128,10 @@ def _primed(name):
 
 
 def _assert_valid(algebra):
+    """ContractionError unless algebra is a Lie table; validated once, unless a
+    validate() call has already found it ok (every catalog() table)."""
+    if algebra._valid:
+        return
     report = algebra.validate()
     if not report.ok:
         raise ContractionError(
@@ -133,49 +140,53 @@ def _assert_valid(algebra):
         )
 
 
-def _rescaled_constants(algebra, exponents):
-    """(a, b, d, eps**(k_a + k_b - k_d) * c_ab^d) per nonzero constant, a before b."""
-    for (a, b), combo in algebra.nonzero_brackets():
-        for d, coeff in combo.items():
-            shift = exponents[a] + exponents[b] - exponents[d]
-            yield a, b, d, coeff.mul_power(LAURENT_SYMBOL, shift)
+def _rescaled_rows(algebra, exponents):
+    """((ia, ib), d, eps**(k_a + k_b - k_d) * c_ab^d) per nonzero constant, ia < ib,
+    in listing order."""
+    shifts = [exponents[g] for g in algebra.generators]
+    for (ia, ib), entry in algebra._table.items():
+        if ia < ib:
+            for d, coeff in entry.items():
+                yield (ia, ib), d, coeff.mul_power(LAURENT_SYMBOL,
+                                                   shifts[ia] + shifts[ib] - shifts[d])
 
 
-def _primed_algebra(algebra, brackets, suffix):
+def _primed_algebra(algebra, upper, suffix):
     symbols = tuple(algebra.symbols)
     if LAURENT_SYMBOL not in symbols:
         symbols = symbols + (LAURENT_SYMBOL,)
-    return LieAlgebra(algebra.name + suffix, tuple(_primed(g) for g in algebra.generators),
-                      brackets, symbols)
+    return LieAlgebra._from_rows(algebra.name + suffix,
+                                 tuple(_primed(g) for g in algebra.generators), upper, symbols)
 
 
 def rescale_algebra(algebra, exponents):
     """Rescaled algebra on primed generators; constants gain eps powers."""
     _check_map(algebra, exponents)
-    brackets = {}
-    for a, b, d, scaled in _rescaled_constants(algebra, exponents):
-        brackets.setdefault((_primed(a), _primed(b)), {})[_primed(d)] = scaled
+    upper = {}
+    for pair, d, scaled in _rescaled_rows(algebra, exponents):
+        upper.setdefault(pair, {})[d] = scaled
     _assert_valid(algebra)
-    return _primed_algebra(algebra, brackets, "_rescaled")
+    return _primed_algebra(algebra, upper, "_rescaled")
 
 
 def contract(algebra, exponents):
     """eps -> 0 limit of the rescaled algebra (DivergentContraction on poles)."""
     _check_map(algebra, exponents)
-    brackets = {}
+    gens = algebra.generators
+    upper = {}
     offenders = []
-    for a, b, d, scaled in _rescaled_constants(algebra, exponents):
+    for (ia, ib), d, scaled in _rescaled_rows(algebra, exponents):
         low = scaled.min_degree(LAURENT_SYMBOL)
         if low < 0:
-            offenders.append(((a, b, d), -low))
+            offenders.append(((gens[ia], gens[ib], gens[d]), -low))
             continue
         kept = scaled.limit0(LAURENT_SYMBOL)
         if not kept.is_zero():
-            brackets.setdefault((_primed(a), _primed(b)), {})[_primed(d)] = kept
+            upper.setdefault((ia, ib), {})[d] = kept
     if offenders:
         raise DivergentContraction(offenders)
     _assert_valid(algebra)
-    return _primed_algebra(algebra, brackets, "_contracted")
+    return _primed_algebra(algebra, upper, "_contracted")
 
 
 # -- table comparison ----------------------------------------------------------
@@ -238,7 +249,8 @@ def contract_casimir(element, exponents, power="auto"):
     smallest power giving a finite nonzero limit, however large.  Too small
     a power raises DivergentLimit; too large a one returns zero under a
     ZeroLimitWarning.  The result lives in contract(element.algebra,
-    exponents), whose check of the source is the only validation per call.
+    exponents), whose check of the source is the only validation: once per
+    call, or none when a validate() call has already found the source ok.
     Its words are the element's, still normal there, so it is not straightened.
     """
     if power != "auto" and (not isinstance(power, int) or isinstance(power, bool)):

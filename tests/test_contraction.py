@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from lieq import contraction, uea
+from lieq import algebra, contraction, uea
 from lieq.algebra import LieAlgebra
 from lieq.casimirs import CASIMIR_GROUPS, casimir_entries
 from lieq.catalog import catalog
@@ -226,6 +226,87 @@ def test_a_non_int_power_is_rejected_before_any_contraction(monkeypatch):
     monkeypatch.setattr(contraction, "contract", lambda *a: pytest.fail("contracted"))
     with pytest.raises(ContractionError, match="power must be an integer"):
         contract_casimir(UEAElement.gen(PEB, "M"), STD_PE_MAP, 1.5)
+
+
+# -- the validity fact: a source found valid is not validated again ------------
+
+CONTRACTIONS = {
+    "rescale_algebra": lambda alg: rescale_algebra(alg, STD_PE_MAP),
+    "contract": lambda alg: contract(alg, STD_PE_MAP),
+    "contract_casimir": lambda alg: contract_casimir(UEAElement.gen(alg, "M"), STD_PE_MAP),
+}
+
+
+def validated_names(monkeypatch):
+    """The list that every later validate() call appends its table's name to."""
+    names = []
+    real_validate = LieAlgebra.validate
+
+    def counting_validate(self):
+        names.append(self.name)
+        return real_validate(self)
+
+    monkeypatch.setattr(LieAlgebra, "validate", counting_validate)
+    return names
+
+
+def named_copy(alg):
+    return LieAlgebra(alg.name, alg.generators, dict(alg.nonzero_brackets()), alg.symbols)
+
+
+@pytest.mark.parametrize("run", CONTRACTIONS.values(), ids=CONTRACTIONS)
+def test_a_source_is_validated_once_unless_found_valid(run, monkeypatch):
+    names = validated_names(monkeypatch)
+    run(PEB)  # catalog() validated it when it built it
+    assert names == []
+    for _ in range(3):
+        run(named_copy(PEB))  # no validate() has passed the copy
+        assert names == [PEB.name]
+        del names[:]
+    source = named_copy(PEB)
+    run(source)
+    run(source)  # the first call found it valid
+    assert names == [PEB.name]
+
+
+@pytest.mark.parametrize("run", CONTRACTIONS.values(), ids=CONTRACTIONS)
+@pytest.mark.parametrize("flip", [("KPx", "KPy", "Jz"), ("KPx", "Px", "Hb")])
+def test_a_broken_source_is_checked_on_every_call(run, flip, monkeypatch):
+    broken = PEB.flip_sign(*flip)
+    names = validated_names(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(ContractionError, match="is not a Lie algebra"):
+            run(broken)
+    assert names == [broken.name] * 2
+
+
+def test_an_undeclared_symbol_is_not_marked_valid(monkeypatch):
+    alg = LieAlgebra("q_table", ("A", "B"), {("A", "B"): {"B": Scalar.symbol("q")}})
+    report = alg.validate()
+    assert not report.jacobi and report.issues  # Jacobi holds, the report is not ok
+    names = validated_names(monkeypatch)
+    exponents = {"A": 0, "B": 1}
+    for run in (lambda: rescale_algebra(alg, exponents), lambda: contract(alg, exponents),
+                lambda: contract_casimir(UEAElement.gen(alg, "A"), exponents)):
+        with pytest.raises(ContractionError, match=r"\(0 Jacobi failures, 1 issues\)"):
+            run()
+    assert names == ["q_table"] * 3
+
+
+def test_validate_recomputes_on_every_call(monkeypatch):
+    products = []
+    real_mac = algebra._mac
+
+    def counting_mac(acc, t1, t2):
+        products.append(1)
+        real_mac(acc, t1, t2)
+
+    monkeypatch.setattr(algebra, "_mac", counting_mac)
+    first = POI.validate()
+    once = len(products)
+    second = POI.validate()
+    assert once > 0 and len(products) == 2 * once
+    assert first.ok and second.ok and first is not second
 
 
 def std_cases():

@@ -1,12 +1,13 @@
 """Sparse table sums against the dense loops they replaced.
 
 `validate` builds each Jacobi residue from products of two stored entries,
-and `change_basis` sums only over stored entries and nonzero matrix entries.
-The references below are the dense loops: every sorted triple and its three
-cyclic orders through `bracket_index`, and every (c, d) index pair of the
-basis change.  The arithmetic is exact, so reports and tables must agree
-exactly, violations in the same order, on catalog tables and on tables that
-break Jacobi alike.
+`change_basis` sums only over stored entries and nonzero matrix entries, and
+`_invert` reduces sparse rows.  The references below are the dense loops:
+every sorted triple and its three cyclic orders through `bracket_index`,
+every (c, d) index pair of the basis change, and a dense Gauss-Jordan over
+every entry.  The arithmetic is exact, so reports, tables and inverses must
+agree exactly, violations in the same order and errors at the same column,
+on catalog tables and on tables that break Jacobi alike.
 """
 
 import itertools
@@ -16,9 +17,10 @@ from fractions import Fraction
 import pytest
 
 from lieq import algebra
-from lieq.algebra import LieAlgebra, ValidationReport, _invert
-from lieq.catalog import CATALOG_NAMES, catalog
-from lieq.scalars import Scalar, _freeze, _mac
+from lieq.algebra import AlgebraError, LieAlgebra, ValidationReport, _invert
+from lieq.catalog import CATALOG_NAMES, algebra_to_json, catalog
+from lieq.contraction import DivergentContraction, contract, rescale_algebra
+from lieq.scalars import DEFAULT_SYMBOLS, Scalar, ScalarError, _freeze, _mac, _unit_inverse
 
 I = Scalar.i()
 ONE = Scalar.one()
@@ -56,10 +58,40 @@ def ref_validate(alg):
     return ValidationReport(jacobi=jacobi, issues=issues)
 
 
+def ref_invert(matrix):
+    """Dense Gauss-Jordan over every entry; the pivot of column k is the first
+    unit at or below row k, and a row operation runs across the whole row."""
+    n = len(matrix)
+    a = [row[:] for row in matrix]
+    inv = [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]
+    for col in range(n):
+        pivot_row = None
+        pivot_inv = None
+        for r in range(col, n):
+            pivot_inv = _unit_inverse(a[r][col])
+            if pivot_inv is not None:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            raise AlgebraError(
+                "basis matrix is singular (no unit pivot in column %d)" % col)
+        a[col], a[pivot_row] = a[pivot_row], a[col]
+        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
+        a[col] = [x * pivot_inv for x in a[col]]
+        inv[col] = [x * pivot_inv for x in inv[col]]
+        for r in range(n):
+            if r == col or a[r][col].is_zero():
+                continue
+            factor = a[r][col]
+            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+            inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
+    return inv
+
+
 def ref_change_basis(alg, matrix, new_names, name=None):
     """c'_ab^f = sum over every c, d of A[a][c] A[b][d] c_cd^e Ainv[e][f]."""
     n = alg.dim
-    inv = _invert(matrix)
+    inv = ref_invert(matrix)
     table = {}
     for a in range(n):
         for b in range(a + 1, n):
@@ -164,6 +196,13 @@ def permutation(rng, n):
     return [[ONE if order[r] == c else ZERO for c in range(n)] for r in range(n)]
 
 
+CATALOG_DIMS = sorted({catalog(name).dim for name in CATALOG_NAMES})
+
+
+def identity(n):
+    return [[ONE if r == c else ZERO for c in range(n)] for r in range(n)]
+
+
 def matmul(x, y):
     n = len(x)
     return [[sum((x[r][k] * y[k][c] for k in range(n)), ZERO) for c in range(n)]
@@ -253,6 +292,21 @@ def test_change_basis_round_trip_keeps_the_listing():
     assert list(back.nonzero_brackets()) == list(alg.nonzero_brackets())
 
 
+def test_change_basis_checks_the_range_of_its_result_only():
+    # the raw pair product eps^K * eps^K is out of range; only results are checked
+    alg = catalog("heisenberg3")
+    big = 2**31
+
+    def diagonal(powers):
+        return [[Scalar.symbol("eps", powers[g]) if r == c else ZERO
+                 for c in range(alg.dim)] for r, g in enumerate(alg.generators)]
+
+    scaled = alg.change_basis(diagonal(dict.fromkeys(alg.generators, big)), alg.generators)
+    assert scaled.bracket("Xx", "Px") == {"Z": I * Scalar.symbol("eps", big)}
+    with pytest.raises(ScalarError, match="exponent out of range"):
+        alg.change_basis(diagonal(dict(dict.fromkeys(alg.generators, big), Z=0)), alg.generators)
+
+
 # -- work: only nonzero products are visited ------------------------------------
 
 
@@ -311,3 +365,193 @@ def test_validate_skips_the_vanishing_triples(monkeypatch):
 def test_validate_work_is_one_mac_per_nonzero_product(name, monkeypatch):
     alg = catalog(name)
     assert validate_work(alg, monkeypatch) == (0, nonzero_cyclic_products(alg))
+
+
+def scalar_products(monkeypatch):
+    """The list that every later Scalar.__mul__ call appends to."""
+    products = []
+    real_mul = Scalar.__mul__
+
+    def counting_mul(self, other):
+        products.append(1)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting_mul)
+    return products
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_change_basis_pair_sums_build_no_scalar(name, monkeypatch):
+    # every Scalar product of a basis change is one of _invert's row operations
+    alg = catalog(name)
+    rng = random.Random(name)
+    cases = matrices(rng, alg.dim)
+    products = scalar_products(monkeypatch)
+    for matrix in cases:
+        del products[:]
+        alg.change_basis(matrix, alg.generators)
+        in_change_basis = len(products)
+        del products[:]
+        _invert(matrix)
+        assert in_change_basis == len(products)
+
+
+def test_invert_of_the_identity_makes_no_product(monkeypatch):
+    products = scalar_products(monkeypatch)
+    for n in CATALOG_DIMS:
+        assert _invert(identity(n)) == identity(n)
+    assert not products
+
+
+# -- _invert ---------------------------------------------------------------------
+
+
+def outcome(invert, matrix):
+    """The inverse, or the type and message of the error raised."""
+    try:
+        return invert(matrix)
+    except (AlgebraError, ScalarError) as e:
+        return type(e), str(e)
+
+
+def assert_same_inverse(matrix):
+    got = outcome(_invert, matrix)
+    assert got == outcome(ref_invert, matrix)
+    return got
+
+
+@pytest.mark.parametrize("n", CATALOG_DIMS)
+def test_invert_matches_dense_reference_on_seeded_matrices(n):
+    # unitriangular with symbolic entries, eps powers on the diagonal, a
+    # permutation (zero diagonal entries: row swaps) and their product
+    rng = random.Random(n)
+    for _ in range(4):
+        for matrix in matrices(rng, n):
+            inv = assert_same_inverse(matrix)
+            assert matmul(matrix, inv) == identity(n)
+
+
+def test_invert_swaps_rows_to_reach_a_unit_pivot():
+    # column 0: a zero diagonal entry, then a non-unit, then the unit pivot eps;
+    # column 1 then needs a second swap
+    matrix = [[ZERO, ONE, ZERO], [Scalar.symbol("c"), ZERO, ONE], [EPS, ZERO, ZERO]]
+    assert matmul(matrix, assert_same_inverse(matrix)) == identity(3)
+    twisted = matmul(permutation(random.Random(1), 6), unitriangular(random.Random(2), 6))
+    assert any(twisted[k][k].is_zero() for k in range(6))
+    assert matmul(twisted, assert_same_inverse(twisted)) == identity(6)
+
+
+def test_invert_matches_dense_reference_on_eps_monomial_pivots():
+    rng = random.Random(11)
+    for n in CATALOG_DIMS:
+        diagonal = [[Scalar.gaussian(rng.randint(1, 3), rng.randint(-2, 2))
+                     * Scalar.symbol("eps", rng.randint(-3, 3)) if r == c else ZERO
+                     for c in range(n)] for r in range(n)]
+        lower = [[random_constant(rng) if c < r and rng.random() < 0.4 else diagonal[r][c]
+                  for c in range(n)] for r in range(n)]
+        for matrix in (diagonal, lower, matmul(lower, unitriangular(rng, n))):
+            assert matmul(matrix, assert_same_inverse(matrix)) == identity(n)
+
+
+@pytest.mark.parametrize("matrix, column", [
+    ([[ZERO]], 0),
+    ([[Scalar.symbol("c")]], 0),
+    ([[ONE + EPS]], 0),
+    ([[ONE, ONE], [ONE, ONE]], 1),
+    ([[ONE, Scalar.symbol("c")], [ONE, ZERO]], 1),
+    ([[ONE, ZERO, ZERO], [ZERO, ONE, Scalar.symbol("c")], [ZERO, ZERO, Scalar.symbol("c") * EPS]],
+     2),
+], ids=["zero", "symbol", "binomial", "rank_one", "non_unit_after_elimination", "last_column"])
+def test_invert_rejects_at_the_same_column_as_the_reference(matrix, column):
+    message = "basis matrix is singular (no unit pivot in column %d)" % column
+    assert assert_same_inverse(matrix) == (AlgebraError, message)
+
+
+def test_invert_matches_dense_reference_on_random_matrices():
+    # both outcomes: inverses, and non-unit pivots at every column
+    rng = random.Random(20261020)
+    pool = (ZERO, ZERO, ONE, -ONE, I, EPS, Scalar.symbol("eps", -1), Scalar.symbol("c"),
+            ONE + Scalar.symbol("c"), Scalar.gaussian(1, 1))
+    inverted, columns = 0, set()
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        got = assert_same_inverse([[rng.choice(pool) for _ in range(n)] for _ in range(n)])
+        if isinstance(got, list):
+            inverted += 1
+        else:
+            columns.add(got[1])
+    assert inverted >= 30 and len(columns) >= 4
+    out_of_range = [[Scalar.symbol("eps", -2**32)]]  # the inverse eps^(2^32) is out of range
+    assert assert_same_inverse(out_of_range)[0] is ScalarError
+
+
+# -- the index path: derived tables equal their name-built twins ---------------
+
+
+def named_twin(alg):
+    return LieAlgebra(alg.name, alg.generators, dict(alg.nonzero_brackets()), alg.symbols)
+
+
+def assert_same_as_named_twin(alg):
+    twin = named_twin(alg)
+    assert alg == twin
+    assert list(alg.nonzero_brackets()) == list(twin.nonzero_brackets())
+    assert list(alg._table) == list(twin._table)
+    assert algebra_to_json(alg) == algebra_to_json(twin)
+    assert (alg.name, alg.symbols) == (twin.name, twin.symbols)
+
+
+def ref_offenders(alg, exponents):
+    """((a, b, d), pole order) of each diverging constant, in listing order."""
+    offenders = []
+    for a, b, d in alg.nonzero_constants():
+        order = (alg.bracket(a, b)[d].min_degree("eps")
+                 + exponents[a] + exponents[b] - exponents[d])
+        if order < 0:
+            offenders.append(((a, b, d), -order))
+    return offenders
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_derived_tables_equal_their_name_built_twins(name):
+    alg = catalog(name)
+    rng = random.Random("twins " + name)
+    for matrix in matrices(rng, alg.dim):
+        assert_same_as_named_twin(alg.change_basis(matrix, tuple(g + "_n" for g in alg.generators)))
+    diverged = 0
+    for _ in range(8):
+        exponents = {g: rng.choice((-1, 0, 1, 2)) for g in alg.generators}
+        assert_same_as_named_twin(rescale_algebra(alg, exponents))
+        expected = ref_offenders(alg, exponents)
+        try:
+            assert_same_as_named_twin(contract(alg, exponents))
+        except DivergentContraction as e:
+            assert list(e.offenders) == expected
+            diverged += 1
+        else:
+            assert not expected
+    assert diverged > 0 or not alg.nonzero_constants()
+
+
+def test_index_path_keeps_the_name_checks():
+    poi = catalog("poincare")
+    ident = identity(poi.dim)
+
+    def message(build):
+        with pytest.raises(AlgebraError) as exc:
+            build()
+        return str(exc.value)
+
+    twice = ("H", "H") + poi.generators[2:]
+    assert message(lambda: poi.change_basis(ident, twice)) == \
+        message(lambda: LieAlgebra("poincare_basis", twice, {})) == \
+        "duplicate generator names in 'poincare_basis'"
+    for clash in ("c", "i"):
+        names = (clash,) + poi.generators[1:]
+        assert message(lambda: poi.change_basis(ident, names)) == \
+            "generator name %r collides with a scalar symbol" % clash
+    # a primed name that is a declared symbol
+    alg = LieAlgebra("x", ("A", "B"), {("A", "B"): {"B": ONE}}, DEFAULT_SYMBOLS + ("Ap",))
+    for derive in (contract, rescale_algebra):
+        assert message(lambda: derive(alg, {"A": 0, "B": 0})) == \
+            "generator name 'Ap' collides with a scalar symbol"
