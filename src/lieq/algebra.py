@@ -24,7 +24,10 @@ changes after construction: _lie, that the call found no Jacobi violation,
 which lets is_casimir skip generators (_casimir_plan); and _valid, that its
 report was ok, which lets lieq.contraction skip validating a source again.
 validate() itself always recomputes.  The plan and lieq.uea's rewrite table
-(_descent_table) are derived once per instance too.
+(_descent_table) are derived once per instance too.  _derived is
+lieq.contraction's registry of the live tables rescaled or contracted from
+this one, a WeakValueDictionary made on first use: it shares a table while
+someone holds it and keeps nothing after.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ class InvalidCocycle(AlgebraError):
 
 class LieAlgebra:
     __slots__ = ("name", "generators", "symbols", "_index", "_table", "_lie", "_valid",
-                 "_plan", "_descents")
+                 "_plan", "_descents", "_derived", "__weakref__")
 
     def __init__(self, name, generators, brackets, symbols=DEFAULT_SYMBOLS):
         """brackets: {(name_a, name_b): {name_d: Scalar}}; pairs in any order."""
@@ -108,6 +111,7 @@ class LieAlgebra:
         self._valid = False  # set by a validate() whose report is ok
         self._plan = None  # cached _casimir_plan() of a Lie table
         self._descents = None  # cached _descent_table()
+        self._derived = None  # lieq.contraction's weak registry of live derived tables
 
     def _index_rows(self, brackets):
         """Upper-triangle index rows of a name-keyed constructor table."""

@@ -7,25 +7,35 @@ the rescaled table.  Casimir elements travel the same road: rewrite them
 in the primed generators (picking up inverse powers of eps), multiply by
 a compensating overall power, and take the limit term by term.
 
-Each rescaling or contraction checks exactly one table, the source, and
-validates it once unless a validate() call has already found it ok (every
-catalog() table; LieAlgebra caches that fact).  The rescaled table has
-Jacobi residues eps**(k_a + k_b + k_c - k_d) times those of the source, so
-it is valid exactly when the source is; a finite limit of a valid table is
-valid by construction and is not checked again.  Checking the limit alone
-would miss faults that the limit hides, such as a wrong sign on a bracket
-whose every term vanishes as eps -> 0.  The derived tables are built from
-the source's index rows, never through generator names.
+Each rescaling or contraction that builds a table checks exactly one
+table, the source, and validates it unless a validate() call has already
+found it ok (every catalog() table; LieAlgebra caches that fact).  The
+rescaled table has Jacobi residues eps**(k_a + k_b + k_c - k_d) times those
+of the source, so it is valid exactly when the source is; a finite limit of
+a valid table is valid by construction and is not checked again.  Checking
+the limit alone would miss faults that the limit hides, such as a wrong sign
+on a bracket whose every term vanishes as eps -> 0.  The derived tables are
+built from the source's index rows, never through generator names, and the
+eps limits are read off raw maps (lieq.scalars._eps_limit).
+
+A derived table is built once while it is alive: the source keeps its
+rescaled and contracted tables in a weak registry keyed by kind and map, so
+contract, rescale_algebra, contract_casimir and rescale_element hand back the
+same object, with its rewrite table and plan, as long as anyone holds it.
+The registry holds no table itself, so once the last holder drops one it is
+gone, and the next call builds it again exactly as the first did.  A call
+that raises registers nothing, so a broken source is checked on every call.
 
 This module is the engine and the standard maps (STD_*) only; the paper's
 limit claims built on it live in lieq.limits.
 """
 
 import warnings
+import weakref
 from collections import namedtuple
 
 from lieq.algebra import LieAlgebra
-from lieq.scalars import LAURENT_SYMBOL
+from lieq.scalars import LAURENT_SYMBOL, Scalar, _eps_limit
 from lieq.uea import UEAElement
 
 __all__ = [
@@ -140,15 +150,12 @@ def _assert_valid(algebra):
         )
 
 
-def _rescaled_rows(algebra, exponents):
-    """((ia, ib), d, eps**(k_a + k_b - k_d) * c_ab^d) per nonzero constant, ia < ib,
-    in listing order."""
-    shifts = [exponents[g] for g in algebra.generators]
+def _rows(algebra, shifts):
+    """((ia, ib), d, c_ab^d, k_a + k_b - k_d) per nonzero constant, ia < ib, in listing order."""
     for (ia, ib), entry in algebra._table.items():
         if ia < ib:
             for d, coeff in entry.items():
-                yield (ia, ib), d, coeff.mul_power(LAURENT_SYMBOL,
-                                                   shifts[ia] + shifts[ib] - shifts[d])
+                yield (ia, ib), d, coeff, shifts[ia] + shifts[ib] - shifts[d]
 
 
 def _primed_algebra(algebra, upper, suffix):
@@ -159,34 +166,61 @@ def _primed_algebra(algebra, upper, suffix):
                                  tuple(_primed(g) for g in algebra.generators), upper, symbols)
 
 
-def rescale_algebra(algebra, exponents):
-    """Rescaled algebra on primed generators; constants gain eps powers."""
+def _shared(algebra, exponents, build):
+    """build(algebra, shifts), or the table it returned before if that is still alive.
+
+    shifts are the exponents in generator order.  Each source keeps its live
+    derived tables in a WeakValueDictionary keyed by build and shifts, so a
+    second request gets the same object, with its caches, while anyone holds
+    it, and nothing is kept once nobody does.  A live table was built after
+    the source passed its check, so the hit checks nothing again; a build that
+    raises registers nothing.  Two threads may race to build the same table;
+    each gets a correct one, and the registry keeps whichever came last.
+    """
     _check_map(algebra, exponents)
+    shifts = tuple(exponents[g] for g in algebra.generators)
+    registry = algebra._derived
+    if registry is None:
+        registry = algebra._derived = weakref.WeakValueDictionary()
+    key = (build, shifts)
+    table = registry.get(key)
+    if table is None:
+        table = registry[key] = build(algebra, shifts)
+    return table
+
+
+def _rescaled(algebra, shifts):
     upper = {}
-    for pair, d, scaled in _rescaled_rows(algebra, exponents):
-        upper.setdefault(pair, {})[d] = scaled
+    for pair, d, coeff, shift in _rows(algebra, shifts):
+        upper.setdefault(pair, {})[d] = coeff.mul_power(LAURENT_SYMBOL, shift)
     _assert_valid(algebra)
     return _primed_algebra(algebra, upper, "_rescaled")
 
 
-def contract(algebra, exponents):
-    """eps -> 0 limit of the rescaled algebra (DivergentContraction on poles)."""
-    _check_map(algebra, exponents)
+def _contracted(algebra, shifts):
     gens = algebra.generators
     upper = {}
     offenders = []
-    for (ia, ib), d, scaled in _rescaled_rows(algebra, exponents):
-        low = scaled.min_degree(LAURENT_SYMBOL)
+    for (ia, ib), d, coeff, shift in _rows(algebra, shifts):
+        low, kept = _eps_limit(coeff._terms, shift)
         if low < 0:
             offenders.append(((gens[ia], gens[ib], gens[d]), -low))
-            continue
-        kept = scaled.limit0(LAURENT_SYMBOL)
-        if not kept.is_zero():
-            upper.setdefault((ia, ib), {})[d] = kept
+        elif kept:
+            upper.setdefault((ia, ib), {})[d] = Scalar(kept)
     if offenders:
         raise DivergentContraction(offenders)
     _assert_valid(algebra)
     return _primed_algebra(algebra, upper, "_contracted")
+
+
+def rescale_algebra(algebra, exponents):
+    """Rescaled algebra on primed generators; constants gain eps powers."""
+    return _shared(algebra, exponents, _rescaled)
+
+
+def contract(algebra, exponents):
+    """eps -> 0 limit of the rescaled algebra (DivergentContraction on poles)."""
+    return _shared(algebra, exponents, _contracted)
 
 
 # -- table comparison ----------------------------------------------------------
@@ -224,22 +258,22 @@ def tables_equal(algebra_a, algebra_b, renaming):
 
 # -- elements ------------------------------------------------------------------
 
-def _rescaled_terms(element, exponents):
-    """{index word: coeff * eps**(-sum of the word's exponents)}.  Primed
-    tables keep the basis order, so the normal words stay normal there."""
+def _rescaled_words(element, exponents):
+    """(word, coeff, -sum of the word's exponents) per term of element."""
     shifts = [exponents[g] for g in element.algebra.generators]
-    return {word: coeff.mul_power(LAURENT_SYMBOL, -sum(shifts[k] for k in word))
-            for word, coeff in element._terms.items()}
+    return [(word, coeff, -sum(shifts[k] for k in word)) for word, coeff in element._terms.items()]
 
 
 def rescale_element(element, exponents):
     """Rewrite an enveloping-algebra element in the primed generators.
 
     Inverting G_a' = eps**k_a G_a gives G_a = eps**(-k_a) G_a', so each
-    word picks up eps**(-sum of its letters' exponents); the words stay normal.
+    word picks up eps**(-sum of its letters' exponents).  The primed table
+    keeps the basis order, so the words stay normal and are not straightened.
     """
     target = rescale_algebra(element.algebra, exponents)
-    return UEAElement(target, _rescaled_terms(element, exponents))
+    return UEAElement(target, {word: coeff.mul_power(LAURENT_SYMBOL, shift)
+                               for word, coeff, shift in _rescaled_words(element, exponents)})
 
 
 def contract_casimir(element, exponents, power="auto"):
@@ -249,25 +283,26 @@ def contract_casimir(element, exponents, power="auto"):
     smallest power giving a finite nonzero limit, however large.  Too small
     a power raises DivergentLimit; too large a one returns zero under a
     ZeroLimitWarning.  The result lives in contract(element.algebra,
-    exponents), whose check of the source is the only validation: once per
-    call, or none when a validate() call has already found the source ok.
-    Its words are the element's, still normal there, so it is not straightened.
+    exponents): the same table as that call returns while either is held,
+    so the source is checked only when a table is built, and nothing is
+    kept once the results are dropped.  Its words are the element's, still
+    normal there, so it is not straightened.
     """
     if power != "auto" and (not isinstance(power, int) or isinstance(power, bool)):
         raise ContractionError("power must be an integer or 'auto', got %r" % (power,))
     contracted = contract(element.algebra, exponents)
-    rescaled = _rescaled_terms(element, exponents)
+    rescaled = _rescaled_words(element, exponents)
     if not rescaled:
         return UEAElement.zero(contracted), 0 if power == "auto" else power
-    low = min(coeff.min_degree(LAURENT_SYMBOL) for coeff in rescaled.values())
+    low = min(_eps_limit(coeff._terms, shift)[0] for _, coeff, shift in rescaled)
     used = -low if power == "auto" else power
     if low + used < 0:
         raise DivergentLimit(-(low + used))
     terms = {}
-    for word, coeff in rescaled.items():
-        kept = coeff.mul_power(LAURENT_SYMBOL, used).limit0(LAURENT_SYMBOL)
-        if not kept.is_zero():
-            terms[word] = kept
+    for word, coeff, shift in rescaled:
+        kept = _eps_limit(coeff._terms, shift + used)[1]
+        if kept:
+            terms[word] = Scalar(kept)
     if not terms:
         warnings.warn(
             "eps**%d suppresses every term; the limit is zero" % used,
@@ -276,4 +311,3 @@ def contract_casimir(element, exponents, power="auto"):
         )
         return UEAElement.zero(contracted), used
     return UEAElement(contracted, terms), used
-

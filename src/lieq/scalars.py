@@ -24,7 +24,9 @@ by an add-and-mask test over the default fields and, for a monomial that fails
 it, one as wide as its own top field; a larger one raises ScalarError.  The
 kernel adds monomials unchecked in between, and cannot overflow a field: each
 product adds less than 2^32 in magnitude to every field, so carrying into the
-next field (at 2^127) would take 2^95 products.  ``items()``, ``str`` and
+next field (at 2^127) would take 2^95 products.  mul_power rejects a shift
+of 2^33 or more outright, since no exponent stays in range under it and the
+test could miss the carry of one near 2^127.  ``items()``, ``str`` and
 ``symbols()`` decode to sorted ``((symbol, exp), ...)`` tuples.
 
 Everything is immutable and kept in a unique canonical form, so ``==`` is
@@ -56,6 +58,7 @@ _FIELDS = {}  # symbol -> (bit offset of its field, _BOUND in it and every field
 _NAMES = []  # field index -> symbol
 _CHECKS = []  # k -> (_BOUND in fields 0..k, every bit but the low 33 of each of fields 0..k)
 _REGISTER = threading.Lock()
+_OUT_OF_RANGE = "exponent out of range: exponents must lie in [-2^32, 2^32)"
 
 
 class ScalarError(ValueError):
@@ -111,8 +114,29 @@ def _checked(terms):
             checks = _CHECKS
             wide_bias, wide_outside = checks[min(mono.bit_length() // _FIELD, len(checks) - 1)]
             if (mono + wide_bias) & wide_outside:
-                raise ScalarError("exponent out of range: exponents must lie in [-2^32, 2^32)")
+                raise ScalarError(_OUT_OF_RANGE)
     return Scalar(terms)
+
+
+def _eps_limit(terms, k):
+    """(lowest eps degree, raw degree-0 part) of the raw map terms times eps**k.
+
+    eps owns the lowest field, so the shift is mono + k and each degree is
+    read off the low bits; the part kept is the monomials of degree 0.  A
+    shifted exponent outside [-2^32, 2^32) raises the ScalarError that
+    mul_power raises for it.  terms must not be empty.
+    """
+    low = None
+    kept = {}
+    for mono, coeff in terms.items():
+        exp = ((mono + _BOUND) & _WINDOW) - _BOUND + k
+        if not -_BOUND <= exp < _BOUND:
+            raise ScalarError(_OUT_OF_RANGE)
+        if low is None or exp < low:
+            low = exp
+        if not exp:
+            kept[mono + k] = coeff
+    return low, kept
 
 
 def _exact(value, kinds=(int, Fraction)):
@@ -359,6 +383,9 @@ class Scalar:
         if k < 0 and sym != LAURENT_SYMBOL and self and self.min_degree(sym) + k < 0:
             raise ScalarError(
                 "negative exponent on %r: only %r may carry poles" % (sym, LAURENT_SYMBOL))
+        if self and not -2 * _BOUND < k < 2 * _BOUND:
+            # no exponent stays in range; a shift this large could carry into the next field unseen
+            raise ScalarError(_OUT_OF_RANGE)
         k <<= _field(sym)[0]
         return _checked({mono + k: coeff for mono, coeff in self._terms.items()})
 

@@ -382,6 +382,23 @@ def test_bad_inputs_exit_2_with_one_line(case, capsys, monkeypatch, tmp_path):
     assert ("2^32" in err) == case.startswith("exponent")
 
 
+@pytest.mark.parametrize("command", ["contract", "casimir contract"])
+@pytest.mark.parametrize("generator, exponent",
+                         [("M", 2 ** 40), ("KPx", -2 ** 33), ("M", 2 ** 128)],
+                         ids=["M=2^40", "KPx=-2^33", "M=2^128"])
+def test_a_map_exponent_out_of_range_exits_2_with_one_line(command, generator, exponent, capsys,
+                                                           tmp_path):
+    # 2^128 would carry a shift into the next symbol's exponent instead of failing
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(dict(STD_PE_MAP, **{generator: exponent})))
+    argv = command.split() + ["poincare_trivial_ext_hbar", "--map", str(huge)]
+    if command != "contract":
+        argv += ["--expr", "M"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: exponent out of range: exponents must lie in [-2^32, 2^32)\n"
+
+
 def test_usage_errors(capsys):
     assert run(capsys, )[0] == 2
     assert run(capsys, "frobnicate")[0] == 2

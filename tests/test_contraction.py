@@ -1,6 +1,10 @@
 """Generalized Inonu-Wigner contraction: rescaling, limits, Casimir transport."""
 
+import gc
 import json
+import random
+import warnings
+import weakref
 from pathlib import Path
 
 import pytest
@@ -8,7 +12,7 @@ import pytest
 from lieq import algebra, contraction, uea
 from lieq.algebra import LieAlgebra
 from lieq.casimirs import CASIMIR_GROUPS, casimir_entries
-from lieq.catalog import catalog
+from lieq.catalog import algebra_from_json, catalog
 from lieq.contraction import (
     STD_FULL_MAP,
     STD_FULL_RENAME,
@@ -24,7 +28,8 @@ from lieq.contraction import (
     rescale_element,
     tables_equal,
 )
-from lieq.scalars import Scalar
+from lieq.expr import parse_scalar
+from lieq.scalars import Scalar, ScalarError
 from lieq.uea import UEAElement, is_casimir, rename_element
 
 GC = catalog("galilei_central")
@@ -307,6 +312,243 @@ def test_validate_recomputes_on_every_call(monkeypatch):
     second = POI.validate()
     assert once > 0 and len(products) == 2 * once
     assert first.ok and second.ok and first is not second
+
+
+# -- live derived tables are shared, and nothing is kept ------------------------
+
+def test_the_casimir_limits_share_the_contracted_table():
+    con = contract(PEB, STD_PE_MAP)
+    entries = casimir_entries("poincare_trivial_ext_hbar")
+    for label in ("C1PE", "C2PE", "C4PE"):
+        limit, _ = contract_casimir(entries[label], STD_PE_MAP)
+        assert limit.algebra is con, label
+    assert contract(PEB, STD_PE_MAP) is con
+
+
+def test_rescale_element_shares_the_rescaled_table_of_its_map():
+    rescaled = rescale_algebra(PEB, STD_PE_MAP)
+    mass = UEAElement.gen(PEB, "M")
+    assert rescale_element(mass, STD_PE_MAP).algebra is rescaled
+    other = rescale_element(mass, dict(STD_PE_MAP, M=1)).algebra
+    assert other is not rescaled and other != rescaled
+    assert contract(PEB, STD_PE_MAP) is not rescaled  # another kind of table
+
+
+def test_a_dropped_table_is_not_kept():
+    source = named_copy(PEB)
+    con = contract(source, STD_PE_MAP)
+    rescaled = rescale_element(UEAElement.gen(source, "M"), STD_PE_MAP)
+    dead = weakref.ref(con)
+    assert len(source._derived) == 2
+    del con, rescaled
+    gc.collect()
+    assert dead() is None and len(source._derived) == 0
+
+
+def test_a_task_builds_one_table_and_one_rewrite_table(monkeypatch):
+    source = named_copy(PEB)
+    identity = {g: g for g in source.generators}
+    elements = [rename_element(e, source, identity)
+                for e in casimir_entries("poincare_trivial_ext_hbar").values()]
+    tables, rewrites = [], []
+    primed = contraction._primed_algebra
+    monkeypatch.setattr(contraction, "_primed_algebra",
+                        lambda *a: tables.append(1) or primed(*a))
+    descent_table = LieAlgebra._descent_table
+
+    def counting_descent_table(self):
+        if self._descents is None:
+            rewrites.append(1)
+        return descent_table(self)
+
+    monkeypatch.setattr(LieAlgebra, "_descent_table", counting_descent_table)
+    for task in (1, 2):  # the second task keeps nothing of the first, so it builds again
+        con = contract(source, STD_PE_MAP)
+        for element in elements:
+            limit, _ = contract_casimir(element, STD_PE_MAP)
+            assert limit.algebra is con and is_casimir(limit).ok
+        assert (len(tables), len(rewrites)) == (task, task)
+        del con, limit
+        gc.collect()
+
+
+@pytest.mark.parametrize("run", CONTRACTIONS.values(), ids=CONTRACTIONS)
+def test_a_source_that_fails_its_check_registers_nothing(run):
+    broken = PEB.flip_sign("KPx", "Px", "Hb")
+    for _ in range(2):
+        with pytest.raises(ContractionError, match="is not a Lie algebra"):
+            run(broken)
+    assert not broken._derived
+
+
+def test_a_divergent_map_registers_nothing():
+    source = named_copy(POI)
+    bad = {n: (1 if n.startswith("J") else 0) for n in POI.generators}
+    for _ in range(2):
+        with pytest.raises(DivergentContraction):
+            contract(source, bad)
+        with pytest.raises(DivergentContraction):
+            contract_casimir(UEAElement.gen(source, "H"), bad)
+    assert not source._derived
+
+
+# -- the raw eps limits against the chain of Scalar operations -----------------
+
+def ref_contract(algebra, exponents):
+    """contract as mul_power -> min_degree -> limit0 on each constant, built by name."""
+    contraction._check_map(algebra, exponents)
+    gens = algebra.generators
+    brackets = {}
+    offenders = []
+    for (a, b), combo in algebra.nonzero_brackets():
+        for d, coeff in combo.items():
+            scaled = coeff.mul_power("eps", exponents[a] + exponents[b] - exponents[d])
+            low = scaled.min_degree("eps")
+            if low < 0:
+                offenders.append(((a, b, d), -low))
+                continue
+            kept = scaled.limit0("eps")
+            if not kept.is_zero():
+                brackets.setdefault((a + "p", b + "p"), {})[d + "p"] = kept
+    if offenders:
+        raise DivergentContraction(offenders)
+    if not algebra.validate().ok:
+        raise ContractionError("%r is not a Lie algebra" % algebra.name)
+    symbols = algebra.symbols + (() if "eps" in algebra.symbols else ("eps",))
+    return LieAlgebra(algebra.name + "_contracted", tuple(g + "p" for g in gens), brackets,
+                      symbols)
+
+
+def ref_contract_casimir(element, exponents, power="auto"):
+    """contract_casimir as the same chain of Scalar operations on each word."""
+    contracted = ref_contract(element.algebra, exponents)
+    gens = element.algebra.generators
+    rescaled = {word: coeff.mul_power("eps", -sum(exponents[gens[k]] for k in word))
+                for word, coeff in element._terms.items()}
+    if not rescaled:
+        return UEAElement.zero(contracted), 0 if power == "auto" else power
+    low = min(coeff.min_degree("eps") for coeff in rescaled.values())
+    used = -low if power == "auto" else power
+    if low + used < 0:
+        raise DivergentLimit(-(low + used))
+    terms = {}
+    for word, coeff in rescaled.items():
+        kept = coeff.mul_power("eps", used).limit0("eps")
+        if not kept.is_zero():
+            terms[word] = kept
+    if not terms:
+        warnings.warn("eps**%d suppresses every term; the limit is zero" % used,
+                      ZeroLimitWarning)
+        return UEAElement.zero(contracted), used
+    return UEAElement(contracted, terms), used
+
+
+def shown(result):
+    """A table, or an (element, power) pair, as plain data in listing order."""
+    if isinstance(result, LieAlgebra):
+        return (result.name, result.generators, result.symbols,
+                [(pair, list(combo.items())) for pair, combo in result.nonzero_brackets()])
+    element, power = result
+    return shown(element.algebra), list(element._terms.items()), str(element), power
+
+
+def outcome(run, *args):
+    """(what run(*args) returns or raises, as plain data, [(warning class, message)])."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = ("ok", shown(run(*args)))
+        except DivergentContraction as e:
+            got = ("diverges", e.offenders)
+        except DivergentLimit as e:
+            got = ("pole", e.pole_order)
+        except (ContractionError, ScalarError) as e:
+            got = (type(e).__name__, str(e).split(" (")[0])
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_same_limits(alg, exponents, elements, powers=("auto",)):
+    """contract and contract_casimir agree with the references; the kind of
+    outcome of contract ("ok", "diverges" or an error class name)."""
+    got = outcome(contract, alg, exponents)
+    assert got == outcome(ref_contract, alg, exponents), exponents
+    for element in elements:
+        for power in powers:
+            want = outcome(ref_contract_casimir, element, exponents, power)
+            assert outcome(contract_casimir, element, exponents, power) == want, (
+                exponents, str(element), power)
+    return got[0][0]
+
+
+def test_raw_limits_match_the_scalar_chain_on_seeded_maps():
+    rng = random.Random(24)
+    kinds = []
+    for name in CASIMIR_GROUPS:
+        alg = catalog(name)
+        elements = list(casimir_entries(name).values())
+        for _ in range(6):
+            exponents = {g: rng.randrange(-2, 4) for g in alg.generators}
+            kinds.append(assert_same_limits(alg, exponents, elements))
+        for _ in range(2):  # k_a + k_b - k_d >= 0 for exponents in {1, 2}: a finite limit
+            exponents = {g: rng.randrange(1, 3) for g in alg.generators}
+            assert assert_same_limits(alg, exponents, elements) == "ok"
+    assert kinds.count("diverges") >= len(CASIMIR_GROUPS) and "ok" in kinds
+
+
+MIXED_TABLE = json.dumps({
+    "name": "mixed",
+    "generators": ["H", "A", "B", "Z"],
+    "symbols": ["eps", "c", "m"],
+    # [H, A] = p A, [H, B] = q B, [A, B] = r Z, [H, Z] = (p + q) Z is Lie for any p, q, r
+    "brackets": [
+        {"a": "H", "b": "A", "result": [{"coeff": "c*eps^-1 + m", "gen": "A"}]},
+        {"a": "H", "b": "B", "result": [{"coeff": "(2+i)*c^2*eps^-3 - 3*m*eps", "gen": "B"}]},
+        {"a": "A", "b": "B", "result": [{"coeff": "eps^2 - i*c*m + 5", "gen": "Z"}]},
+        {"a": "H", "b": "Z", "result": [
+            {"coeff": "c*eps^-1 + m + (2+i)*c^2*eps^-3 - 3*m*eps", "gen": "Z"}]},
+    ],
+})
+
+
+def test_raw_limits_match_the_scalar_chain_on_a_table_with_poles():
+    alg = algebra_from_json(MIXED_TABLE)
+    assert alg.validate().ok
+    words = {("Z",): "1", ("H", "Z"): "eps^-1*c + m", ("A", "B"): "i*m^2 - eps^3",
+             ("H", "H", "A"): "c*eps^-2", ("B", "Z", "Z"): "7*eps^4 + eps^-1"}
+    elements = [UEAElement.zero(alg), UEAElement.gen(alg, "Z")]
+    elements.append(UEAElement.from_terms(alg, {w: parse_scalar(t, alg.symbols)
+                                                for w, t in words.items()}))
+    rng = random.Random(7)
+    kinds = []
+    for _ in range(60):
+        exponents = {g: rng.randrange(-2, 4) for g in alg.generators}
+        kinds.append(assert_same_limits(alg, exponents, elements, ("auto", 0, 3)))
+    assert "diverges" in kinds and len(set(kinds)) > 1
+
+
+HUGE = [2**31, 2**32 - 1, 2**32, 2**32 + 2, 2**33, 2**40, 2**128, -2**32, -2**33, -2**128]
+
+
+def test_raw_limits_match_the_scalar_chain_on_explicit_powers():
+    entries = casimir_entries("poincare_trivial_ext_hbar")
+    elements = [entries[label] for label in ("C1PE", "C2PE", "C4PE")]
+    elements.append(UEAElement.zero(PEB))
+    powers = ["auto"] + list(range(-1, 9)) + HUGE
+    assert assert_same_limits(PEB, STD_PE_MAP, elements, powers) == "ok"
+    kinds = {outcome(contract_casimir, e, STD_PE_MAP, p)[0][0]
+             for e in elements for p in powers}
+    assert {"ok", "pole", "ScalarError"} <= kinds
+    with pytest.warns(ZeroLimitWarning):
+        contract_casimir(entries["C1PE"], STD_PE_MAP, 2**32 - 3)
+
+
+@pytest.mark.parametrize("exponent", HUGE)
+@pytest.mark.parametrize("generator", ["M", "KPx"])
+def test_raw_limits_match_the_scalar_chain_on_huge_map_exponents(generator, exponent):
+    entries = casimir_entries("poincare_trivial_ext_hbar")
+    exponents = dict(STD_PE_MAP, **{generator: exponent})
+    assert_same_limits(PEB, exponents, [UEAElement.gen(PEB, "M"), entries["C2PE"]],
+                       ("auto", 0, 2))
 
 
 def std_cases():

@@ -276,6 +276,21 @@ def test_pole_bound_and_late_symbols():
     assert late.mul_power("aa_late", -1) == before and late.min_degree("aa_late") == 1
 
 
+@pytest.mark.parametrize("shift", [2**33, 2**127, 2**128, 2**128 + 3, 2**300],
+                         ids=["2^33", "2^127", "2^128", "2^128+3", "2^300"])
+def test_a_shift_too_large_for_any_exponent_is_out_of_range(shift):
+    # 2^128 added to a packed monomial would move the next field's digit, not this one's
+    for sym in ("eps", "c", "zz_far"):
+        for s in (Scalar.one(), Scalar.symbol(sym) + Scalar.i()):
+            with pytest.raises(ScalarError, match=r"\[-2\^32, 2\^32\)"):
+                s.mul_power(sym, shift)
+        with pytest.raises(ScalarError, match=r"\[-2\^32, 2\^32\)"):
+            Scalar.symbol("eps").mul_power("eps", -shift)
+        assert Scalar.zero().mul_power(sym, shift).is_zero()
+    widest = Scalar.symbol("eps", -2**32).mul_power("eps", 2**33 - 1)
+    assert widest == Scalar.symbol("eps", 2**32 - 1)
+
+
 # The check runs in a child process, so its 2,000 extra fields stay out of this
 # one's registry.  Field 2006 is past the last registered field.
 _WIDE_REGISTRY_CHECK = textwrap.dedent("""
