@@ -10,24 +10,23 @@ as the PBW basis order in lieq.uea — and nonzero_brackets lists the table in
 it: by pair, then by result generator.
 
 One private core (_build) stores every table from upper-triangle index rows
-{(ia, ib): {d: nonzero Scalar}}, ia < ib.  The constructor indexes its
-name-keyed table once; change_basis, and contract and rescale_algebra in
-lieq.contraction, hand the core index rows directly (_from_rows), so no
-derived table is spelled out in names and indexed again.
+{(ia, ib): {d: nonzero Scalar}}, ia < ib.  Only name-keyed input a caller
+hands in, the constructor's table, with_bracket's bracket and
+central_extension's overrides, is indexed (_index_rows); every derived table
+is built from its source's index rows (_from_rows), never from names.
 
 All values are immutable; operations return new algebras.  bracket, validate
 and change_basis accumulate raw maps (lieq.scalars); validate and change_basis
 walk only stored entries and nonzero matrix entries, never every index tuple,
-and _invert reduces sparse rows of [A | I].  Two facts are cached on an
-instance, each set by a validate() call and never stale, since the table never
-changes after construction: _lie, that the call found no Jacobi violation,
-which lets is_casimir skip generators (_casimir_plan); and _valid, that its
-report was ok, which lets lieq.contraction skip validating a source again.
-validate() itself always recomputes.  The plan and lieq.uea's rewrite table
-(_descent_table) are derived once per instance too.  _derived is
-lieq.contraction's registry of the live tables rescaled or contracted from
-this one, a WeakValueDictionary made on first use: it shares a table while
-someone holds it and keeps nothing after.
+and _invert reduces sparse rows of [A | I].  One fact is cached on an
+instance, set by a validate() call and never stale, since the table never
+changes after construction: _valid, that the report was ok, which lets
+is_casimir skip generators (_casimir_plan) and lieq.contraction skip
+validating a source again.  validate() itself always recomputes.  The plan
+and lieq.uea's rewrite table (_descent_table) are derived once per instance
+too.  _derived is lieq.contraction's registry of the live tables rescaled or
+contracted from this one, a WeakValueDictionary made on first use: it shares
+a table while someone holds it and keeps nothing after.
 """
 
 from __future__ import annotations
@@ -69,25 +68,26 @@ class InvalidCocycle(AlgebraError):
 
 
 class LieAlgebra:
-    __slots__ = ("name", "generators", "symbols", "_index", "_table", "_lie", "_valid",
+    __slots__ = ("name", "generators", "symbols", "_index", "_table", "_valid",
                  "_plan", "_descents", "_derived", "__weakref__")
 
     def __init__(self, name, generators, brackets, symbols=DEFAULT_SYMBOLS):
         """brackets: {(name_a, name_b): {name_d: Scalar}}; pairs in any order."""
-        self._build(name, generators, symbols, brackets, named=True)
+        self._build(name, generators, symbols, {}, brackets)
 
     @classmethod
-    def _from_rows(cls, name, generators, upper, symbols):
-        """The algebra of index rows {(ia, ib): {d: nonzero Scalar}}, ia < ib."""
+    def _from_rows(cls, name, generators, upper, symbols, named=None):
+        """The algebra of index rows {(ia, ib): {d: nonzero Scalar}}, ia < ib; see _build."""
         alg = cls.__new__(cls)
-        alg._build(name, generators, symbols, upper)
+        alg._build(name, generators, symbols, upper, named)
         return alg
 
-    def _build(self, name, generators, symbols, rows, named=False):
-        """The one constructor core: check the names, store both triangles, reset the facts.
+    def _build(self, name, generators, symbols, rows, named):
+        """The one constructor core: check the names, store both triangles, reset the fact.
 
         rows are index rows as in _from_rows, where an empty row is a vanishing
-        bracket, or, when named, a constructor table indexed after the checks.
+        bracket; named, a name-keyed table, is indexed after the checks, against
+        these generators, and replaces the rows of the pairs it gives.
         """
         self.name = name
         self.generators = tuple(generators)
@@ -98,7 +98,7 @@ class LieAlgebra:
             if g in self.symbols or g == "i":
                 raise AlgebraError("generator name %r collides with a scalar symbol" % g)
         self._index = {g: k for k, g in enumerate(self.generators)}
-        upper = self._index_rows(rows) if named else rows
+        upper = {**rows, **self._index_rows(named)} if named else rows
         # {(ia, ib): read-only {d: c}} for both triangles, upper pairs in basis order
         self._table = {}
         for (ia, ib) in sorted(upper):
@@ -107,14 +107,13 @@ class LieAlgebra:
                 entry = dict(sorted(entry.items()))
                 self._table[(ia, ib)] = MappingProxyType(entry)
                 self._table[(ib, ia)] = MappingProxyType({d: -c for d, c in entry.items()})
-        self._lie = False  # set by a validate() that finds no Jacobi violation
         self._valid = False  # set by a validate() whose report is ok
-        self._plan = None  # cached _casimir_plan() of a Lie table
+        self._plan = None  # cached _casimir_plan() of a valid table
         self._descents = None  # cached _descent_table()
         self._derived = None  # lieq.contraction's weak registry of live derived tables
 
     def _index_rows(self, brackets):
-        """Upper-triangle index rows of a name-keyed constructor table."""
+        """Upper-triangle index rows of a name-keyed table; a vanishing pair keeps an empty row."""
         upper = {}
         for (a, b), combo in brackets.items():
             ia, ib = self._gen_index(a), self._gen_index(b)
@@ -124,18 +123,20 @@ class LieAlgebra:
                     raise AlgebraError("structure constant for [%s,%s] is not a Scalar" % (a, b))
                 if coeff:
                     entry[self._gen_index(d)] = coeff
-            if ia == ib:
-                if entry:
-                    raise AlgebraError("nonzero bracket [%s,%s]" % (a, a))
-                continue
+            if ia == ib and entry:
+                raise AlgebraError("nonzero bracket [%s,%s]" % (a, a))
             if ia > ib:
                 ia, ib = ib, ia
                 entry = {d: -coeff for d, coeff in entry.items()}
-            if (ia, ib) in upper:
+            if upper.get((ia, ib)):
                 raise AlgebraError("bracket (%s,%s) given twice" % (a, b))
-            if entry:
-                upper[(ia, ib)] = entry
+            upper[(ia, ib)] = entry
         return upper
+
+    def _upper_rows(self, shift=0):
+        """A copy of the upper index rows, every index raised by shift."""
+        return {(a + shift, b + shift): {d + shift: c for d, c in entry.items()}
+                for (a, b), entry in self._table.items() if a < b}
 
     # -- lookups --------------------------------------------------------------
 
@@ -252,23 +253,21 @@ class LieAlgebra:
                 jacobi.append((triple, {}))
             jacobi[-1][1][gens[d]] = r
         report = ValidationReport(jacobi=jacobi, issues=issues)
-        if not jacobi:
-            self._lie = True
-            self._valid = report.ok
+        self._valid = report.ok
         return report
 
     def _casimir_plan(self):
         """Indices of the generators is_casimir straightens [e, G] against, in basis order.
 
-        Until a validate() call has found no Jacobi violation this is every
-        generator.  On a Lie table a generator is left out when the ones
+        Until a validate() call has found the table ok this is every
+        generator.  On a valid table a generator is left out when the ones
         before it already imply [e, G] = 0: the known set starts empty, each
         generator not in it is checked and added, and then the set is closed
         under the rule that a bracket [X, Y] of two known generators with
         exactly one support index outside the set adds that index.  Reads
         _table directly; the plan is derived once per instance.
         """
-        if not self._lie:
+        if not self._valid:
             return range(self.dim)
         if self._plan is None:
             known = set()
@@ -295,56 +294,56 @@ class LieAlgebra:
     def with_bracket(self, a, b, combo):
         """Copy with the bracket [a,b] replaced (no validation — test/mutation aid)."""
         self._gen_index(a), self._gen_index(b)
-        brackets = dict(self.nonzero_brackets())
-        brackets.pop((a, b), None)
-        brackets.pop((b, a), None)
-        brackets[(a, b)] = combo
-        return LieAlgebra(self.name + "_mut", self.generators, brackets, self.symbols)
+        return LieAlgebra._from_rows(self.name + "_mut", self.generators, self._upper_rows(),
+                                     self.symbols, {(a, b): combo})
 
     def flip_sign(self, a, b, d):
         """Copy with the single structure constant c_ab^d negated."""
-        entry = self.bracket(a, b)
-        if d not in entry:
+        ia, ib = self._gen_index(a), self._gen_index(b)
+        rows = self._upper_rows()
+        row = rows.get((min(ia, ib), max(ia, ib)), {})
+        id_ = self._index.get(d)
+        if id_ not in row:
             raise AlgebraError("no constant c_%s,%s^%s to flip" % (a, b, d))
-        entry[d] = -entry[d]
-        return self.with_bracket(a, b, entry)
+        row[id_] = -row[id_]  # c_ba^d = -c_ab^d flips with it
+        return LieAlgebra._from_rows(self.name + "_mut", self.generators, rows, self.symbols)
 
     def rename(self, mapping, name=None):
         """Rename generators via a (partial) injective mapping."""
-        new_names = tuple(mapping.get(g, g) for g in self.generators)
-        brackets = {}
-        for (a, b), combo in self.nonzero_brackets():
-            brackets[(mapping.get(a, a), mapping.get(b, b))] = {
-                mapping.get(d, d): coeff for d, coeff in combo.items()
-            }
-        return LieAlgebra(name or self.name, new_names, brackets, self.symbols)
+        return LieAlgebra._from_rows(name or self.name,
+                                     tuple(mapping.get(g, g) for g in self.generators),
+                                     self._upper_rows(), self.symbols)
 
     def trivial_extension(self, new_gen, name=None):
         if new_gen in self._index:
             raise AlgebraError("generator %r already present" % new_gen)
-        return LieAlgebra(
-            name or self.name + "_ext",
-            self.generators + (new_gen,),
-            dict(self.nonzero_brackets()),
-            self.symbols,
-        )
+        return LieAlgebra._from_rows(name or self.name + "_ext", self.generators + (new_gen,),
+                                     self._upper_rows(), self.symbols)
 
     def central_extension(self, central, overrides, name=None):
         """Append a central generator and replace the listed brackets.
 
-        The modified table is revalidated exhaustively; InvalidCocycle carries
-        the report when the replacement breaks Jacobi.
+        Of a pair given in both orders the later wins.  The modified table is
+        revalidated exhaustively; InvalidCocycle carries the report when the
+        replacement breaks Jacobi.
         """
         if central in self._index:
             raise AlgebraError("generator %r already present" % central)
-        brackets = dict(self.nonzero_brackets())
+        given = {}
         for (a, b), combo in overrides.items():
             if a == central or b == central:
                 raise AlgebraError("overrides must pair existing generators")
-            brackets.pop((b, a), None)
-            brackets[(a, b)] = combo
-        ext = LieAlgebra(name or self.name + "_central", self.generators + (central,),
-                         brackets, self.symbols)
+            given.pop((b, a), None)
+            given[(a, b)] = combo
+
+        def place(pair):  # errors show in table order: a pair listed as given, then the rest
+            ia, ib = self._index.get(pair[0], -1), self._index.get(pair[1], -1)
+            listed = -1 < ia < ib and (ia, ib) in self._table and pair[::-1] not in overrides
+            return (ia, ib) if listed else (self.dim,)
+
+        ext = LieAlgebra._from_rows(name or self.name + "_central", self.generators + (central,),
+                                    self._upper_rows(), self.symbols,
+                                    {pair: given[pair] for pair in sorted(given, key=place)})
         report = ext.validate()
         if not report.ok:
             raise InvalidCocycle("central extension by %r fails Jacobi" % central, report)
@@ -357,14 +356,14 @@ class LieAlgebra:
                 mapping[g] = g + "_2"
                 if mapping[g] in self._index or mapping[g] in other._index:
                     raise AlgebraError("cannot disambiguate clashing generator %r" % g)
-        b = other.rename(mapping) if mapping else other
-        brackets = dict(self.nonzero_brackets())
-        brackets.update(b.nonzero_brackets())
-        symbols = self.symbols + tuple(s for s in b.symbols if s not in self.symbols)
-        return LieAlgebra(
+        for g in mapping.values():  # a renamed clash that is other's symbol is reported first
+            if g in other.symbols:
+                raise AlgebraError("generator name %r collides with a scalar symbol" % g)
+        symbols = self.symbols + tuple(s for s in other.symbols if s not in self.symbols)
+        return LieAlgebra._from_rows(
             name or "%s_x_%s" % (self.name, other.name),
-            self.generators + b.generators,
-            brackets,
+            self.generators + tuple(mapping.get(g, g) for g in other.generators),
+            {**self._upper_rows(), **other._upper_rows(self.dim)},
             symbols,
         )
 

@@ -104,7 +104,7 @@ def catalog(name):
     """Return the named catalog algebra: built and validated once, cached, immutable.
 
     A table that fails validate() raises AlgebraError; a passing one is
-    marked as a Lie table, so is_casimir checks it against fewer generators.
+    marked valid, so is_casimir checks it against fewer generators.
     """
     if name not in _TABLES:
         raise AlgebraError(

@@ -133,10 +133,6 @@ def _check_map(algebra, exponents):
             raise ContractionError("exponent for %r must be an integer, got %r" % (name, k))
 
 
-def _primed(name):
-    return name + _PRIME
-
-
 def _assert_valid(algebra):
     """ContractionError unless algebra is a Lie table; validated once, unless a
     validate() call has already found it ok (every catalog() table)."""
@@ -163,7 +159,7 @@ def _primed_algebra(algebra, upper, suffix):
     if LAURENT_SYMBOL not in symbols:
         symbols = symbols + (LAURENT_SYMBOL,)
     return LieAlgebra._from_rows(algebra.name + suffix,
-                                 tuple(_primed(g) for g in algebra.generators), upper, symbols)
+                                 tuple(g + _PRIME for g in algebra.generators), upper, symbols)
 
 
 def _shared(algebra, exponents, build):

@@ -86,6 +86,7 @@ class _Builder:
     def __init__(self, fault):
         self.fault = fault
         self.checks = []
+        self.pe_contracted = None  # held to the end, so casimir_limits shares the table
 
     def add(self, name, ok, detail="", residue=None):
         self.checks.append(Check(name, "pass" if ok else "fail", detail, residue))
@@ -186,8 +187,8 @@ def _check_contraction(b):
         rescaled.bracket("KPxp", "Pxp") == {"Hbp": i_s * eps2, "Mp": i_s},
         "[KPx', Px'] = i*(eps^2*Hb' + M')",
     )
-    con = contract(peb, STD_PE_MAP)
-    ok, diff = tables_equal(con, catalog("galilei_central"), STD_PE_RENAME)
+    b.pe_contracted = contract(peb, STD_PE_MAP)
+    ok, diff = tables_equal(b.pe_contracted, catalog("galilei_central"), STD_PE_RENAME)
     detail = "all brackets agree under the standard renaming"
     if not ok:
         detail = "first mismatch at [%s, %s]" % diff[0].pair_a

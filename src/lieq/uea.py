@@ -43,14 +43,14 @@ words it holds: a whole product, Casimir check, Weyl ordering or substitution.
 is_casimir straightens [e, G] from the derivation
 [w, G] = sum_k w[:k]·[w_k, G]·w[k+1:], summed over the terms of e, instead of
 straightening both e·G and G·e and letting their leading terms cancel.  On
-a table that validate() has shown to satisfy Jacobi it skips the generators
+a table that a validate() call has found ok it skips the generators
 that earlier checks cover (LieAlgebra._casimir_plan): if [e, X] = [e, Y] = 0
 and [X, Y] = c·G + sum_d c_d·G_d with c != 0 and every other G_d known to
 commute with e, then c·[e, G] = [e, [X, Y]] = [[e, X], Y] + [X, [e, Y]] = 0
 because ad e is a derivation, and [e, G] = 0 because the PBW basis makes the
 enveloping algebra a free module over the scalar ring, an integral domain,
 so c need not be invertible.  The PBW basis, and so the argument, needs
-Jacobi (Bergman), hence the validated tables only.  Generators are still
+Jacobi (Bergman), hence the tables found ok only.  Generators are still
 checked in basis order, every one before the first failure commutes, and
 the first failing generator is never skipped, so the witness and residue
 are those of the full check.
@@ -448,7 +448,7 @@ def is_casimir(e):
     offending generator name and residue the nonzero commutator.  Each
     [e, G] is summed over the terms of e from the derivation
     [w, G] = sum_k w[:k] [w_k, G] w[k+1:] and straightened in one pass.  On a
-    table validate() has shown to satisfy Jacobi, the generators that the
+    table a validate() call has found ok, the generators that the
     ones checked before them imply are skipped (see the module docstring for
     the rule and its proof); a skipped generator commutes with e, so the
     first offending generator and its residue are the same as when every

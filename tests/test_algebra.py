@@ -7,7 +7,8 @@ import pytest
 from lieq.algebra import AlgebraError, InvalidCocycle, LieAlgebra, _invert
 from lieq.catalog import catalog
 from lieq.contraction import STD_PE_MAP, rescale_algebra
-from lieq.scalars import Scalar, ScalarError
+from lieq.scalars import DEFAULT_SYMBOLS, Scalar, ScalarError
+from lieq.uea import UEAElement, is_casimir
 
 I = Scalar.i()
 ONE = Scalar.one()
@@ -79,6 +80,34 @@ def test_validate_lists_undeclared_symbols_once_per_constant():
     assert alg == flipped
     assert alg.validate().issues == flipped.validate().issues == [
         "undeclared symbols ['m'] in [A,B]", "undeclared symbols ['w'] in [B,C]"]
+
+
+def test_an_undeclared_symbol_leaves_every_generator_checked():
+    # Jacobi holds, but the report lists the undeclared m, so the table is not
+    # found ok and is_casimir checks all of its generators.  Its answers are
+    # those of the declared twin, whose plan skips the central C.
+    m = Scalar.symbol("m")
+    brackets = {("A", "B"): {"C": m}, ("A", "C"): {}}
+    alg = LieAlgebra("x", ("A", "B", "C"), brackets, symbols=("eps",))
+    declared = LieAlgebra("x", ("A", "B", "C"), brackets, symbols=("eps", "m"))
+    report = alg.validate()
+    assert not report.jacobi and not report.ok and declared.validate().ok
+    assert not alg._valid and declared._valid
+    assert list(alg._casimir_plan()) == [0, 1, 2] and declared._casimir_plan() == (0, 1)
+    for word in (("C",), ("C", "C"), ("A",), ("B", "C"), ("A", "B")):
+        got = is_casimir(UEAElement.from_terms(alg, {word: ONE}))
+        want = is_casimir(UEAElement.from_terms(declared, {word: ONE}))
+        assert (got.ok, got.witness, str(got.residue)) == \
+            (want.ok, want.witness, str(want.residue)), word
+        assert got.ok == (word in (("C",), ("C", "C")))
+
+
+def test_a_vanishing_pair_is_given_twice_only_after_a_nonzero_one():
+    zero_first = {("A", "B"): {}, ("B", "A"): {"A": ONE}}
+    assert LieAlgebra("x", ("A", "B"), zero_first).bracket("A", "B") == {"A": -ONE}
+    with pytest.raises(AlgebraError, match=r"bracket \(A,B\) given twice"):
+        LieAlgebra("x", ("A", "B"), dict(reversed(zero_first.items())))
+    assert LieAlgebra("x", ("A", "B"), {("A", "A"): {}, ("B", "A"): {}}).validate().ok
 
 
 def test_forced_zero_rotation_bracket_breaks_jacobi():
@@ -255,9 +284,33 @@ def test_flip_sign_mutation_suite():
      "cannot disambiguate clashing generator 'Q'"),
     (lambda: LieAlgebra("x", ("A",), {}).direct_product(LieAlgebra("y", ("A", "A_2"), {})),
      "cannot disambiguate clashing generator 'A'"),
+    # a renamed clashing name that is a symbol of the other table is named
+    # first, before the product's own names are checked
+    (lambda: LieAlgebra("x", ("Y", "X"), {}).direct_product(
+        LieAlgebra("y", ("X",), {}, DEFAULT_SYMBOLS + ("X_2", "Y"))),
+     "^generator name 'X_2' collides with a scalar symbol$"),
+    # the bracket given is indexed against the copy, the pair against the source
+    (lambda: catalog("galilei").with_bracket("Gux", "Grx", {"Zz": ONE}),
+     "^unknown generator 'Zz' in algebra 'galilei_mut'$"),
+    (lambda: catalog("galilei").with_bracket("Gux", "Zz", {}),
+     "^unknown generator 'Zz' in algebra 'galilei'$"),
+    (lambda: catalog("poincare").flip_sign("Jx", "Jy", "Nope"),
+     r"^no constant c_Jx,Jy\^Nope to flip$"),
+    (lambda: catalog("galilei").central_extension("M", {("Q", "Gux"): {"M": I}}),
+     "^unknown generator 'Q' in algebra 'galilei_central'$"),
+    # of a pair given in both orders the later wins: [Gux, Grx] = iM alone
+    (lambda: catalog("galilei").central_extension(
+        "M", {("Gux", "Grx"): {"M": I}, ("Grx", "Gux"): {"M": -I}}),
+     "^central extension by 'M' fails Jacobi$"),
+    # of two faulty overrides, the one the table lists first is blamed
+    (lambda: catalog("galilei").central_extension(
+        "M", {("Gux", "Grx"): {"Yy": I}, ("Gthx", "Gthy"): {"Zz": I}}),
+     "^unknown generator 'Zz' in algebra 'galilei_central'$"),
 ], ids=["duplicate_names", "symbol_clash", "i_clash", "not_a_scalar", "self_bracket",
         "pair_twice", "flip_missing", "matrix_shape", "name_count", "central_present",
-        "central_override", "product_clash", "product_clash_in_other"])
+        "central_override", "product_clash", "product_clash_in_other", "product_symbol_clash",
+        "mutated_result_generator", "mutated_pair", "flip_unknown_result",
+        "central_unknown_pair", "central_pair_both_orders", "central_first_listed_fault"])
 def test_rejects_bad_input(build, message):
     with pytest.raises(AlgebraError, match=message):
         build()

@@ -8,10 +8,14 @@ The project runs no linter, so these stdlib `ast` scans stand in for one:
   given as an attribute or a string (as `monkeypatch.setattr` takes it), so a
   derived table that nothing reads any more fails too;
 - every name in a package module's `__all__` must be bound at the module's top
-  level, so an entry left behind by a deletion fails here, not on `import *`.
+  level, so an entry left behind by a deletion fails here, not on `import *`;
+- a module-level `_private` function or class, or a `_private` method, of the
+  package must be named in the package itself outside its own definition, so
+  a helper that only the tests or its own recursion still call fails too.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -64,16 +68,21 @@ def private_helpers(tree):
 
 def names_used(tree):
     """Every name a module reads, imports, or gives as an attribute or a string."""
-    used = set()
+    return set(name_counts(tree))
+
+
+def name_counts(tree):
+    """How often a tree reads, imports, or gives as an attribute or a string each name."""
+    used = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            used.add(node.id)
+            used[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            used[node.attr] += 1
         elif isinstance(node, ast.alias):
-            used.add(node.name)
+            used[node.name] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            used.add(node.value)
+            used[node.value] += 1
     return used
 
 
@@ -103,6 +112,48 @@ def test_the_scan_flags_an_unused_private_helper():
     other = ast.parse("from m import _imported\nmonkeypatch.setattr(m, '_patched', None)\n")
     assert unused_private_helpers(module, [module, other]) == [
         "_DERIVED", "_Gone", "_TYPED", "_dead"]
+
+
+def private_definitions(tree):
+    """The module-level `_private` function and class definitions of a module,
+    and the `_private` methods of its classes."""
+    defs = []
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) else ()
+        for d in [node, *body]:
+            if (isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and d.name.startswith("_") and not d.name.startswith("__")):
+                defs.append(d)
+    return defs
+
+
+def unreferenced_definitions(module, trees):
+    """The private definitions of module that no tree names outside the definition."""
+    used = sum(map(name_counts, trees), Counter())
+    return sorted(d.name for d in private_definitions(module)
+                  if used[d.name] <= name_counts(d)[d.name])
+
+
+@pytest.fixture(scope="module")
+def package_trees():
+    return {p: ast.parse(p.read_text(), str(p)) for p in PACKAGE}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_private_definition_is_used_by_the_package(path, package_trees):
+    trees = list(package_trees.values())
+    assert unreferenced_definitions(package_trees[path], trees) == []
+
+
+def test_the_scan_flags_a_private_definition_used_only_by_itself():
+    module = ast.parse(
+        "def _recursive(n): return _recursive(n - 1)\nclass _Unused: pass\n"
+        "class A:\n    def _dead(self): return self._dead()\n"
+        "    def _used(self): pass\n    def __len__(self): return 0\n"
+        "    def public(self): return self._used(), _called()\n"
+        "def _called(): pass\ndef _elsewhere(): pass\n")
+    other = ast.parse("from m import _elsewhere\n")
+    assert unreferenced_definitions(module, [module, other]) == ["_Unused", "_dead", "_recursive"]
 
 
 def undefined_exports(tree):

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from lieq import casimirs
+from lieq import casimirs, contraction
 from lieq.algebra import LieAlgebra
+from lieq.contraction import ContractionError
 from lieq.report import Report, report_paper
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -147,6 +148,33 @@ def test_a_faulty_basis_change_fails_only_its_own_row(monkeypatch):
     monkeypatch.setattr(LieAlgebra, "change_basis", faulty)
     failed = [c.name for c in report_paper().checks if c.status == "fail"]
     assert failed == ["basis change to the shifted energy"]
+
+
+def test_a_warm_report_builds_each_derived_table_once(monkeypatch):
+    # The contraction stage holds its contracted table to the end of the run,
+    # so the standard Casimir limits get the same live table, not a rebuild.
+    report_paper()
+    built = []
+    primed = contraction._primed_algebra
+
+    def counting(algebra, upper, suffix):
+        built.append(algebra.name + suffix)
+        return primed(algebra, upper, suffix)
+
+    monkeypatch.setattr(contraction, "_primed_algebra", counting)
+    assert report_paper().all_pass
+    assert built == ["poincare_trivial_ext_hbar_rescaled", "poincare_trivial_ext_hbar_contracted",
+                     "full_relativistic_contracted"]
+
+
+def test_a_failure_inside_the_limits_fails_the_casimir_contraction_stage(monkeypatch):
+    def broken():
+        raise ContractionError("no limits")
+
+    monkeypatch.setattr("lieq.report.standard_casimir_limits", broken)
+    failed = [(c.name, c.detail) for c in report_paper().checks if c.status == "fail"]
+    assert failed == [("casimir contraction", "raised ContractionError: no limits"),
+                      ("conceptual limit", "raised ContractionError: no limits")]
 
 
 def test_text_rendering(pristine):

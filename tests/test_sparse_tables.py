@@ -8,6 +8,11 @@ every (c, d) index pair of the basis change, and a dense Gauss-Jordan over
 every entry.  The arithmetic is exact, so reports, tables and inverses must
 agree exactly, violations in the same order and errors at the same column,
 on catalog tables and on tables that break Jacobi alike.
+
+The constructions (with_bracket, flip_sign, rename, trivial_extension,
+central_extension, direct_product) build from index rows; their references
+below spell the table out in names and hand it to the constructor, and
+both must give the same table, or the same error.
 """
 
 import itertools
@@ -17,8 +22,8 @@ from fractions import Fraction
 import pytest
 
 from lieq import algebra
-from lieq.algebra import AlgebraError, LieAlgebra, ValidationReport, _invert
-from lieq.catalog import CATALOG_NAMES, algebra_to_json, catalog
+from lieq.algebra import AlgebraError, InvalidCocycle, LieAlgebra, ValidationReport, _invert
+from lieq.catalog import AXES, CATALOG_NAMES, algebra_to_json, catalog
 from lieq.contraction import DivergentContraction, contract, rescale_algebra
 from lieq.scalars import DEFAULT_SYMBOLS, Scalar, ScalarError, _freeze, _mac, _unit_inverse
 
@@ -118,6 +123,81 @@ def ref_change_basis(alg, matrix, new_names, name=None):
     return LieAlgebra(name or alg.name + "_basis", new_names, table, alg.symbols)
 
 
+def ref_with_bracket(alg, a, b, combo):
+    alg._gen_index(a), alg._gen_index(b)
+    brackets = dict(alg.nonzero_brackets())
+    brackets.pop((a, b), None)
+    brackets.pop((b, a), None)
+    brackets[(a, b)] = combo
+    return LieAlgebra(alg.name + "_mut", alg.generators, brackets, alg.symbols)
+
+
+def ref_flip_sign(alg, a, b, d):
+    entry = alg.bracket(a, b)
+    if d not in entry:
+        raise AlgebraError("no constant c_%s,%s^%s to flip" % (a, b, d))
+    entry[d] = -entry[d]
+    return ref_with_bracket(alg, a, b, entry)
+
+
+def ref_rename(alg, mapping, name=None):
+    brackets = {(mapping.get(a, a), mapping.get(b, b)):
+                {mapping.get(d, d): coeff for d, coeff in combo.items()}
+                for (a, b), combo in alg.nonzero_brackets()}
+    return LieAlgebra(name or alg.name, tuple(mapping.get(g, g) for g in alg.generators),
+                      brackets, alg.symbols)
+
+
+def ref_trivial_extension(alg, new_gen, name=None):
+    if new_gen in alg.generators:
+        raise AlgebraError("generator %r already present" % new_gen)
+    return LieAlgebra(name or alg.name + "_ext", alg.generators + (new_gen,),
+                      dict(alg.nonzero_brackets()), alg.symbols)
+
+
+def ref_central_extension(alg, central, overrides, name=None):
+    """The overrides go into the listing's dict, so its order is the order of the checks."""
+    if central in alg.generators:
+        raise AlgebraError("generator %r already present" % central)
+    brackets = dict(alg.nonzero_brackets())
+    for (a, b), combo in overrides.items():
+        if a == central or b == central:
+            raise AlgebraError("overrides must pair existing generators")
+        brackets.pop((b, a), None)
+        brackets[(a, b)] = combo
+    ext = LieAlgebra(name or alg.name + "_central", alg.generators + (central,), brackets,
+                     alg.symbols)
+    report = ext.validate()
+    if not report.ok:
+        raise InvalidCocycle("central extension by %r fails Jacobi" % central, report)
+    return ext
+
+
+def ref_direct_product(alg, other, name=None):
+    mapping = {}
+    for g in other.generators:
+        if g in alg.generators:
+            mapping[g] = g + "_2"
+            if mapping[g] in alg.generators or mapping[g] in other.generators:
+                raise AlgebraError("cannot disambiguate clashing generator %r" % g)
+    b = ref_rename(other, mapping) if mapping else other
+    brackets = dict(alg.nonzero_brackets())
+    brackets.update(b.nonzero_brackets())
+    symbols = alg.symbols + tuple(s for s in b.symbols if s not in alg.symbols)
+    return LieAlgebra(name or "%s_x_%s" % (alg.name, other.name), alg.generators + b.generators,
+                      brackets, symbols)
+
+
+REFERENCES = {
+    "with_bracket": ref_with_bracket,
+    "flip_sign": ref_flip_sign,
+    "rename": ref_rename,
+    "trivial_extension": ref_trivial_extension,
+    "central_extension": ref_central_extension,
+    "direct_product": ref_direct_product,
+}
+
+
 # -- helpers ----------------------------------------------------------------
 
 
@@ -130,7 +210,7 @@ def assert_same_report(alg):
     ref = ref_validate(alg)
     got = alg.validate()
     assert listing(got) == listing(ref), alg.name
-    assert alg._lie == (not ref.jacobi)
+    assert alg._valid == ref.ok
     return got
 
 
@@ -492,13 +572,86 @@ def named_twin(alg):
     return LieAlgebra(alg.name, alg.generators, dict(alg.nonzero_brackets()), alg.symbols)
 
 
-def assert_same_as_named_twin(alg):
-    twin = named_twin(alg)
-    assert alg == twin
-    assert list(alg.nonzero_brackets()) == list(twin.nonzero_brackets())
-    assert list(alg._table) == list(twin._table)
-    assert algebra_to_json(alg) == algebra_to_json(twin)
-    assert (alg.name, alg.symbols) == (twin.name, twin.symbols)
+def assert_same_as_named_twin(alg, ref=None):
+    """alg equals the table built from its own listing, and ref if one is given."""
+    for twin in (named_twin(alg),) + ((ref,) if ref is not None else ()):
+        assert alg == twin
+        assert list(alg.nonzero_brackets()) == list(twin.nonzero_brackets())
+        assert list(alg._table) == list(twin._table)
+        assert algebra_to_json(alg) == algebra_to_json(twin)
+        assert (alg.name, alg.symbols) == (twin.name, twin.symbols)
+
+
+def built(make):
+    """The table make() returns, or the type, message and report of its AlgebraError."""
+    try:
+        return make()
+    except AlgebraError as e:
+        report = getattr(e, "report", None)
+        return type(e), str(e), report and listing(report)
+
+
+def assert_same_construction(alg, method, *args):
+    """alg.method(*args) against its reference: twin tables, or the same error."""
+    got = built(lambda: getattr(alg, method)(*args))
+    ref = built(lambda: REFERENCES[method](alg, *args))
+    if isinstance(ref, LieAlgebra):
+        assert isinstance(got, LieAlgebra), got
+        assert_same_as_named_twin(got, ref)
+    else:
+        assert got == ref
+    return got
+
+
+def coboundary_overrides(alg, central, rng):
+    """[X, Y] + f([X, Y]) * central for a seeded linear f: a Lie table for any f.
+
+    Each pair is given in a random order; of the pairs f leaves unchanged, some
+    are given unchanged and the others left out."""
+    f = {g: random_constant(rng) for g in rng.sample(alg.generators, rng.randint(1, alg.dim))}
+    overrides = {}
+    for (a, b), combo in alg.nonzero_brackets():
+        combo = dict(combo)
+        z = sum((coeff * f[d] for d, coeff in combo.items() if d in f), ZERO)
+        if z:
+            combo[central] = z
+        elif rng.random() < 0.5:
+            continue
+        if rng.random() < 0.5:
+            overrides[(b, a)] = {d: -coeff for d, coeff in combo.items()}
+        else:
+            overrides[(a, b)] = combo
+    return overrides
+
+
+def seeded_constructions(alg, rng):
+    """(method, args) of seeded calls of the six constructions on alg; only the
+    with_bracket calls and the last central extension may raise."""
+    gens = alg.generators
+    calls = [("rename", ({g: g + "_r" for g in rng.sample(gens, rng.randint(1, len(gens)))},)),
+             ("rename", ({gens[0]: "Renamed"}, "renamed")),
+             ("trivial_extension", ("Z9",)),
+             ("trivial_extension", ("Z9", "extended")),
+             ("central_extension", ("Z9", {})),
+             ("central_extension", ("Z9", coboundary_overrides(alg, "Z9", rng))),
+             ("central_extension", ("Z9", coboundary_overrides(alg, "Z9", rng), "central"))]
+    if len(gens) > 1:
+        a, b = rng.sample(gens, 2)
+        calls.append(("rename", ({a: b, b: a},)))
+    for other in rng.sample(CATALOG_NAMES, 2) + [alg.name]:  # alg with itself: every name clashes
+        calls.append(("direct_product", (catalog(other),)))
+    calls.append(("direct_product", (catalog(rng.choice(CATALOG_NAMES)), "product")))
+    for _ in range(4):
+        a, b = rng.choice(gens), rng.choice(gens)
+        results = rng.sample(gens, rng.randint(0, min(2, len(gens))))
+        combo = {d: random_constant(rng) for d in results}
+        calls.append(("with_bracket", (a, b, combo)))
+    for a, b, d in rng.sample(alg.nonzero_constants(), min(4, len(alg.nonzero_constants()))):
+        calls.append(("flip_sign", (a, b, d) if rng.random() < 0.5 else (b, a, d)))
+    nonzero = [pair for pair, _ in alg.nonzero_brackets()]
+    if nonzero:  # a pair replaced by the central generator alone: usually not a cocycle
+        calls.append(("central_extension", ("Z9", {rng.choice(nonzero): {"Z9": I}})))
+    return calls
 
 
 def ref_offenders(alg, exponents):
@@ -531,6 +684,90 @@ def test_derived_tables_equal_their_name_built_twins(name):
         else:
             assert not expected
     assert diverged > 0 or not alg.nonzero_constants()
+    calls = seeded_constructions(alg, rng)
+    outcomes = [assert_same_construction(alg, method, *args) for method, args in calls]
+    # only the 4 with_bracket calls and the lone central override may fail
+    assert sum(isinstance(got, LieAlgebra) for got in outcomes) >= len(calls) - 5
+
+
+BARGMANN = {("Gu%s" % ax, "Gr%s" % ax): {"M": I} for ax in AXES}
+
+
+def test_the_bargmann_extension_equals_its_name_built_twin():
+    ext = assert_same_construction(catalog("galilei"), "central_extension", "M", BARGMANN)
+    assert ext.validate().ok and ext.bracket("Grx", "Gux") == {"M": -I}
+
+
+# odd's generator Y is a symbol of symbolic, and symbolic's X clashes with odd's X
+ODD = LieAlgebra("odd", ("Y", "X"), {})
+SYMBOLIC = LieAlgebra("symbolic", ("X",), {}, DEFAULT_SYMBOLS + ("X_2", "Y"))
+
+
+@pytest.mark.parametrize("source, method, args", [
+    ("galilei", "with_bracket", ("Gux", "Grx", {"Zz": ONE})),
+    ("galilei", "with_bracket", ("Gux", "Nope", {"Zz": ONE})),
+    ("galilei", "with_bracket", ("Gux", "Gux", {"Grx": I})),
+    ("galilei", "with_bracket", ("Gux", "Grx", {"Zz": 1})),
+    ("galilei", "with_bracket", ("Gux", "Grx", {"Zz": ZERO})),
+    ("poincare", "flip_sign", ("Jx", "Jy", "Nope")),
+    ("poincare", "flip_sign", ("Jx", "Jx", "Jz")),
+    ("poincare", "flip_sign", ("Nope", "Jy", "Jz")),
+    ("poincare", "flip_sign", ("Jy", "Jx", "Jz")),
+    ("poincare", "rename", ({"H": "Jx"},)),
+    ("poincare", "rename", ({"H": "c"},)),
+    ("poincare", "trivial_extension", ("m",)),
+    ("poincare", "trivial_extension", ("H",)),
+    ("galilei", "central_extension", ("M", {("Q", "Gux"): {"M": I}})),
+    ("galilei", "central_extension", ("M", {("Gux", "Grx"): {"M": 1}})),
+    ("galilei", "central_extension", ("i", {})),
+    ("galilei", "central_extension", ("Gux", {})),
+    ("galilei", "central_extension", ("M", {("Gux", "Gux"): {"M": I}})),
+    ("galilei", "central_extension", ("M", {("Gux", "M"): {"M": I}})),
+    ("galilei", "central_extension", ("M", {("Gux", "Grx"): {"M": I},
+                                            ("Grx", "Gux"): {"M": -I}})),
+    ("galilei", "central_extension", ("M", {("Grx", "Gux"): {"M": -I},
+                                            ("Gux", "Grx"): {"M": I}})),
+    ("galilei", "central_extension", ("M", {("Gux", "Grx"): {"Yy": I},
+                                            ("Gthx", "Gthy"): {"Zz": I}})),
+    ("galilei", "central_extension", ("M", {("Gux", "Grx"): {"Yy": I},
+                                            ("Gthy", "Gthx"): {"Zz": I}})),
+    ("galilei", "central_extension", ("M", {("Gthy", "Gthx"): {"Gthz": -I},
+                                            ("Gux", "Grx"): {"Yy": I},
+                                            ("Gthx", "Gthy"): {"Zz": I}})),
+    ("galilei", "central_extension", ("M", {("Gthx", "Gthy"): {"Gthz": I, "M": ONE},
+                                            ("Gux", "Grx"): {"Yy": I},
+                                            ("Gthy", "Gthx"): {"Zz": I}})),
+    (ODD, "direct_product", (SYMBOLIC,)),
+    ("u1", "direct_product", (LieAlgebra("x", ("Q", "Q_2"), {}),)),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_bad_and_edge_inputs_match_the_name_built_constructions(source, method, args):
+    # same type, message and report; a pair given in both orders keeps the
+    # later; of two faulty overrides the one the table lists first is blamed
+    alg = catalog(source) if isinstance(source, str) else source
+    assert_same_construction(alg, method, *args)
+
+
+def test_constructions_index_only_the_brackets_they_are_given(monkeypatch):
+    gal, poi = catalog("galilei"), catalog("poincare")
+    calls = []
+    index_rows = LieAlgebra._index_rows
+
+    def counting(self, brackets):
+        calls.append((self.name, dict(brackets)))
+        return index_rows(self, brackets)
+
+    monkeypatch.setattr(LieAlgebra, "_index_rows", counting)
+    poi.rename({"H": "E"})
+    poi.trivial_extension("M")
+    poi.direct_product(poi)
+    poi.flip_sign("KPx", "Px", "H")
+    poi.change_basis(identity(poi.dim), poi.generators)
+    contract(poi, dict.fromkeys(poi.generators, 0))
+    assert calls == []
+    gal.with_bracket("Grx", "Gux", {"Gthx": I})
+    gal.central_extension("M", BARGMANN)
+    assert calls == [("galilei_mut", {("Grx", "Gux"): {"Gthx": I}}),
+                     ("galilei_central", BARGMANN)]
 
 
 def test_index_path_keeps_the_name_checks():
