@@ -11,9 +11,10 @@ it: by pair, then by result generator.
 
 One private core (_build) stores every table from upper-triangle index rows
 {(ia, ib): {d: nonzero Scalar}}, ia < ib.  Only name-keyed input a caller
-hands in, the constructor's table, with_bracket's bracket and
-central_extension's overrides, is indexed (_index_rows); every derived table
-is built from its source's index rows (_from_rows), never from names.
+hands in, the constructor's table, lieq.catalog's file entries, with_bracket's
+bracket and central_extension's overrides, is indexed (_index_rows), in the
+order given, so a fault is blamed where it is given; every derived table is
+built from its source's index rows (_from_rows), never from names.
 
 All values are immutable; operations return new algebras.  bracket, validate
 and change_basis accumulate raw maps (lieq.scalars); validate and change_basis
@@ -72,8 +73,8 @@ class LieAlgebra:
                  "_plan", "_descents", "_derived", "__weakref__")
 
     def __init__(self, name, generators, brackets, symbols=DEFAULT_SYMBOLS):
-        """brackets: {(name_a, name_b): {name_d: Scalar}}; pairs in any order."""
-        self._build(name, generators, symbols, {}, brackets)
+        """brackets: {(name_a, name_b): {name_d: Scalar}}; each pair once, in either order."""
+        self._build(name, generators, symbols, {}, brackets.items())
 
     @classmethod
     def _from_rows(cls, name, generators, upper, symbols, named=None):
@@ -86,8 +87,8 @@ class LieAlgebra:
         """The one constructor core: check the names, store both triangles, reset the fact.
 
         rows are index rows as in _from_rows, where an empty row is a vanishing
-        bracket; named, a name-keyed table, is indexed after the checks, against
-        these generators, and replaces the rows of the pairs it gives.
+        bracket; named, name-keyed ((a, b), combo) pairs, is indexed after the
+        checks, against these generators, and replaces the rows of the pairs it gives.
         """
         self.name = name
         self.generators = tuple(generators)
@@ -112,10 +113,11 @@ class LieAlgebra:
         self._descents = None  # cached _descent_table()
         self._derived = None  # lieq.contraction's weak registry of live derived tables
 
-    def _index_rows(self, brackets):
-        """Upper-triangle index rows of a name-keyed table; a vanishing pair keeps an empty row."""
+    def _index_rows(self, pairs):
+        """Upper index rows of name-keyed ((a, b), combo) pairs, read in the order given:
+        each pair is given once, in either order; a vanishing pair keeps an empty row."""
         upper = {}
-        for (a, b), combo in brackets.items():
+        for (a, b), combo in pairs:
             ia, ib = self._gen_index(a), self._gen_index(b)
             entry = {}
             for d, coeff in combo.items():
@@ -128,7 +130,7 @@ class LieAlgebra:
             if ia > ib:
                 ia, ib = ib, ia
                 entry = {d: -coeff for d, coeff in entry.items()}
-            if upper.get((ia, ib)):
+            if (ia, ib) in upper:
                 raise AlgebraError("bracket (%s,%s) given twice" % (a, b))
             upper[(ia, ib)] = entry
         return upper
@@ -293,9 +295,8 @@ class LieAlgebra:
 
     def with_bracket(self, a, b, combo):
         """Copy with the bracket [a,b] replaced (no validation — test/mutation aid)."""
-        self._gen_index(a), self._gen_index(b)
         return LieAlgebra._from_rows(self.name + "_mut", self.generators, self._upper_rows(),
-                                     self.symbols, {(a, b): combo})
+                                     self.symbols, [((a, b), combo)])
 
     def flip_sign(self, a, b, d):
         """Copy with the single structure constant c_ab^d negated."""
@@ -323,27 +324,15 @@ class LieAlgebra:
     def central_extension(self, central, overrides, name=None):
         """Append a central generator and replace the listed brackets.
 
-        Of a pair given in both orders the later wins.  The modified table is
-        revalidated exhaustively; InvalidCocycle carries the report when the
-        replacement breaks Jacobi.
+        The modified table is revalidated exhaustively; InvalidCocycle carries
+        the report when the replacement breaks Jacobi.
         """
         if central in self._index:
             raise AlgebraError("generator %r already present" % central)
-        given = {}
-        for (a, b), combo in overrides.items():
-            if a == central or b == central:
-                raise AlgebraError("overrides must pair existing generators")
-            given.pop((b, a), None)
-            given[(a, b)] = combo
-
-        def place(pair):  # errors show in table order: a pair listed as given, then the rest
-            ia, ib = self._index.get(pair[0], -1), self._index.get(pair[1], -1)
-            listed = -1 < ia < ib and (ia, ib) in self._table and pair[::-1] not in overrides
-            return (ia, ib) if listed else (self.dim,)
-
+        if any(central in pair for pair in overrides):
+            raise AlgebraError("overrides must pair existing generators")
         ext = LieAlgebra._from_rows(name or self.name + "_central", self.generators + (central,),
-                                    self._upper_rows(), self.symbols,
-                                    {pair: given[pair] for pair in sorted(given, key=place)})
+                                    self._upper_rows(), self.symbols, overrides.items())
         report = ext.validate()
         if not report.ok:
             raise InvalidCocycle("central extension by %r fails Jacobi" % central, report)
@@ -356,9 +345,6 @@ class LieAlgebra:
                 mapping[g] = g + "_2"
                 if mapping[g] in self._index or mapping[g] in other._index:
                     raise AlgebraError("cannot disambiguate clashing generator %r" % g)
-        for g in mapping.values():  # a renamed clash that is other's symbol is reported first
-            if g in other.symbols:
-                raise AlgebraError("generator name %r collides with a scalar symbol" % g)
         symbols = self.symbols + tuple(s for s in other.symbols if s not in self.symbols)
         return LieAlgebra._from_rows(
             name or "%s_x_%s" % (self.name, other.name),

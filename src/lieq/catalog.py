@@ -156,7 +156,7 @@ def algebra_from_json(text):
     if not isinstance(doc.get("brackets", []), list):
         raise AlgebraError("'brackets' must be a list of entries")
     symbols = tuple(doc.get("symbols", ()))
-    brackets = {}
+    entries = []
     for entry in doc.get("brackets", ()):
         try:
             a, b, result = entry["a"], entry["b"], entry["result"]
@@ -173,8 +173,5 @@ def algebra_from_json(text):
             except ExprError as e:
                 raise AlgebraError("bad coefficient %r: %s" % (text, e)) from None
             combo[gen] = combo[gen] + coeff if gen in combo else coeff
-        key = (a, b)
-        if key in brackets:
-            raise AlgebraError("bracket (%s,%s) given twice" % key)
-        brackets[key] = combo
-    return LieAlgebra(doc["name"], tuple(doc["generators"]), brackets, symbols)
+        entries.append(((a, b), combo))
+    return LieAlgebra._from_rows(doc["name"], tuple(doc["generators"]), {}, symbols, entries)

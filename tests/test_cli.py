@@ -382,6 +382,31 @@ def test_bad_inputs_exit_2_with_one_line(case, capsys, monkeypatch, tmp_path):
     assert ("2^32" in err) == case.startswith("exponent")
 
 
+@pytest.mark.parametrize("first, second", [
+    (("A", "B", "1"), ("A", "B", "1")),
+    (("A", "B", None), ("B", "A", "-1")),
+    (("A", "B", "1"), ("B", "A", None)),
+], ids=["same_order", "empty_then_reversed", "nonzero_then_reversed_empty"])
+def test_validate_a_pair_given_twice_exits_2_with_one_line(first, second, capsys, tmp_path):
+    # each pair is given at most once, in either order, empty or not
+    def entry(a, b, coeff):
+        return {"a": a, "b": b, "result": [{"coeff": coeff, "gen": "C"}] if coeff else []}
+
+    brackets = GOOD_ALGEBRA["brackets"][1:] + [entry(*first), entry(*second)]
+    code, out, err = run(capsys, "validate", _algebra_file(tmp_path, brackets=brackets))
+    assert (code, out) == (2, "")
+    assert err == "error: bracket (%s,%s) given twice\n" % second[:2]
+
+
+def test_validate_reports_a_bad_coefficient_before_a_pair_given_twice(capsys, tmp_path):
+    # entries are parsed for shape and coefficients before names and pairs are checked
+    brackets = GOOD_ALGEBRA["brackets"][:1] + GOOD_ALGEBRA["brackets"] + [
+        {"a": "B", "b": "C", "result": [{"coeff": "1/0", "gen": "A"}]}]
+    code, out, err = run(capsys, "validate", _algebra_file(tmp_path, brackets=brackets))
+    assert (code, out) == (2, "")
+    assert err == "error: bad coefficient '1/0': division by zero (line 1, column 3)\n"
+
+
 @pytest.mark.parametrize("command", ["contract", "casimir contract"])
 @pytest.mark.parametrize("generator, exponent",
                          [("M", 2 ** 40), ("KPx", -2 ** 33), ("M", 2 ** 128)],

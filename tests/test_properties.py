@@ -3,10 +3,12 @@
 import random
 from fractions import Fraction
 
+from lieq.algebra import LieAlgebra
 from lieq.casimirs import C4_VARIANTS, CASIMIR_GROUPS, casimir_catalog, casimir_variant
 from lieq.catalog import CATALOG_NAMES, catalog
 from lieq.scalars import Scalar
 from lieq.uea import CasimirCheck, UEAElement, commutator, is_casimir, substitute
+from test_sparse_tables import coboundary_overrides, unitriangular
 
 GC = catalog("galilei_central")
 DIM = GC.dim
@@ -215,6 +217,37 @@ def test_is_casimir_matches_the_two_sided_definition():
                     samples.append(e)
     for e in samples:
         assert is_casimir(e) == two_sided_casimir_check(e), e
+
+
+# [X,Y] = A + B has two indices outside {X, Y}, so X and Y imply nothing about
+# A or B; Z commutes with X and Y, but [A,Z] = Z, so A must be checked for Z.
+SPLIT = LieAlgebra("split", ("X", "Y", "A", "B", "Z"),
+                   {("X", "Y"): {"A": Scalar.one(), "B": Scalar.one()},
+                    ("A", "Z"): {"Z": Scalar.one()}, ("B", "Z"): {"Z": -Scalar.one()}})
+
+
+def test_is_casimir_matches_the_two_sided_definition_on_non_catalog_tables():
+    # is_casimir skips generators only on validated tables (_casimir_plan);
+    # compare it with the definition on valid tables outside the catalog
+    rng = random.Random(2741)
+    tables = [SPLIT]
+    for name in ("poincare", "galilei_central", "heisenberg3", "galilei"):
+        alg = catalog(name)
+        tables.append(alg.change_basis(unitriangular(rng, alg.dim), alg.generators))
+    tables.append(SPLIT.change_basis(unitriangular(rng, SPLIT.dim), SPLIT.generators))
+    tables += [SPLIT.direct_product(catalog("heisenberg3")),
+               catalog("galilei").direct_product(SPLIT),
+               catalog("poincare").direct_product(catalog("galilei_central"))]
+    for alg in (SPLIT, catalog("galilei"), catalog("poincare")):
+        tables.append(alg.central_extension("Z9", coboundary_overrides(alg, "Z9", rng)))
+    for alg in tables:
+        assert alg.validate().ok, alg.name
+        gens = [UEAElement.gen(alg, g) for g in alg.generators]
+        samples = gens + [x * y for x in gens for y in rng.sample(gens, min(3, len(gens)))]
+        for e in samples:
+            assert is_casimir(e) == two_sided_casimir_check(e), (alg.name, e)
+    split_z = UEAElement.gen(SPLIT, "Z")
+    assert is_casimir(split_z) == CasimirCheck(False, "A", -split_z)
 
 
 # Generators is_casimir straightens against on each validated catalog table;

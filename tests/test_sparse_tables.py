@@ -16,6 +16,7 @@ both must give the same table, or the same error.
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ import pytest
 
 from lieq import algebra
 from lieq.algebra import AlgebraError, InvalidCocycle, LieAlgebra, ValidationReport, _invert
-from lieq.catalog import AXES, CATALOG_NAMES, algebra_to_json, catalog
+from lieq.catalog import AXES, CATALOG_NAMES, algebra_from_json, algebra_to_json, catalog
 from lieq.contraction import DivergentContraction, contract, rescale_algebra
 from lieq.scalars import DEFAULT_SYMBOLS, Scalar, ScalarError, _freeze, _mac, _unit_inverse
 
@@ -124,7 +125,6 @@ def ref_change_basis(alg, matrix, new_names, name=None):
 
 
 def ref_with_bracket(alg, a, b, combo):
-    alg._gen_index(a), alg._gen_index(b)
     brackets = dict(alg.nonzero_brackets())
     brackets.pop((a, b), None)
     brackets.pop((b, a), None)
@@ -140,12 +140,15 @@ def ref_flip_sign(alg, a, b, d):
     return ref_with_bracket(alg, a, b, entry)
 
 
+def renamed_listing(alg, mapping):
+    return {(mapping.get(a, a), mapping.get(b, b)):
+            {mapping.get(d, d): coeff for d, coeff in combo.items()}
+            for (a, b), combo in alg.nonzero_brackets()}
+
+
 def ref_rename(alg, mapping, name=None):
-    brackets = {(mapping.get(a, a), mapping.get(b, b)):
-                {mapping.get(d, d): coeff for d, coeff in combo.items()}
-                for (a, b), combo in alg.nonzero_brackets()}
     return LieAlgebra(name or alg.name, tuple(mapping.get(g, g) for g in alg.generators),
-                      brackets, alg.symbols)
+                      renamed_listing(alg, mapping), alg.symbols)
 
 
 def ref_trivial_extension(alg, new_gen, name=None):
@@ -156,15 +159,16 @@ def ref_trivial_extension(alg, new_gen, name=None):
 
 
 def ref_central_extension(alg, central, overrides, name=None):
-    """The overrides go into the listing's dict, so its order is the order of the checks."""
+    """The listing without the pairs given, then the overrides as given: the order of the checks."""
     if central in alg.generators:
         raise AlgebraError("generator %r already present" % central)
     brackets = dict(alg.nonzero_brackets())
-    for (a, b), combo in overrides.items():
+    for a, b in overrides:
         if a == central or b == central:
             raise AlgebraError("overrides must pair existing generators")
+        brackets.pop((a, b), None)
         brackets.pop((b, a), None)
-        brackets[(a, b)] = combo
+    brackets.update(overrides)
     ext = LieAlgebra(name or alg.name + "_central", alg.generators + (central,), brackets,
                      alg.symbols)
     report = ext.validate()
@@ -180,11 +184,11 @@ def ref_direct_product(alg, other, name=None):
             mapping[g] = g + "_2"
             if mapping[g] in alg.generators or mapping[g] in other.generators:
                 raise AlgebraError("cannot disambiguate clashing generator %r" % g)
-    b = ref_rename(other, mapping) if mapping else other
     brackets = dict(alg.nonzero_brackets())
-    brackets.update(b.nonzero_brackets())
-    symbols = alg.symbols + tuple(s for s in b.symbols if s not in alg.symbols)
-    return LieAlgebra(name or "%s_x_%s" % (alg.name, other.name), alg.generators + b.generators,
+    brackets.update(renamed_listing(other, mapping))
+    symbols = alg.symbols + tuple(s for s in other.symbols if s not in alg.symbols)
+    return LieAlgebra(name or "%s_x_%s" % (alg.name, other.name),
+                      alg.generators + tuple(mapping.get(g, g) for g in other.generators),
                       brackets, symbols)
 
 
@@ -741,8 +745,8 @@ SYMBOLIC = LieAlgebra("symbolic", ("X",), {}, DEFAULT_SYMBOLS + ("X_2", "Y"))
     ("u1", "direct_product", (LieAlgebra("x", ("Q", "Q_2"), {}),)),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_bad_and_edge_inputs_match_the_name_built_constructions(source, method, args):
-    # same type, message and report; a pair given in both orders keeps the
-    # later; of two faulty overrides the one the table lists first is blamed
+    # same type, message and report; a pair given in both orders is given
+    # twice; of two faulty overrides the one given first is blamed
     alg = catalog(source) if isinstance(source, str) else source
     assert_same_construction(alg, method, *args)
 
@@ -752,9 +756,10 @@ def test_constructions_index_only_the_brackets_they_are_given(monkeypatch):
     calls = []
     index_rows = LieAlgebra._index_rows
 
-    def counting(self, brackets):
-        calls.append((self.name, dict(brackets)))
-        return index_rows(self, brackets)
+    def counting(self, pairs):
+        pairs = list(pairs)
+        calls.append((self.name, pairs))
+        return index_rows(self, pairs)
 
     monkeypatch.setattr(LieAlgebra, "_index_rows", counting)
     poi.rename({"H": "E"})
@@ -766,8 +771,16 @@ def test_constructions_index_only_the_brackets_they_are_given(monkeypatch):
     assert calls == []
     gal.with_bracket("Grx", "Gux", {"Gthx": I})
     gal.central_extension("M", BARGMANN)
-    assert calls == [("galilei_mut", {("Grx", "Gux"): {"Gthx": I}}),
-                     ("galilei_central", BARGMANN)]
+    algebra_from_json(algebra_to_json(gal))
+    twice = {"name": "twice", "generators": ["A", "B"], "brackets": [
+        {"a": "A", "b": "B", "result": [{"gen": "A", "coeff": "1"}]},
+        {"a": "B", "b": "A", "result": []}]}
+    with pytest.raises(AlgebraError, match=r"^bracket \(B,A\) given twice$"):
+        algebra_from_json(json.dumps(twice))
+    assert calls == [("galilei_mut", [(("Grx", "Gux"), {"Gthx": I})]),
+                     ("galilei_central", list(BARGMANN.items())),
+                     ("galilei", list(gal.nonzero_brackets())),
+                     ("twice", [(("A", "B"), {"A": ONE}), (("B", "A"), {})])]
 
 
 def test_index_path_keeps_the_name_checks():
