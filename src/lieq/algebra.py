@@ -329,10 +329,15 @@ class LieAlgebra:
         """
         if central in self._index:
             raise AlgebraError("generator %r already present" % central)
-        if any(central in pair for pair in overrides):
-            raise AlgebraError("overrides must pair existing generators")
+
+        def given():  # overrides as given, each checked as _index_rows reaches it
+            for pair, combo in overrides.items():
+                if central in pair:
+                    raise AlgebraError("overrides must pair existing generators")
+                yield pair, combo
+
         ext = LieAlgebra._from_rows(name or self.name + "_central", self.generators + (central,),
-                                    self._upper_rows(), self.symbols, overrides.items())
+                                    self._upper_rows(), self.symbols, given())
         report = ext.validate()
         if not report.ok:
             raise InvalidCocycle("central extension by %r fails Jacobi" % central, report)

@@ -42,9 +42,16 @@ words it holds: a whole product, Casimir check, Weyl ordering or substitution.
 
 is_casimir straightens [e, G] from the derivation
 [w, G] = sum_k w[:k]·[w_k, G]·w[k+1:], summed over the terms of e, instead of
-straightening both e·G and G·e and letting their leading terms cancel.  On
-a table that a validate() call has found ok it skips the generators
-that earlier checks cover (LieAlgebra._casimir_plan): if [e, X] = [e, Y] = 0
+straightening both e·G and G·e and letting their leading terms cancel.
+The occurrences of each letter in e's terms are indexed once per check (a
+normal word holds each letter in one run, so a term is listed once per
+letter and the walk reads the run from its start), so building [e, G] walks
+only the letters with [letter, G] != 0 and the terms that hold them; most
+[letter, G] vanish, and an empty [e, G] is zero without being straightened.
+LIEQ_TERM_CAP is read once, when the check starts, so a malformed value
+fails a check that has nothing to straighten too.  On a table that a
+validate() call has found ok it skips the generators that earlier checks
+cover (LieAlgebra._casimir_plan): if [e, X] = [e, Y] = 0
 and [X, Y] = c·G + sum_d c_d·G_d with c != 0 and every other G_d known to
 commute with e, then c·[e, G] = [e, [X, Y]] = [[e, X], Y] + [X, [e, Y]] = 0
 because ad e is a derivation, and [e, G] = 0 because the PBW basis makes the
@@ -144,7 +151,7 @@ def _settle(key, pos, descents):
     return tuple(word), 0
 
 
-def _normalize(alg, raw):
+def _normalize(alg, raw, budget=None):
     """Straighten {key: raw map} into PBW normal form {word: Scalar}.
 
     A row's key is _key(word): words sort longest first, then descending
@@ -157,10 +164,12 @@ def _normalize(alg, raw):
     position (0 if normal) and its summed map.  The heap holds the pending
     words with a descent and pops them in key order; normal words are never
     queued, and what pending holds when the heap empties is the result, in
-    key order.  Rewrites read alg._descent_table().
+    key order.  Rewrites read alg._descent_table().  budget is the live-term
+    cap; LIEQ_TERM_CAP is read when none is given.
     """
     descents = alg._descent_table()
-    budget = _term_cap()
+    if budget is None:
+        budget = _term_cap()
     pending = {}  # {key: (leftmost descent position or 0, raw map)}
     heap = []
     for key, coeff in raw.items():
@@ -447,7 +456,11 @@ def is_casimir(e):
     Returns CasimirCheck(ok, witness, residue): witness is the first
     offending generator name and residue the nonzero commutator.  Each
     [e, G] is summed over the terms of e from the derivation
-    [w, G] = sum_k w[:k] [w_k, G] w[k+1:] and straightened in one pass.  On a
+    [w, G] = sum_k w[:k] [w_k, G] w[k+1:] and straightened in one pass.  The
+    terms are indexed by their letters once, so only the letters with
+    [letter, G] != 0 and the terms that hold them are walked, and an empty
+    [e, G] is not straightened.  LIEQ_TERM_CAP is read when the check
+    starts, so a malformed value fails every check.  On a
     table a validate() call has found ok, the generators that the
     ones checked before them imply are skipped (see the module docstring for
     the rule and its proof); a skipped generator commutes with e, so the
@@ -460,25 +473,44 @@ def is_casimir(e):
 def _casimir_checks(pieces, combos):
     """is_casimir(sum(s * piece)) for each tuple of signs (+1/-1) in combos.
     Each [piece, G] is straightened once per planned generator some combination
-    awaits; by linearity a combination's residue is the signed sum of its pieces'."""
+    awaits; by linearity a combination's residue is the signed sum of its pieces'.
+    The walk, the skipped empty sums and the term cap are as is_casimir says."""
     alg = pieces[0].algebra
-    keyed = [[(_key(w), c._terms) for w, c in piece._terms.items()] for piece in pieces]
+    budget = _term_cap()
+    indexed = []  # per piece: {-letter: [(key, raw coeff) of each term holding it]}
+    for piece in pieces:
+        held = {}
+        for w, c in piece._terms.items():
+            key = _key(w)
+            term = key, c._terms
+            prev = None
+            for nl in key[1:]:
+                if nl != prev:  # a normal word holds each letter in one run
+                    held.setdefault(nl, []).append(term)
+                    prev = nl
+        indexed.append(held)
+    letters = set().union(*indexed)
     checks = [None] * len(combos)
     pending = range(len(combos))
     for g in alg._casimir_plan():
-        brackets = {}  # {-letter: ((-d, raw c), ...)}: [letter, g], read when first met
+        reached = {}  # {-letter: ((-d, raw c), ...)} for each letter with [letter, g] != 0
+        for nl in letters:
+            bracket = alg.bracket_index(-nl, g)
+            if bracket:
+                reached[nl] = tuple((-d, c._terms) for d, c in bracket.items())
+        if not reached:
+            continue
         residues = []
-        for terms in keyed:
+        for held in indexed:
             raw = {}
-            for key, coeff in terms:
-                for k in range(1, len(key)):
-                    bracket = brackets.get(key[k])
-                    if bracket is None:
-                        bracket = brackets[key[k]] = tuple(
-                            (-d, c._terms) for d, c in alg.bracket_index(-key[k], g).items())
-                    for nd, c in bracket:
-                        _mac(raw.setdefault(key[:k] + (nd,) + key[k + 1:], {}), c, coeff)
-            residues.append(UEAElement(alg, _normalize(alg, raw)))
+            for nl, bracket in reached.items():
+                for key, coeff in held.get(nl, ()):
+                    k = key.index(nl, 1)
+                    while k < len(key) and key[k] == nl:
+                        for nd, c in bracket:
+                            _mac(raw.setdefault(key[:k] + (nd,) + key[k + 1:], {}), c, coeff)
+                        k += 1
+            residues.append(UEAElement(alg, _normalize(alg, raw, budget) if raw else {}))
         if not any(residues):
             continue
         for i in pending:

@@ -46,7 +46,12 @@ MUTANTS = [
     ("weyl_weight_one_over_len", "src/lieq/uea.py",
      "Scalar.rational(1, count)", "Scalar.rational(1, len(letters))"),
     ("casimir_skips_last_letter", "src/lieq/uea.py",
-     "for k in range(1, len(key)):", "for k in range(1, len(key) - 1):"),
+     "while k < len(key) and key[k] == nl:", "while k < len(key) - 1 and key[k] == nl:"),
+    ("casimir_first_occurrence_only", "src/lieq/uea.py",
+     "k += 1", "k = len(key)"),
+    ("casimir_straightens_empty_sums_only", "src/lieq/uea.py",
+     "_normalize(alg, raw, budget) if raw else {}",
+     "_normalize(alg, raw, budget) if not raw else {}"),
     ("change_basis_one_factor", "src/lieq/algebra.py",
      "_mac(w, ac, bd)", "w.update(ac)"),
     ("casimir_plan_any_outside", "src/lieq/algebra.py",

@@ -306,11 +306,16 @@ def test_flip_sign_mutation_suite():
     (lambda: catalog("galilei").central_extension(
         "M", {("Gux", "Grx"): {"Yy": I}, ("Gthx", "Gthy"): {"Zz": I}}),
      "^unknown generator 'Yy' in algebra 'galilei_central'$"),
+    # an unknown name is blamed before a later override that names the central generator
+    (lambda: catalog("galilei").central_extension(
+        "M", {("Q", "Gux"): {"M": I}, ("Gux", "M"): {"M": I}}),
+     "^unknown generator 'Q' in algebra 'galilei_central'$"),
 ], ids=["duplicate_names", "symbol_clash", "i_clash", "not_a_scalar", "self_bracket",
         "pair_twice", "flip_missing", "matrix_shape", "name_count", "central_present",
         "central_override", "product_clash", "product_clash_in_other", "product_symbol_clash",
         "mutated_result_generator", "mutated_pair", "flip_unknown_result",
-        "central_unknown_pair", "central_pair_both_orders", "central_first_listed_fault"])
+        "central_unknown_pair", "central_pair_both_orders", "central_first_listed_fault",
+        "central_unknown_before_central_pair"])
 def test_rejects_bad_input(build, message):
     with pytest.raises(AlgebraError, match=message):
         build()
