@@ -22,12 +22,11 @@ walk only stored entries and nonzero matrix entries, never every index tuple,
 and _invert reduces sparse rows of [A | I].  One fact is cached on an
 instance, set by a validate() call and never stale, since the table never
 changes after construction: _valid, that the report was ok, which lets
-is_casimir skip generators (_casimir_plan) and lieq.contraction skip
-validating a source again.  validate() itself always recomputes.  The plan
-and lieq.uea's rewrite table (_descent_table) are derived once per instance
-too.  _derived is lieq.contraction's registry of the live tables rescaled or
-contracted from this one, a WeakValueDictionary made on first use: it shares
-a table while someone holds it and keeps nothing after.
+is_casimir skip generators and lieq.contraction skip validating a source
+again.  validate() itself always recomputes.  _plan and _descents keep what
+lieq.uea derives from the table; _derived is lieq.contraction's registry of
+the live tables rescaled or contracted from this one, a WeakValueDictionary
+made on first use: it shares a table while someone holds it, nothing after.
 """
 
 from __future__ import annotations
@@ -109,8 +108,8 @@ class LieAlgebra:
                 self._table[(ia, ib)] = MappingProxyType(entry)
                 self._table[(ib, ia)] = MappingProxyType({d: -c for d, c in entry.items()})
         self._valid = False  # set by a validate() whose report is ok
-        self._plan = None  # cached _casimir_plan() of a valid table
-        self._descents = None  # cached _descent_table()
+        self._plan = None  # lieq.uea's Casimir plan of a valid table
+        self._descents = None  # lieq.uea's rewrite table
         self._derived = None  # lieq.contraction's weak registry of live derived tables
 
     def _index_rows(self, pairs):
@@ -158,17 +157,6 @@ class LieAlgebra:
     def bracket_index(self, ia, ib):
         """[G_ia, G_ib] as a read-only {index: Scalar}, empty when it vanishes."""
         return self._table.get((ia, ib), _EMPTY)
-
-    def _descent_table(self):
-        """{(-b, -a): ((-d, raw c_ba^d), ...)} for each nonzero [G_b, G_a], b > a.
-
-        lieq.uea._normalize's rewrite table, in its negated index space.
-        """
-        if self._descents is None:
-            self._descents = {
-                (-b, -a): tuple((-d, c._terms) for d, c in entry.items())
-                for (b, a), entry in self._table.items() if b > a}
-        return self._descents
 
     def bracket(self, x, y):
         """Bilinear bracket of generator names or {name: Scalar} combinations."""
@@ -258,39 +246,6 @@ class LieAlgebra:
         self._valid = report.ok
         return report
 
-    def _casimir_plan(self):
-        """Indices of the generators is_casimir straightens [e, G] against, in basis order.
-
-        Until a validate() call has found the table ok this is every
-        generator.  On a valid table a generator is left out when the ones
-        before it already imply [e, G] = 0: the known set starts empty, each
-        generator not in it is checked and added, and then the set is closed
-        under the rule that a bracket [X, Y] of two known generators with
-        exactly one support index outside the set adds that index.  Reads
-        _table directly; the plan is derived once per instance.
-        """
-        if not self._valid:
-            return range(self.dim)
-        if self._plan is None:
-            known = set()
-            plan = []
-            for g in range(self.dim):
-                if g in known:
-                    continue
-                plan.append(g)
-                known.add(g)
-                grown = True
-                while grown:
-                    grown = False
-                    for (a, b), entry in self._table.items():
-                        if a in known and b in known:
-                            outside = [d for d in entry if d not in known]
-                            if len(outside) == 1:
-                                known.add(outside[0])
-                                grown = True
-            self._plan = tuple(plan)
-        return self._plan
-
     # -- constructions -----------------------------------------------------------
 
     def with_bracket(self, a, b, combo):
@@ -359,7 +314,7 @@ class LieAlgebra:
         )
 
     def change_basis(self, matrix, new_names, name=None):
-        """new_r = sum_c matrix[r][c] * old_c; exact inverse required.
+        """new_r = sum_c matrix[r][c] * old_c, each entry a Scalar; exact inverse required.
 
         Transforms c'_ab^f = sum A[a][c] A[b][d] c_cd^e Ainv[e][f].
         """
@@ -368,6 +323,10 @@ class LieAlgebra:
             raise AlgebraError("basis matrix must be %dx%d" % (n, n))
         if len(new_names) != n:
             raise AlgebraError("need %d new names" % n)
+        for r, row in enumerate(matrix):
+            for c, x in enumerate(row):
+                if not isinstance(x, Scalar):
+                    raise AlgebraError("basis matrix entry (%d,%d) is not a Scalar" % (r, c))
         inv = _invert(matrix)
         cols = [[(a, matrix[a][c]._terms) for a in range(n) if matrix[a][c]] for c in range(n)]
         inv_rows = [[(f, w._terms) for f, w in enumerate(row) if w] for row in inv]

@@ -39,6 +39,8 @@ right factor first is another matter: on a table that breaks Jacobi,
 N(u·N(v)) can differ from N(u·v).)  A term-count budget
 (LIEQ_TERM_CAP, default 10**6) bounds the live terms of each pass, the
 words it holds: a whole product, Casimir check, Weyl ordering or substitution.
+Every straightening operation reads LIEQ_TERM_CAP once, when it starts, and
+passes it to its pass.
 
 is_casimir straightens [e, G] from the derivation
 [w, G] = sum_k w[:k]·[w_k, G]·w[k+1:], summed over the terms of e, instead of
@@ -48,19 +50,21 @@ normal word holds each letter in one run, so a term is listed once per
 letter and the walk reads the run from its start), so building [e, G] walks
 only the letters with [letter, G] != 0 and the terms that hold them; most
 [letter, G] vanish, and an empty [e, G] is zero without being straightened.
-LIEQ_TERM_CAP is read once, when the check starts, so a malformed value
-fails a check that has nothing to straighten too.  On a table that a
-validate() call has found ok it skips the generators that earlier checks
-cover (LieAlgebra._casimir_plan): if [e, X] = [e, Y] = 0
-and [X, Y] = c·G + sum_d c_d·G_d with c != 0 and every other G_d known to
-commute with e, then c·[e, G] = [e, [X, Y]] = [[e, X], Y] + [X, [e, Y]] = 0
-because ad e is a derivation, and [e, G] = 0 because the PBW basis makes the
-enveloping algebra a free module over the scalar ring, an integral domain,
-so c need not be invertible.  The PBW basis, and so the argument, needs
-Jacobi (Bergman), hence the tables found ok only.  Generators are still
-checked in basis order, every one before the first failure commutes, and
-the first failing generator is never skipped, so the witness and residue
-are those of the full check.
+A malformed LIEQ_TERM_CAP fails a check that has nothing to straighten too.
+On a table that a validate() call has found ok it skips the generators that
+earlier checks cover (_casimir_plan): the known set starts empty, each
+generator not in it is checked and added, in basis order, and then the set
+is closed under the rule that a bracket [X, Y] of two known generators with
+exactly one support index G outside the set adds G.  It is sound: if
+[e, X] = [e, Y] = 0 and [X, Y] = c·G + sum_d c_d·G_d with c != 0 and every
+other G_d known to commute with e, then c·[e, G] = [e, [X, Y]] =
+[[e, X], Y] + [X, [e, Y]] = 0 because ad e is a derivation, and [e, G] = 0
+because the PBW basis makes the enveloping algebra a free module over the
+scalar ring, an integral domain, so c need not be invertible.  The PBW
+basis, and so the argument, needs Jacobi (Bergman), hence the tables found
+ok only.  Generators are still checked in basis order, every one before the
+first failure commutes, and the first failing generator is never skipped,
+so the witness and residue are those of the full check.
 """
 
 from __future__ import annotations
@@ -151,7 +155,16 @@ def _settle(key, pos, descents):
     return tuple(word), 0
 
 
-def _normalize(alg, raw, budget=None):
+def _descents(alg):
+    """_normalize's rewrite table, built once per table and kept in alg._descents:
+    {(-b, -a): ((-d, raw c_ba^d), ...)} for each nonzero [G_b, G_a], b > a."""
+    if alg._descents is None:
+        alg._descents = {(-b, -a): tuple((-d, c._terms) for d, c in entry.items())
+                         for (b, a), entry in alg._table.items() if b > a}
+    return alg._descents
+
+
+def _normalize(alg, raw, budget):
     """Straighten {key: raw map} into PBW normal form {word: Scalar}.
 
     A row's key is _key(word): words sort longest first, then descending
@@ -164,12 +177,11 @@ def _normalize(alg, raw, budget=None):
     position (0 if normal) and its summed map.  The heap holds the pending
     words with a descent and pops them in key order; normal words are never
     queued, and what pending holds when the heap empties is the result, in
-    key order.  Rewrites read alg._descent_table().  budget is the live-term
-    cap; LIEQ_TERM_CAP is read when none is given.
+    key order.  Rewrites read _descents(alg).  budget is the live-term cap:
+    every straightening operation reads LIEQ_TERM_CAP once, when it starts,
+    and passes it to its pass.
     """
-    descents = alg._descent_table()
-    if budget is None:
-        budget = _term_cap()
+    descents = _descents(alg)
     pending = {}  # {key: (leftmost descent position or 0, raw map)}
     heap = []
     for key, coeff in raw.items():
@@ -240,13 +252,14 @@ def _from_words(alg, named_terms, weyl=False):
     one pass; when weyl, each summed word is first replaced by the average of its
     distinct arrangements (Weyl ordering).  That average depends only on the
     word's letters, so words are summed by their sorted letters first; no two
-    share an arrangement, so LIEQ_TERM_CAP bounds their count before any is built."""
+    share an arrangement, so the pass's cap bounds their count before any is built."""
     raw = {}
     for names, coeff in named_terms:
         word = tuple(alg._gen_index(n) for n in names)
         _add_into(raw.setdefault(tuple(sorted(word)) if weyl else word, {}), coeff._terms)
+    budget = _term_cap()
     if weyl:
-        budget, live, arranged = _term_cap(), 0, {}
+        live, arranged = 0, {}
         for letters, coeff in raw.items():
             count = math.factorial(len(letters)) // math.prod(
                 math.factorial(len(tuple(run))) for _, run in itertools.groupby(letters))
@@ -258,7 +271,7 @@ def _from_words(alg, named_terms, weyl=False):
             for arr in _arrangements(letters):
                 _add_into(arranged.setdefault(arr, {}), weight)
         raw = arranged
-    return UEAElement(alg, _normalize(alg, {_key(w): c for w, c in raw.items()}))
+    return UEAElement(alg, _normalize(alg, {_key(w): c for w, c in raw.items()}, budget))
 
 
 def _coerce_scalar(value):
@@ -362,6 +375,7 @@ class UEAElement:
         if not isinstance(other, UEAElement):
             return NotImplemented
         self._check_same(other)
+        budget = _term_cap()
         lefts = []
         for w1, c1 in self._terms.items():
             k1 = _key(w1)
@@ -372,7 +386,7 @@ class UEAElement:
             head, tail, c2 = k2[0], k2[1:], c2._terms
             for n1, letters, c1 in lefts:
                 _mac(raw.setdefault((n1 + head,) + letters + tail, {}), c1, c2)
-        return UEAElement(self.algebra, _normalize(self.algebra, raw))
+        return UEAElement(self.algebra, _normalize(self.algebra, raw, budget))
 
     def __rmul__(self, other):
         scalar = _coerce_scalar(other)
@@ -459,15 +473,41 @@ def is_casimir(e):
     [w, G] = sum_k w[:k] [w_k, G] w[k+1:] and straightened in one pass.  The
     terms are indexed by their letters once, so only the letters with
     [letter, G] != 0 and the terms that hold them are walked, and an empty
-    [e, G] is not straightened.  LIEQ_TERM_CAP is read when the check
-    starts, so a malformed value fails every check.  On a
-    table a validate() call has found ok, the generators that the
-    ones checked before them imply are skipped (see the module docstring for
-    the rule and its proof); a skipped generator commutes with e, so the
-    first offending generator and its residue are the same as when every
-    generator is checked.
+    [e, G] is not straightened.  Like every straightening operation, it reads
+    LIEQ_TERM_CAP once, when it starts, and passes it to its passes, so a
+    malformed value fails every check.  On a table a validate() call has found
+    ok, the generators that the ones checked before them imply are skipped
+    (see the module docstring for the rule and its proof); a skipped generator
+    commutes with e, so the first offending generator and its residue are the
+    same as when every generator is checked.
     """
     return _casimir_checks((e,), ((1,),))[0]
+
+
+def _casimir_plan(alg):
+    """Indices of the generators is_casimir straightens [e, G] against, in basis
+    order: all until a validate() call finds alg ok, then those the module
+    docstring's rule keeps, derived once per table and kept in alg._plan."""
+    if not alg._valid:
+        return range(alg.dim)
+    if alg._plan is None:
+        known, plan = set(), []
+        for g in range(alg.dim):
+            if g in known:
+                continue
+            plan.append(g)
+            known.add(g)
+            grown = True
+            while grown:
+                grown = False
+                for (a, b), entry in alg._table.items():
+                    if a in known and b in known:
+                        outside = [d for d in entry if d not in known]
+                        if len(outside) == 1:
+                            known.add(outside[0])
+                            grown = True
+        alg._plan = tuple(plan)
+    return alg._plan
 
 
 def _casimir_checks(pieces, combos):
@@ -492,7 +532,7 @@ def _casimir_checks(pieces, combos):
     letters = set().union(*indexed)
     checks = [None] * len(combos)
     pending = range(len(combos))
-    for g in alg._casimir_plan():
+    for g in _casimir_plan(alg):
         reached = {}  # {-letter: ((-d, raw c), ...)} for each letter with [letter, g] != 0
         for nl in letters:
             bracket = alg.bracket_index(-nl, g)
@@ -554,6 +594,7 @@ def substitute(e, mapping, formal=False):
         values[idx] = value
     if not values:
         return e
+    budget = _term_cap()
     raw = {}
     for word, coeff in e._terms.items():
         rows = {(): coeff._terms}  # word[:k] with its letters substituted: {word: raw map}
@@ -569,7 +610,7 @@ def substitute(e, mapping, formal=False):
             rows = grown
         for w, c in rows.items():
             _add_into(raw.setdefault(_key(w), {}), c)
-    return UEAElement(alg, _normalize(alg, raw))
+    return UEAElement(alg, _normalize(alg, raw, budget))
 
 
 def scalar_substitute(e, symbol_map):

@@ -54,10 +54,14 @@ MUTANTS = [
      "_normalize(alg, raw, budget) if not raw else {}"),
     ("change_basis_one_factor", "src/lieq/algebra.py",
      "_mac(w, ac, bd)", "w.update(ac)"),
-    ("casimir_plan_any_outside", "src/lieq/algebra.py",
+    ("casimir_plan_any_outside", "src/lieq/uea.py",
      "if len(outside) == 1:", "if len(outside) >= 1:"),
     ("index_rows_twice_after_nonzero_only", "src/lieq/algebra.py",
      "if (ia, ib) in upper:", "if upper.get((ia, ib)):"),
+    ("descents_keyed_unswapped", "src/lieq/uea.py",
+     "alg._descents = {(-b, -a):", "alg._descents = {(-a, -b):"),
+    ("normalize_budget_one_over", "src/lieq/uea.py",
+     "if len(pending) > budget:", "if len(pending) > budget + 1:"),
 ]
 
 

@@ -8,10 +8,11 @@ from lieq.algebra import AlgebraError, InvalidCocycle, LieAlgebra, _invert
 from lieq.catalog import catalog
 from lieq.contraction import STD_PE_MAP, rescale_algebra
 from lieq.scalars import DEFAULT_SYMBOLS, Scalar, ScalarError
-from lieq.uea import UEAElement, is_casimir
+from lieq.uea import UEAElement, _casimir_plan, is_casimir
 
 I = Scalar.i()
 ONE = Scalar.one()
+T2 = LieAlgebra("t", ("A", "B"), {("A", "B"): {"B": ONE}})
 
 
 def test_bracket_generator_pairs():
@@ -93,7 +94,7 @@ def test_an_undeclared_symbol_leaves_every_generator_checked():
     report = alg.validate()
     assert not report.jacobi and not report.ok and declared.validate().ok
     assert not alg._valid and declared._valid
-    assert list(alg._casimir_plan()) == [0, 1, 2] and declared._casimir_plan() == (0, 1)
+    assert list(_casimir_plan(alg)) == [0, 1, 2] and _casimir_plan(declared) == (0, 1)
     for word in (("C",), ("C", "C"), ("A",), ("B", "C"), ("A", "B")):
         got = is_casimir(UEAElement.from_terms(alg, {word: ONE}))
         want = is_casimir(UEAElement.from_terms(declared, {word: ONE}))
@@ -278,6 +279,16 @@ def test_flip_sign_mutation_suite():
     (lambda: catalog("poincare").flip_sign("Px", "Py", "H"), "no constant"),
     (lambda: catalog("u1").change_basis([[ONE, ONE]], ("A",)), "basis matrix must be"),
     (lambda: catalog("u1").change_basis([[ONE]], ("A", "B")), "need 1 new names"),
+    # every matrix entry is a Scalar, as every structure constant is: no int, not even 0
+    (lambda: T2.change_basis([[ONE, 0], [0, 2]], ("X", "Y")),
+     r"^basis matrix entry \(0,1\) is not a Scalar$"),
+    (lambda: T2.change_basis([[ONE, None], [None, ONE]], ("X", "Y")),
+     r"^basis matrix entry \(0,1\) is not a Scalar$"),
+    (lambda: T2.change_basis([[ONE, Scalar.zero()], [Scalar.zero(), 2]], ("X", "Y")),
+     r"^basis matrix entry \(1,1\) is not a Scalar$"),
+    # the shape and the names are checked before the entries
+    (lambda: T2.change_basis([[ONE, 0]], ("X", "Y")), "basis matrix must be 2x2"),
+    (lambda: T2.change_basis([[ONE, 0], [0, ONE]], ("X",)), "need 2 new names"),
     (lambda: catalog("u1").central_extension("Q", {}), "already present"),
     (lambda: catalog("u1").central_extension("Z", {("Q", "Z"): {"Z": ONE}}),
      "must pair existing generators"),
@@ -311,7 +322,9 @@ def test_flip_sign_mutation_suite():
         "M", {("Q", "Gux"): {"M": I}, ("Gux", "M"): {"M": I}}),
      "^unknown generator 'Q' in algebra 'galilei_central'$"),
 ], ids=["duplicate_names", "symbol_clash", "i_clash", "not_a_scalar", "self_bracket",
-        "pair_twice", "flip_missing", "matrix_shape", "name_count", "central_present",
+        "pair_twice", "flip_missing", "matrix_shape", "name_count", "matrix_int_entry",
+        "matrix_none_entry", "matrix_last_int_entry", "matrix_shape_before_entries",
+        "names_before_entries", "central_present",
         "central_override", "product_clash", "product_clash_in_other", "product_symbol_clash",
         "mutated_result_generator", "mutated_pair", "flip_unknown_result",
         "central_unknown_pair", "central_pair_both_orders", "central_first_listed_fault",

@@ -12,7 +12,7 @@ import pytest
 from lieq import algebra, contraction, uea
 from lieq.algebra import LieAlgebra
 from lieq.casimirs import CASIMIR_GROUPS, casimir_entries
-from lieq.catalog import algebra_from_json, catalog
+from lieq.catalog import algebra_from_json, algebra_to_json, catalog
 from lieq.contraction import (
     STD_FULL_MAP,
     STD_FULL_RENAME,
@@ -354,14 +354,14 @@ def test_a_task_builds_one_table_and_one_rewrite_table(monkeypatch):
     primed = contraction._primed_algebra
     monkeypatch.setattr(contraction, "_primed_algebra",
                         lambda *a: tables.append(1) or primed(*a))
-    descent_table = LieAlgebra._descent_table
+    descents = uea._descents
 
-    def counting_descent_table(self):
-        if self._descents is None:
+    def counting_descents(alg):
+        if alg._descents is None:
             rewrites.append(1)
-        return descent_table(self)
+        return descents(alg)
 
-    monkeypatch.setattr(LieAlgebra, "_descent_table", counting_descent_table)
+    monkeypatch.setattr(uea, "_descents", counting_descents)
     for task in (1, 2):  # the second task keeps nothing of the first, so it builds again
         con = contract(source, STD_PE_MAP)
         for element in elements:
@@ -370,6 +370,29 @@ def test_a_task_builds_one_table_and_one_rewrite_table(monkeypatch):
         assert (len(tables), len(rewrites)) == (task, task)
         del con, limit
         gc.collect()
+
+
+def test_a_source_without_eps_gets_it_declared_last():
+    # The rescaled and contracted tables of a source that does not declare eps
+    # append it to the source's symbols; the tables and limits are PEB's.
+    doc = json.loads(algebra_to_json(PEB))
+    doc["symbols"] = []
+    sources = [LieAlgebra("bare", PEB.generators, dict(PEB.nonzero_brackets()), symbols=()),
+               algebra_from_json(json.dumps(doc)),
+               LieAlgebra("bare_m", PEB.generators, dict(PEB.nonzero_brackets()), symbols=("m",))]
+    want = contract(PEB, STD_PE_MAP)
+    entries = casimir_entries("poincare_trivial_ext_hbar")
+    for source in sources:
+        primed = source.symbols + ("eps",)
+        for table in (rescale_algebra(source, STD_PE_MAP), contract(source, STD_PE_MAP)):
+            assert table.symbols == primed and table.validate().ok, source.name
+        con = contract(source, STD_PE_MAP)
+        assert list(con.nonzero_brackets()) == list(want.nonzero_brackets())
+        for label, element in entries.items():
+            limit, power = contract_casimir(rename_element(element, source), STD_PE_MAP)
+            assert limit.algebra is con and is_casimir(limit).ok, label
+            want_limit, want_power = contract_casimir(element, STD_PE_MAP)
+            assert (str(limit), power) == (str(want_limit), want_power), label
 
 
 @pytest.mark.parametrize("run", CONTRACTIONS.values(), ids=CONTRACTIONS)

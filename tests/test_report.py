@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 from lieq import casimirs, contraction
-from lieq.algebra import LieAlgebra
+from lieq.algebra import LieAlgebra, ValidationReport
 from lieq.contraction import ContractionError
-from lieq.report import Report, report_paper
+from lieq.report import Check, Report, _validation_detail, report_paper
+from lieq.scalars import Scalar
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "bench" / "golden_report.json"
@@ -187,3 +188,18 @@ def test_text_rendering(pristine):
     bad = report_paper(fault=("poincare", "KPx", "KPy", "Jz"))
     bad_lines = bad.to_text().splitlines()
     assert any(line.startswith("FAIL validate poincare") for line in bad_lines)
+
+
+def test_text_shows_a_residue_and_validation_shows_its_issues():
+    report = Report([Check("limit", "fail", "nonzero residue", "i*M"),
+                     Check("table", "pass", "", None)], 0.25)
+    assert report.to_text() == (
+        "FAIL limit -- nonzero residue [residue: i*M]\n"
+        "PASS table\n"
+        "2 checks: 1 passed, 1 failed, 0 warnings (0.250 s)\n")
+    issues = ["undeclared symbols ['m'] in [A,B]", "undeclared symbols ['w'] in [B,C]"]
+    assert _validation_detail(ValidationReport(issues=issues)) == \
+        "undeclared symbols ['m'] in [A,B]; and 1 more"
+    jacobi = [(("A", "B", "C"), {"D": Scalar.one(), "C": Scalar.one()})]
+    assert _validation_detail(ValidationReport(jacobi=jacobi, issues=issues[:1])) == \
+        "Jacobi fails on (A, B, C) with residue on C, D; undeclared symbols ['m'] in [A,B]"

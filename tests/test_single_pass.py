@@ -33,8 +33,10 @@ from lieq.uea import (
     CasimirCheck,
     UEAElement,
     _casimir_checks,
+    _casimir_plan,
     _key,
     _normalize,
+    _term_cap,
     is_casimir,
     rename_element,
     substitute,
@@ -60,7 +62,7 @@ def _accumulate(terms, key, coeff):
 
 def normalize(alg, raw):
     """_normalize on a {word: Scalar} map, through keyed rows of fresh raw maps."""
-    return _normalize(alg, {_key(w): dict(c._terms) for w, c in raw.items()})
+    return _normalize(alg, {_key(w): dict(c._terms) for w, c in raw.items()}, _term_cap())
 
 
 def ref_mul(a, b):
@@ -74,7 +76,7 @@ def ref_mul(a, b):
 
 def ref_is_casimir(e):
     alg = e.algebra
-    for g in alg._casimir_plan():
+    for g in _casimir_plan(alg):
         residue = {}
         for word, coeff in e._terms.items():
             raw = {}

@@ -119,7 +119,7 @@ def test_is_casimir_known_cases():
 
 
 def plan_names(alg):
-    return tuple(alg.generators[g] for g in alg._casimir_plan())
+    return tuple(alg.generators[g] for g in uea._casimir_plan(alg))
 
 
 def test_is_casimir_checks_every_generator_of_a_broken_table():
@@ -211,9 +211,9 @@ def test_weyl_word_expands_distinct_arrangements_only(monkeypatch):
     sizes = []
     normalize = uea._normalize
 
-    def counting(alg, raw):
+    def counting(alg, raw, budget):
         sizes.append(len(raw))
-        return normalize(alg, raw)
+        return normalize(alg, raw, budget)
 
     monkeypatch.setattr(uea, "_normalize", counting)
     weyl_word(POI, ("Px",) * 11 + ("KPx",))
@@ -298,6 +298,47 @@ def test_term_budget_bounds_a_whole_casimir_check(monkeypatch):
     assert (info.value.budget, info.value.live) == (1500, 1577)
 
 
+def straightening_calls(x):
+    """{name: one call of a straightening operation} on the GC element x."""
+    return {
+        "*": lambda: x * x,
+        "zero *": lambda: UEAElement.zero(GC) * x,
+        "word": lambda: UEAElement.word(GC, ("Px", "KGx")),
+        "from_terms": lambda: UEAElement.from_terms(GC, {("Px", "KGx"): ONE}),
+        "normal_form": lambda: normal_form(x),
+        "weyl_word": lambda: weyl_word(GC, ("Px", "KGx", "H")),
+        "weyl_symmetrize": lambda: weyl_symmetrize(x),
+        "substitute": lambda: substitute(x, {"M": 2}),
+        "rename_element": lambda: rename_element(x, GC),
+        "is_casimir": lambda: is_casimir(x),
+    }
+
+
+def test_every_straightening_operation_reads_the_term_cap_once(monkeypatch):
+    # An operation reads LIEQ_TERM_CAP when it starts and passes it to its
+    # pass; a power is n - 1 products, one read each.
+    x = UEAElement.word(GC, ("Px", "KGx")) + gen(GC, "M") + gen(GC, "H")
+    reads = []
+    term_cap = uea._term_cap
+    monkeypatch.setattr(uea, "_term_cap", lambda: reads.append(1) or term_cap())
+    for name, call in straightening_calls(x).items():
+        reads.clear()
+        call()
+        assert len(reads) == 1, name
+    for n in range(1, 6):
+        reads.clear()
+        x ** n
+        assert len(reads) == n - 1, n
+
+
+def test_a_malformed_term_cap_fails_every_straightening_operation(monkeypatch):
+    x = UEAElement.word(GC, ("Px", "KGx")) + gen(GC, "M") + gen(GC, "H")
+    monkeypatch.setenv("LIEQ_TERM_CAP", "abc")
+    for name, call in {**straightening_calls(x), "**": lambda: x ** 2}.items():
+        with pytest.raises(UEAError, match="LIEQ_TERM_CAP must be a positive integer"):
+            call()
+
+
 def count_pops(monkeypatch):
     """Count the words _normalize pops from now on; returns a one-item list."""
     pops = [0]
@@ -345,7 +386,7 @@ def test_ordering_study_shares_straightening_across_orderings(monkeypatch):
     # and each [piece, G] once for all orderings: 307 words popped, where
     # building and checking each of the four orderings on its own pops 558.
     casimir_entries("poincare")
-    POI._casimir_plan()
+    uea._casimir_plan(POI)
     pops = count_pops(monkeypatch)
     study = ordering_study("poincare")
     assert [step.ok for step in study["C4P"]] == [False, False, True, True]
@@ -361,7 +402,7 @@ def test_only_words_with_a_branching_descent_are_queued(monkeypatch):
         return next((key[i:i + 2] for i in range(1, len(key) - 1) if key[i] < key[i + 1]), None)
 
     def check(alg, keys):
-        table = alg._descent_table()
+        table = uea._descents(alg)
         for key in keys:
             assert descent(key) in table, key
         queued.extend(keys)

@@ -28,7 +28,7 @@ from test_properties import SYMBOLIC
 
 from lieq.catalog import CATALOG_NAMES, catalog
 from lieq.scalars import Scalar, _add_into, _checked, _mac
-from lieq.uea import _key, _normalize, _settle
+from lieq.uea import _descents, _key, _normalize, _settle, _term_cap
 
 ONE = Scalar.one()
 
@@ -110,7 +110,7 @@ def random_sum(rng, alg, max_len=5, max_words=5):
 
 def assert_same_normal_form(alg, terms):
     """Both loops on fresh raw maps of terms: equal maps, equal order; returns the result."""
-    got = _normalize(alg, {_key(w): dict(c._terms) for w, c in terms.items()})
+    got = _normalize(alg, {_key(w): dict(c._terms) for w, c in terms.items()}, _term_cap())
     want = ref_normalize(alg, {w: dict(c._terms) for w, c in terms.items()})
     assert list(got.items()) == list(want.items()), alg.name
     return got
@@ -166,7 +166,7 @@ def test_words_one_zero_bracket_swap_apart_cancel_where_they_are_queued():
 
 def assert_same_settle(alg, word):
     """_settle and ref_settle from every valid start of word; returns the result."""
-    descents = alg._descent_table()
+    descents = _descents(alg)
     key = _key(word)
     first = next((p for p in range(1, len(key) - 1) if key[p] < key[p + 1]), len(key) - 1)
     for start in range(1, max(first, 1) + 1):
