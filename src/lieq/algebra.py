@@ -97,6 +97,8 @@ class LieAlgebra:
         for g in self.generators:
             if g in self.symbols or g == "i":
                 raise AlgebraError("generator name %r collides with a scalar symbol" % g)
+        if "i" in self.symbols or len(set(self.symbols)) != len(self.symbols):
+            raise AlgebraError("scalar symbols of %r must be distinct and not 'i'" % name)
         self._index = {g: k for k, g in enumerate(self.generators)}
         upper = {**rows, **self._index_rows(named)} if named else rows
         # {(ia, ib): read-only {d: c}} for both triangles, upper pairs in basis order

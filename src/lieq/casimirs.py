@@ -27,11 +27,11 @@ outside kp, which no bracket reaches and which the table lists last
 full_nonrelativistic add Q to poincare_trivial_ext_hbar and
 galilei_central).  The shared generators keep their indices and brackets,
 and no C4 word holds a spectator, so every normal form, every [piece, G]
-and every residue is the same in both tables; a spectator S adds only
-[e, S] = 0, checked last, so no witness changes either.  _ordering_studies
-therefore builds one C4 study per row with its spectators dropped and
-carries it into the other tables of that row by renaming; it keeps the
-studies for that one call only.
+and every residue has the same index words in both tables; a spectator S
+adds only [e, S] = 0, checked last, so no witness changes either.
+_ordering_studies therefore builds one C4 study per row with its spectators
+dropped and carries it into the other tables of that row by index, words
+unchanged; it keeps the studies for that one call only.
 
 Every element here starts as a word table: _words lists a catalog label's
 (names, coefficient) pairs, C4 expanded word by word from N_i, and
@@ -49,7 +49,7 @@ from fractions import Fraction
 from lieq.algebra import AlgebraError
 from lieq.catalog import _TABLES, AXES, catalog, eps3
 from lieq.scalars import Scalar
-from lieq.uea import _casimir_checks, _from_words, is_casimir, rename_element
+from lieq.uea import UEAElement, _casimir_checks, _from_words, is_casimir
 
 CasimirEntry = namedtuple("CasimirEntry", ["label", "element", "ordering"])
 OrderingStep = namedtuple("OrderingStep", ["variant", "ok", "witness", "shift", "residue"])
@@ -216,8 +216,8 @@ def _ordering_studies(names):
 
     Tables whose _Kinematical rows differ only in spectators share one C4
     study (see the module docstring for why it is exact): it is built on the
-    first such table named and carried into the others by renaming each
-    step's residue and shift.  The studies live only as long as this call.
+    first such table named and carried into the others by index, each step's
+    residue and shift keeping its words.  The studies live only this call.
     """
     c4 = {}  # {spectator-free row: (table the study was built on, its C4 steps)}
     out = {}
@@ -234,7 +234,8 @@ def _ordering_studies(names):
                 c4[key] = alg, _steps(entry, _c4_candidates(alg, kin))
             home, steps = c4[key]
             study[entry.label] = steps if home is alg else tuple(
-                step._replace(shift=None if step.shift is None else rename_element(step.shift, alg),
-                              residue=rename_element(step.residue, alg))
+                step._replace(shift=None if step.shift is None
+                              else UEAElement(alg, step.shift._terms),
+                              residue=UEAElement(alg, step.residue._terms))
                 for step in steps)
     return out

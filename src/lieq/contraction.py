@@ -222,10 +222,10 @@ def contract(algebra, exponents):
 # -- table comparison ----------------------------------------------------------
 
 def tables_equal(algebra_a, algebra_b, renaming):
-    """(equal, diff) after renaming a's generators into b's.
+    """(equal, diff) after renaming a's generators into b's, by index rows.
 
-    diff rows carry the offending pair in both name systems together with
-    the renamed a-side combination and the b-side combination.
+    Names are made only for diff rows: the offending pair in both name
+    systems together with the renamed a-side combination and the b-side one.
     """
     if algebra_a.dim != algebra_b.dim:
         raise ContractionError(
@@ -237,18 +237,20 @@ def tables_equal(algebra_a, algebra_b, renaming):
     targets = list(renaming.values())
     if len(set(targets)) != len(targets) or set(targets) != set(algebra_b.generators):
         raise ContractionError("renaming must be a bijection onto the second algebra")
+    gens_a, gens_b = algebra_a.generators, algebra_b.generators
+    to_b = [algebra_b._index[renaming[g]] for g in gens_a]
+    to_a = {j: k for k, j in enumerate(to_b)}
     # Only a pair with a nonzero bracket on one side can differ; rows follow a's basis order.
-    index = {g: k for k, g in enumerate(algebra_a.generators)}
-    inverse = {t: s for s, t in renaming.items()}
-    pairs = {pair for pair, _ in algebra_a.nonzero_brackets()}
-    pairs.update(tuple(sorted((inverse[x], inverse[y]), key=index.get))
-                 for (x, y), _ in algebra_b.nonzero_brackets())
+    pairs = {(x, y) for x, y in algebra_a._table if x < y}
+    pairs.update((to_a[x], to_a[y]) for x, y in algebra_b._table if to_a[x] < to_a[y])
     diff = []
-    for x, y in sorted(pairs, key=lambda pair: (index[pair[0]], index[pair[1]])):
-        left = {renaming[d]: c for d, c in algebra_a.bracket(x, y).items()}
-        right = algebra_b.bracket(renaming[x], renaming[y])
+    for x, y in sorted(pairs):
+        left = {to_b[d]: c for d, c in algebra_a.bracket_index(x, y).items()}
+        right = algebra_b.bracket_index(to_b[x], to_b[y])
         if left != right:
-            diff.append(TableDiff((x, y), (renaming[x], renaming[y]), left, right))
+            diff.append(TableDiff((gens_a[x], gens_a[y]), (gens_b[to_b[x]], gens_b[to_b[y]]),
+                                  {gens_b[d]: c for d, c in left.items()},
+                                  {gens_b[d]: c for d, c in right.items()}))
     return (not diff, tuple(diff))
 
 

@@ -8,7 +8,8 @@ primary:= INT ('/' INT)? | IDENT | '(' expr ')'
 `i` is the imaginary literal; other identifiers resolve to declared symbols
 or (in element context) generators.  `*` is mandatory — no juxtaposition.
 Negative powers are allowed only on the bare contraction symbol eps.
-Whitespace (including newlines) is insignificant; errors carry line/column.
+Whitespace (including newlines) is insignificant.  Tokens carry offsets;
+an error's line/column is computed from its offset when it is raised.
 Parentheses nest at most MAX_NESTING deep, which keeps the recursive
 descent (four frames per level) well inside Python's recursion limit.
 """
@@ -32,57 +33,45 @@ _PUNCT = set("+-*^/()")
 MAX_NESTING = 190
 
 
+def _fail(text, message, k):
+    """Raise ExprError at offset k: "\n" ends a line, any other character is a column."""
+    raise ExprError(message, text.count("\n", 0, k) + 1, k - text.rfind("\n", 0, k)) from None
+
+
 def _tokenize(text):
+    """(kind, value, offset) tokens, closed by END at the end of the text."""
     tokens = []
-    line, col = 1, 1
-    k = 0
-    n = len(text)
+    k, n = 0, len(text)
     while k < n:
-        ch = text[k]
-        if ch == "\n":
-            line += 1
-            col = 1
-            k += 1
-            continue
+        ch, j = text[k], k + 1
         if ch.isspace():
-            col += 1
-            k += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append((ch, None, line, col))
-            col += 1
-            k += 1
-            continue
-        if ch.isdecimal():
-            j = k
+            pass
+        elif ch in _PUNCT:
+            tokens.append((ch, None, k))
+        elif ch.isdecimal():
             while j < n and text[j].isdecimal():
                 j += 1
             try:
-                value = int(text[k:j])
+                tokens.append(("INT", int(text[k:j]), k))
             except ValueError:  # beyond the interpreter's integer-string limit
-                raise ExprError("integer of %d digits is too long" % (j - k), line, col) from None
-            tokens.append(("INT", value, line, col))
-            col += j - k
-            k = j
-            continue
-        if ch.isalpha():
-            j = k
+                _fail(text, "integer of %d digits is too long" % (j - k), k)
+        elif ch.isalpha():
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(("IDENT", text[k:j], line, col))
-            col += j - k
-            k = j
-            continue
-        raise ExprError("unexpected character %r" % ch, line, col)
-    tokens.append(("END", None, line, col))
+            tokens.append(("IDENT", text[k:j], k))
+        else:
+            _fail(text, "unexpected character %r" % ch, k)
+        k = j
+    tokens.append(("END", None, n))
     return tokens
 
 
 class _Parser:
     """Recursive-descent evaluator; values are Scalar or UEAElement."""
 
-    def __init__(self, tokens, algebra, symbols):
-        self.tokens = tokens
+    def __init__(self, text, algebra, symbols):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
         self.algebra = algebra
@@ -97,8 +86,7 @@ class _Parser:
         return tok
 
     def fail(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ExprError(message, tok[2], tok[3])
+        _fail(self.text, message, (tok or self.peek())[2])
 
     def expect(self, kind):
         tok = self.next()
@@ -194,7 +182,7 @@ def parse_scalar(text, symbols=None):
     """Parse a pure-scalar expression over the given symbol names."""
     table = DEFAULT_SYMBOLS if symbols is None else tuple(symbols)
     # a Scalar is the only possible outcome with no algebra in scope
-    return _Parser(_tokenize(text), None, table).parse()
+    return _Parser(text, None, table).parse()
 
 
 def parse_element(algebra, text):
@@ -204,9 +192,7 @@ def parse_element(algebra, text):
     symbols (the algebra's plus the standard set), or generators.
     """
     table = tuple(DEFAULT_SYMBOLS) + tuple(s for s in algebra.symbols if s not in DEFAULT_SYMBOLS)
-    tokens = _tokenize(text)
-    parser = _Parser(tokens, algebra, table)
-    value = parser.parse()
+    value = _Parser(text, algebra, table).parse()
     if isinstance(value, Scalar):
         return UEAElement.unit(algebra) * value
     return value

@@ -80,7 +80,7 @@ def traditional_limit_report():
         clear = Scalar.from_int(2) * m0 if b == "H" else Scalar.one()
         terms = [(real[d], clear * coeff) for d, coeff in bargmann.bracket(a, b).items()]
         expected = sum((coeff * e for (_, e), coeff in terms), UEAElement.zero(alg))
-        residue = finish(commutator(real[a][1], real[b][1])) - finish(expected)
+        residue = finish(commutator(real[a][1], real[b][1]) - expected)
         name = "[%s, %s] = %s" % (real[a][0], real[b][0],
                                   format_sum((text, coeff) for (text, _), coeff in terms))
         rows.append(CheckRow(name, residue.is_zero(), residue))

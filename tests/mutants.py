@@ -62,6 +62,13 @@ MUTANTS = [
      "alg._descents = {(-b, -a):", "alg._descents = {(-a, -b):"),
     ("normalize_budget_one_over", "src/lieq/uea.py",
      "if len(pending) > budget:", "if len(pending) > budget + 1:"),
+    ("tables_equal_ignores_b_only_pairs", "src/lieq/contraction.py",
+     "if to_a[x] < to_a[y])", "if False)"),
+    ("spectator_carry_binds_home", "src/lieq/casimirs.py",
+     "residue=UEAElement(alg, step.residue._terms)",
+     "residue=UEAElement(home, step.residue._terms)"),
+    ("expr_column_one_too_small", "src/lieq/expr.py",
+     'k - text.rfind("\\n", 0, k)', 'k - 1 - text.rfind("\\n", 0, k)'),
 ]
 
 

@@ -272,6 +272,15 @@ def test_flip_sign_mutation_suite():
     (lambda: LieAlgebra("x", ("A", "A"), {}), "duplicate generator"),
     (lambda: LieAlgebra("x", ("A", "c"), {}), "collides with a scalar symbol"),
     (lambda: LieAlgebra("x", ("A", "i"), {}), "collides with a scalar symbol"),
+    # a symbol named i would print as the imaginary unit; a repeated one splits equal tables
+    (lambda: LieAlgebra("x", ("A", "B"), {("A", "B"): {"B": Scalar.symbol("i")}}, symbols=("i",)),
+     "^scalar symbols of 'x' must be distinct and not 'i'$"),
+    (lambda: LieAlgebra("x", ("A", "B"), {}, symbols=("eps", "eps")),
+     "^scalar symbols of 'x' must be distinct and not 'i'$"),
+    # the generator names are checked before the symbols
+    (lambda: LieAlgebra("x", ("A", "A"), {}, symbols=("i",)), "^duplicate generator names"),
+    (lambda: LieAlgebra("x", ("A", "s"), {}, symbols=("s", "s")),
+     "^generator name 's' collides with a scalar symbol$"),
     (lambda: LieAlgebra("x", ("A", "B"), {("A", "B"): {"A": 1}}), "is not a Scalar"),
     (lambda: LieAlgebra("x", ("A", "B"), {("A", "A"): {"B": ONE}}), r"nonzero bracket \[A,A\]"),
     (lambda: LieAlgebra("x", ("A", "B"), {("A", "B"): {"A": ONE}, ("B", "A"): {"A": -ONE}}),
@@ -321,7 +330,8 @@ def test_flip_sign_mutation_suite():
     (lambda: catalog("galilei").central_extension(
         "M", {("Q", "Gux"): {"M": I}, ("Gux", "M"): {"M": I}}),
      "^unknown generator 'Q' in algebra 'galilei_central'$"),
-], ids=["duplicate_names", "symbol_clash", "i_clash", "not_a_scalar", "self_bracket",
+], ids=["duplicate_names", "symbol_clash", "i_clash", "symbol_i", "symbol_twice",
+        "names_before_symbol_i", "names_before_symbol_twice", "not_a_scalar", "self_bracket",
         "pair_twice", "flip_missing", "matrix_shape", "name_count", "matrix_int_entry",
         "matrix_none_entry", "matrix_last_int_entry", "matrix_shape_before_entries",
         "names_before_entries", "central_present",

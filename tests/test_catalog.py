@@ -187,7 +187,12 @@ def test_json_rejects_garbage():
      '[{"a": "A", "b": "B", "result": [{"gen": "A", "coeff": "1/0"}]}]}', "bad coefficient"),
     ('{"name": "x", "generators": ["A", "B"], "brackets": ['
      '{"a": "A", "b": "B", "result": []}, {"a": "A", "b": "B", "result": []}]}', "given twice"),
-], ids=["not_an_object", "brackets_not_a_list", "bad_coefficient", "duplicate_pair"])
+    ('{"name": "x", "generators": ["A", "B"], "symbols": ["s", "s"], "brackets": '
+     '[{"a": "A", "b": "B", "result": [{"gen": "B", "coeff": "s"}]}]}', "must be distinct"),
+    ('{"name": "x", "generators": ["A", "B"], "symbols": ["i"], "brackets": '
+     '[{"a": "A", "b": "B", "result": [{"gen": "B", "coeff": "i"}]}]}', "not 'i'"),
+], ids=["not_an_object", "brackets_not_a_list", "bad_coefficient", "duplicate_pair",
+        "symbol_twice", "symbol_i"])
 def test_json_rejects_malformed_files(doc, message):
     with pytest.raises(AlgebraError, match=message):
         algebra_from_json(doc)

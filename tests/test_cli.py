@@ -398,6 +398,13 @@ def test_validate_a_pair_given_twice_exits_2_with_one_line(first, second, capsys
     assert err == "error: bracket (%s,%s) given twice\n" % second[:2]
 
 
+@pytest.mark.parametrize("symbols", [["s", "s"], ["i"]], ids=["symbol_twice", "symbol_i"])
+def test_validate_bad_symbols_exit_2_with_one_line(symbols, capsys, tmp_path):
+    code, out, err = run(capsys, "validate", _algebra_file(tmp_path, symbols=symbols))
+    assert (code, out) == (2, "")
+    assert err == "error: scalar symbols of 'su2ish' must be distinct and not 'i'\n"
+
+
 def test_validate_reports_a_bad_coefficient_before_a_pair_given_twice(capsys, tmp_path):
     # entries are parsed for shape and coefficients before names and pairs are checked
     brackets = GOOD_ALGEBRA["brackets"][:1] + GOOD_ALGEBRA["brackets"] + [

@@ -631,3 +631,76 @@ def test_shipped_map_files_match_constants():
     assert json.loads((DATA / "std-rename.json").read_text()) == STD_PE_RENAME
     assert json.loads((DATA / "std-full.json").read_text()) == STD_FULL_MAP
     assert json.loads((DATA / "std-full-rename.json").read_text()) == STD_FULL_RENAME
+
+
+# -- tables_equal against the name-level comparison ------------------------------------
+
+
+def ref_tables_equal(algebra_a, algebra_b, renaming):
+    """tables_equal as it was written on generator names: brackets re-summed by name."""
+    index = {g: k for k, g in enumerate(algebra_a.generators)}
+    inverse = {t: s for s, t in renaming.items()}
+    pairs = {pair for pair, _ in algebra_a.nonzero_brackets()}
+    pairs.update(tuple(sorted((inverse[x], inverse[y]), key=index.get))
+                 for (x, y), _ in algebra_b.nonzero_brackets())
+    diff = []
+    for x, y in sorted(pairs, key=lambda pair: (index[pair[0]], index[pair[1]])):
+        left = {renaming[d]: c for d, c in algebra_a.bracket(x, y).items()}
+        right = algebra_b.bracket(renaming[x], renaming[y])
+        if left != right:
+            diff.append(contraction.TableDiff((x, y), (renaming[x], renaming[y]), left, right))
+    return (not diff, tuple(diff))
+
+
+def assert_same_comparison(a, b, renaming):
+    got, want = tables_equal(a, b, renaming), ref_tables_equal(a, b, renaming)
+    assert got == want
+    assert [(list(r.left.items()), list(r.right.items())) for r in got[1]] == \
+        [(list(r.left.items()), list(r.right.items())) for r in want[1]]
+    return got
+
+
+def reordered(rng, alg):
+    """(copy of alg on fresh names in a shuffled basis order, renaming of alg's names onto it)."""
+    renaming = {g: "N%d" % k for k, g in enumerate(alg.generators)}
+    order = list(renaming.values())
+    rng.shuffle(order)
+    brackets = {(renaming[a], renaming[b]): {renaming[d]: c for d, c in combo.items()}
+                for (a, b), combo in alg.nonzero_brackets()}
+    return LieAlgebra(alg.name + "_reordered", order, brackets, alg.symbols), renaming
+
+
+def test_tables_equal_matches_the_name_level_reference_on_contractions():
+    for a, b, renaming in (
+            (contract(PEB, STD_PE_MAP), GC, STD_PE_RENAME),  # report and `tables` CLI call
+            (contract(FR, STD_FULL_MAP), FNR, STD_FULL_RENAME),  # report
+            (contract(POI, POI_MAP), GAL, prime(POI_TO_GAL)),
+            (POI, GAL, POI_TO_GAL)):
+        ok, diff = assert_same_comparison(a, b, renaming)
+        assert ok == (a is not POI) and ok == (diff == ())
+
+
+def test_tables_equal_matches_the_name_level_reference_on_flipped_signs():
+    con = contract(PEB, STD_PE_MAP)
+    for a, b, d in GC.nonzero_constants():
+        flipped = GC.flip_sign(a, b, d)
+        assert not assert_same_comparison(con, flipped, STD_PE_RENAME)[0]
+        assert not assert_same_comparison(flipped, GC, {g: g for g in GC.generators})[0]
+
+
+@pytest.mark.parametrize("name", ["poincare", "galilei_central", "full_relativistic"])
+def test_tables_equal_matches_the_name_level_reference_on_reordered_bases(name):
+    rng = random.Random(7207 + len(name))
+    alg = catalog(name)
+    for _ in range(4):
+        copy, renaming = reordered(rng, alg)
+        assert assert_same_comparison(alg, copy, renaming)[0]
+        assert assert_same_comparison(copy, alg, {t: s for s, t in renaming.items()})[0]
+        a, b, d = rng.choice(alg.nonzero_constants())
+        assert not assert_same_comparison(alg.flip_sign(a, b, d), copy, renaming)[0]
+        # a bijection that is not the true one: many pairs differ, in a's order
+        targets = list(renaming.values())
+        rng.shuffle(targets)
+        wrong = dict(zip(alg.generators, targets))
+        assert not assert_same_comparison(alg, copy, wrong)[0]
+        assert not assert_same_comparison(copy, alg, {t: s for s, t in wrong.items()})[0]

@@ -1,5 +1,7 @@
 """Expression grammar: lexer/parser for scalars and enveloping-algebra elements."""
 
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -168,3 +170,55 @@ def test_roundtrip_property(e):
 def test_scalar_rejects_bad_input(text, message):
     with pytest.raises(ExprError, match=message):
         parse_scalar(text)
+
+
+# -- error positions ---------------------------------------------------------------
+
+SEPARATORS = ("", " ", "  ", "\t", "\r", "\n", "\r\n", "\u2003", "\n\t\u00a0")
+
+
+def ref_position(text, k):
+    """(line, column) of offset k, walked one character at a time: "\\n" starts a
+    line, and every other character, tab, \\r and Unicode space included, is a column."""
+    line, column = 1, 1
+    for ch in text[:k]:
+        if ch == "\n":
+            line, column = line + 1, 1
+        else:
+            column += 1
+    return line, column
+
+
+def seeded_text(rng):
+    """A valid multi-line scalar expression with every kind of token and separator."""
+    atoms = ("3", "12", "3/4", "i", "c", "eps", "m0", "eps^-2", "c^3", "(1 - i)")
+    parts = [rng.choice(atoms)]
+    for _ in range(rng.randint(6, 12)):
+        parts += [rng.choice(SEPARATORS), rng.choice("+-*"), rng.choice(SEPARATORS),
+                  rng.choice(atoms)]
+    return rng.choice(SEPARATORS) + "".join(parts) + rng.choice(SEPARATORS)
+
+
+def error_position(text, symbols=None):
+    with pytest.raises(ExprError) as exc:
+        parse_scalar(text, symbols)
+    assert str(exc.value).endswith("(line %d, column %d)" % (exc.value.line, exc.value.column))
+    return exc.value.line, exc.value.column
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_error_positions_match_a_character_count(seed):
+    rng = random.Random(6101 + seed)
+    text = seeded_text(rng)
+    assert text.count("\n") >= 1 and any(s in text for s in ("\t", "\r", "\u2003", "\u00a0"))
+    parse_scalar(text)
+    for k in range(len(text) + 1):
+        bad = text[:k] + "$" + text[k:]
+        assert error_position(bad) == ref_position(bad, k), (bad, k)
+    # errors found by the parser, not the tokenizer: at END, and at an unknown name
+    tail = text + rng.choice("+-*") + "\t\r\n  "
+    assert error_position(tail) == ref_position(tail, len(tail))
+    k = next(m.start() for m in re.finditer(r"[a-z]\w*", text) if m.group() != "i")
+    assert error_position(text, ()) == ref_position(text, k)
+    long_int = text + " +\n\t " + "7" * 5000
+    assert error_position(long_int) == ref_position(long_int, len(text) + 5)
