@@ -49,7 +49,7 @@ from fractions import Fraction
 from lieq.algebra import AlgebraError
 from lieq.catalog import _TABLES, AXES, catalog, eps3
 from lieq.scalars import Scalar
-from lieq.uea import UEAElement, _casimir_checks, _from_words, is_casimir
+from lieq.uea import UEAElement, _casimir_checks, _from_words, _indexed, is_casimir
 
 CasimirEntry = namedtuple("CasimirEntry", ["label", "element", "ordering"])
 OrderingStep = namedtuple("OrderingStep", ["variant", "ok", "witness", "shift", "residue"])
@@ -110,7 +110,8 @@ def _words(kin, label):
 
 def _element(alg, words, weyl=False):
     """(names, int or Fraction) pairs straightened, or Weyl ordered when weyl, in one pass."""
-    return _from_words(alg, ((names, Scalar.rational(c)) for names, c in words), weyl)
+    terms = _indexed(alg, ((names, Scalar.rational(c)) for names, c in words))
+    return _from_words(alg, terms, weyl)
 
 
 def _c4_monomials(kin):

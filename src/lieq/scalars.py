@@ -15,10 +15,12 @@ and ``str`` give (re, im) Fraction pairs.
 
 Each monomial is one packed int, private to this module.  Every symbol owns a
 128-bit field, assigned once and never moved (``DEFAULT_SYMBOLS`` first, in
-order, then other names as they first appear), and exponent e of the symbol
-in field k adds ``e << (128*k)``.  The fields are balanced digits with no
-bias, so the constant monomial is 0, a monomial product is one integer
-addition, and a new field leaves every existing code unchanged.  Every stored
+order, then other names as they first appear, at most _MAX_FIELDS in all;
+a query such as limit0 or min_degree on a name never met assigns none), and
+exponent e of the symbol in field k adds ``e << (128*k)``.  The fields are
+balanced digits with no bias, so the constant monomial is 0, a monomial
+product is one integer addition, and a new field leaves every existing code
+unchanged.  Every stored
 exponent lies in [-2^32, 2^32), checked wherever a product becomes a Scalar
 by an add-and-mask test over the default fields and, for a monomial that fails
 it, one as wide as its own top field; a larger one raises ScalarError.  The
@@ -51,6 +53,7 @@ DEFAULT_SYMBOLS = ("eps", "c", "m0", "m", "w", "t")
 _UNIT = (1, 0, 1)
 
 _FIELD = 128
+_MAX_FIELDS = 1024  # _CHECKS holds two masks as wide as every field so far per field
 _BOUND = 1 << 32
 _WINDOW = 2 * _BOUND - 1
 
@@ -66,10 +69,13 @@ class ScalarError(ValueError):
 
 
 def _field(name):
-    """_FIELDS[name]; a name met for the first time gets the next field."""
+    """_FIELDS[name]; a name met for the first time gets the next field, up to _MAX_FIELDS."""
     if name not in _FIELDS:
         with _REGISTER:
             if name not in _FIELDS:
+                if len(_NAMES) >= _MAX_FIELDS:
+                    raise ScalarError("too many symbols: at most %d distinct symbols per process"
+                                      % _MAX_FIELDS)
                 shift = _FIELD * len(_NAMES)
                 bias, outside = _CHECKS[-1] if _CHECKS else (0, -1)
                 _CHECKS.append((bias + (_BOUND << shift), outside & ~(_WINDOW << shift)))
@@ -84,15 +90,18 @@ _DEFAULT_CHECK = _CHECKS[-1]
 
 
 def _decode(mono):
-    """The sorted ((symbol, exp), ...) tuple of a stored monomial."""
+    """The sorted ((symbol, exp), ...) tuple of a stored monomial.
+
+    The lowest set bit lies in the lowest nonzero field, so each step jumps
+    to the next symbol the monomial holds, however many fields lie between.
+    """
     out = []
-    for name in _NAMES:
-        if not mono:
-            break
-        exp = ((mono + _BOUND) & _WINDOW) - _BOUND  # the lowest field; in bound, so exact
-        if exp:
-            out.append((name, exp))
-        mono = (mono - exp) >> _FIELD
+    while mono:
+        k = ((mono & -mono).bit_length() - 1) // _FIELD
+        shift = _FIELD * k
+        exp = (((mono >> shift) + _BOUND) & _WINDOW) - _BOUND  # in bound, so exact
+        out.append((_NAMES[k], exp))
+        mono -= exp << shift
     return tuple(sorted(out))
 
 
@@ -358,7 +367,9 @@ class Scalar:
         """Lowest exponent of sym across terms (0 when absent); None if zero."""
         if not self._terms:
             return None
-        shift, low = _field(sym)
+        if sym not in _FIELDS:
+            return 0
+        shift, low = _FIELDS[sym]
         return min((mono + low) >> shift & _WINDOW for mono in self._terms) - _BOUND
 
     def limit0(self, sym=LAURENT_SYMBOL):
@@ -366,7 +377,9 @@ class Scalar:
 
         Raises ScalarError if any term carries a pole in sym.
         """
-        shift, low = _field(sym)
+        if sym not in _FIELDS:
+            return self
+        shift, low = _FIELDS[sym]
         terms = {}
         for mono, coeff in self._terms.items():
             digit = (mono + low) >> shift & _WINDOW
@@ -415,7 +428,7 @@ class Scalar:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(tuple(sorted(self._terms.items())))
+        return hash(frozenset(self._terms.items()))
 
     def __str__(self):
         parts = []

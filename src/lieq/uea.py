@@ -1,9 +1,11 @@
 """Universal enveloping algebra: noncommutative words with PBW normal form.
 
-Elements are formal sums coeff * G_i1 G_i2 ... with Scalar coefficients and
-words over the algebra's ordered basis.  Every element is kept in PBW normal
-form: words nondecreasing in basis order, no duplicate words, no zero
-coefficients — so equality of elements is literal equality of term maps.
+Elements are formal sums coeff * G_i1 G_i2 ... with Scalar coefficients,
+held as a map {index word: Scalar} over the algebra's ordered basis, always
+in PBW normal form: words nondecreasing in basis order, no zero
+coefficients, so equality of elements is equality of term maps.  The map's
+order is unspecified; only the printers (terms(), str) sort.  Names become
+indices once, in _indexed, at the entries that take names.
 
 Straightening uses the leftmost descent: b·a with index(b) > index(a) is
 replaced by a·b + [b,a].  Termination is the usual filtration argument
@@ -30,17 +32,16 @@ words even on tables that break Jacobi, so each operation straightens its
 whole sum in one pass (all rows w1·w2 of a product, the whole [e, G] of a
 Casimir check, every arrangement of every word of a Weyl ordering, every
 row of every word of a substitution) and equal words from different pieces
-merge too; a printed quartic ordering is a signed sum of two pieces, one
-pass each, and _casimir_checks checks such sums together.  Straightening a
-product in one pass gives what multiplying from the left and straightening
-after each factor gives: N(u·v) = N(N(u)·v) for words u and v, because the
-leftmost descent of u·v lies inside u whenever u has one.  (Straightening a
-right factor first is another matter: on a table that breaks Jacobi,
-N(u·N(v)) can differ from N(u·v).)  A term-count budget
-(LIEQ_TERM_CAP, default 10**6) bounds the live terms of each pass, the
-words it holds: a whole product, Casimir check, Weyl ordering or substitution.
-Every straightening operation reads LIEQ_TERM_CAP once, when it starts, and
-passes it to its pass.
+merge too; * and substitute build their rows with one expansion, _expand.
+A printed quartic ordering is a signed sum of two pieces, one pass each,
+and _casimir_checks checks such sums together.  Straightening a product in
+one pass gives what multiplying from the left and straightening after each
+factor gives: N(u·v) = N(N(u)·v) for words u and v, because the leftmost
+descent of u·v lies inside u whenever u has one.  (Straightening a right
+factor first is another matter: on a table that breaks Jacobi, N(u·N(v))
+can differ from N(u·v).)  A term-count budget (LIEQ_TERM_CAP, default
+10**6), read once when each straightening operation starts, bounds the live
+terms of each of its passes, the words the pass holds.
 
 is_casimir straightens [e, G] from the derivation
 [w, G] = sum_k w[:k]·[w_k, G]·w[k+1:], summed over the terms of e, instead of
@@ -50,7 +51,6 @@ normal word holds each letter in one run, so a term is listed once per
 letter and the walk reads the run from its start), so building [e, G] walks
 only the letters with [letter, G] != 0 and the terms that hold them; most
 [letter, G] vanish, and an empty [e, G] is zero without being straightened.
-A malformed LIEQ_TERM_CAP fails a check that has nothing to straighten too.
 On a table that a validate() call has found ok it skips the generators that
 earlier checks cover (_casimir_plan): the known set starts empty, each
 generator not in it is checked and added, in basis order, and then the set
@@ -165,21 +165,16 @@ def _descents(alg):
 
 
 def _normalize(alg, raw, budget):
-    """Straighten {key: raw map} into PBW normal form {word: Scalar}.
+    """Straighten {key: raw map} into PBW normal form {word: Scalar}, in no set order.
 
     A row's key is _key(word): words sort longest first, then descending
-    lexicographic.  Each row is settled from its first letter, and a
-    rewritten word from the letter before the rewrite.  Owns raw and its
-    maps: callers pass fresh maps, never a live Scalar's _terms.  A rewritten
-    word's map moves to its swap uncopied, bracket terms are _mac'd into
-    their slots, and only output words become Scalars.
-    pending holds each live word once, settled, with its leftmost descent's
-    position (0 if normal) and its summed map.  The heap holds the pending
-    words with a descent and pops them in key order; normal words are never
-    queued, and what pending holds when the heap empties is the result, in
-    key order.  Rewrites read _descents(alg).  budget is the live-term cap:
-    every straightening operation reads LIEQ_TERM_CAP once, when it starts,
-    and passes it to its pass.
+    lexicographic.  Owns raw and its maps: callers pass fresh maps, never a
+    live Scalar's _terms.  A rewritten word's map moves to its swap uncopied,
+    bracket terms are _mac'd into their slots, and only output words become
+    Scalars.  pending holds each live word once, settled, with its leftmost
+    descent's position (0 if normal) and its summed map; the heap holds the
+    ones with a descent, and what pending holds when it empties is the
+    result, unsorted.  budget is the pass's live-term cap.
     """
     descents = _descents(alg)
     pending = {}  # {key: (leftmost descent position or 0, raw map)}
@@ -227,8 +222,7 @@ def _normalize(alg, raw, budget):
         if len(pending) > budget:
             gens = alg.generators
             raise TermBudgetExceeded(budget, len(pending), tuple(gens[-x] for x in key[1:]))
-    return {tuple(map(neg, key[1:])): _checked(coeff)
-            for key, (_, coeff) in sorted(pending.items()) if coeff}
+    return {tuple(map(neg, key[1:])): _checked(coeff) for key, (_, coeff) in pending.items() if coeff}
 
 
 def _arrangements(letters):
@@ -247,15 +241,27 @@ def _arrangements(letters):
     return rows
 
 
-def _from_words(alg, named_terms, weyl=False):
-    """Sum (name word, Scalar) pairs over alg's basis, then straighten the sum in
-    one pass; when weyl, each summed word is first replaced by the average of its
-    distinct arrangements (Weyl ordering).  That average depends only on the
-    word's letters, so words are summed by their sorted letters first; no two
-    share an arrangement, so the pass's cap bounds their count before any is built."""
-    raw = {}
+def _indexed(alg, named_terms):
+    """(index word, Scalar) pairs of (name word, Scalar) pairs: the one place names
+    become indices.  An unknown name raises AlgebraError, a coefficient that is
+    not a Scalar UEAError naming its word."""
+    out = []
     for names, coeff in named_terms:
-        word = tuple(alg._gen_index(n) for n in names)
+        if not isinstance(coeff, Scalar):
+            raise UEAError("coefficient of word %r must be a Scalar, got %r"
+                           % (tuple(names), coeff))
+        out.append((tuple(alg._gen_index(n) for n in names), coeff))
+    return out
+
+
+def _from_words(alg, terms, weyl=False):
+    """Sum (index word, Scalar) pairs, then straighten the sum in one pass; when
+    weyl, each summed word is first replaced by the average of its distinct
+    arrangements (Weyl ordering).  That average depends only on the word's
+    letters, so words are summed by their sorted letters first; no two share an
+    arrangement, so the pass's cap bounds their count before any is built."""
+    raw = {}
+    for word, coeff in terms:
         _add_into(raw.setdefault(tuple(sorted(word)) if weyl else word, {}), coeff._terms)
     budget = _term_cap()
     if weyl:
@@ -272,6 +278,20 @@ def _from_words(alg, named_terms, weyl=False):
                 _add_into(arranged.setdefault(arr, {}), weight)
         raw = arranged
     return UEAElement(alg, _normalize(alg, {_key(w): c for w, c in raw.items()}, budget))
+
+
+def _expand(rows, element):
+    """The keyed raw rows of rows · element: {_key(w1 w2): sum of c1 c2} over
+    rows {_key(w1): raw c1} and element's terms w2: c2, in fresh maps; the
+    one product expansion, for * and substitute."""
+    terms = element._terms
+    rights = [(k[0], k[1:], c._terms) for k, c in zip(map(_key, terms), terms.values())]
+    out = {}
+    for k1, c1 in rows.items():
+        n1, letters = k1[0], k1[1:]
+        for n2, tail, c2 in rights:
+            _mac(out.setdefault((n1 + n2,) + letters + tail, {}), c1, c2)
+    return out
 
 
 def _coerce_scalar(value):
@@ -311,22 +331,21 @@ class UEAElement:
     @staticmethod
     def word(algebra, names, coeff=None):
         """coeff * G_n1 G_n2 ..., normalized."""
-        return _from_words(algebra, [(names, Scalar.one() if coeff is None else coeff)])
+        coeff = Scalar.one() if coeff is None else coeff
+        return _from_words(algebra, _indexed(algebra, [(names, coeff)]))
 
     @staticmethod
     def from_terms(algebra, terms):
         """terms: {name tuple: Scalar}; normalized on construction."""
-        return _from_words(algebra, terms.items())
+        return _from_words(algebra, _indexed(algebra, terms.items()))
 
     # -- inspection ----------------------------------------------------------
 
     def terms(self):
         """Sorted ((name, ...), Scalar) pairs; sort key (word length, word)."""
         gens = self.algebra.generators
-        out = []
-        for word in sorted(self._terms, key=lambda w: (len(w), w)):
-            out.append((tuple(gens[k] for k in word), self._terms[word]))
-        return tuple(out)
+        return tuple((tuple(gens[k] for k in w), self._terms[w])
+                     for w in sorted(self._terms, key=lambda w: (len(w), w)))
 
     def is_zero(self):
         return not self._terms
@@ -376,17 +395,8 @@ class UEAElement:
             return NotImplemented
         self._check_same(other)
         budget = _term_cap()
-        lefts = []
-        for w1, c1 in self._terms.items():
-            k1 = _key(w1)
-            lefts.append((k1[0], k1[1:], c1._terms))
-        raw = {}
-        for w2, c2 in other._terms.items():
-            k2 = _key(w2)
-            head, tail, c2 = k2[0], k2[1:], c2._terms
-            for n1, letters, c1 in lefts:
-                _mac(raw.setdefault((n1 + head,) + letters + tail, {}), c1, c2)
-        return UEAElement(self.algebra, _normalize(self.algebra, raw, budget))
+        rows = {_key(w): c._terms for w, c in self._terms.items()}
+        return UEAElement(self.algebra, _normalize(self.algebra, _expand(rows, other), budget))
 
     def __rmul__(self, other):
         scalar = _coerce_scalar(other)
@@ -412,7 +422,7 @@ class UEAElement:
         return self.algebra == other.algebra and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.algebra, tuple(sorted(self._terms.items(), key=lambda t: t[0]))))
+        return hash((self.algebra, frozenset(self._terms.items())))
 
     def __str__(self):
         return format_sum((_word_str(names), coeff) for names, coeff in self.terms())
@@ -456,7 +466,7 @@ def _coeff_prefix(coeff, standalone):
 
 def normal_form(e):
     """Re-run straightening; a fixed point for any constructed element."""
-    return _from_words(e.algebra, e.terms())
+    return _from_words(e.algebra, e._terms.items())
 
 
 def commutator(a, b):
@@ -469,17 +479,13 @@ def is_casimir(e):
 
     Returns CasimirCheck(ok, witness, residue): witness is the first
     offending generator name and residue the nonzero commutator.  Each
-    [e, G] is summed over the terms of e from the derivation
-    [w, G] = sum_k w[:k] [w_k, G] w[k+1:] and straightened in one pass.  The
-    terms are indexed by their letters once, so only the letters with
-    [letter, G] != 0 and the terms that hold them are walked, and an empty
-    [e, G] is not straightened.  Like every straightening operation, it reads
-    LIEQ_TERM_CAP once, when it starts, and passes it to its passes, so a
-    malformed value fails every check.  On a table a validate() call has found
-    ok, the generators that the ones checked before them imply are skipped
-    (see the module docstring for the rule and its proof); a skipped generator
-    commutes with e, so the first offending generator and its residue are the
-    same as when every generator is checked.
+    [e, G] is built from the derivation [w, G] = sum_k w[:k] [w_k, G] w[k+1:]
+    and straightened in one pass; an empty one is not straightened, and a
+    malformed LIEQ_TERM_CAP fails every check.  On a table a validate() call
+    has found ok, the generators that the ones checked before them imply are
+    skipped; the module docstring gives the walk, the rule and its proof.  A
+    skipped generator commutes with e, so the witness and residue are those
+    of the full check.
     """
     return _casimir_checks((e,), ((1,),))[0]
 
@@ -570,9 +576,9 @@ def substitute(e, mapping, formal=False):
     Without formal=True every substituted generator must be central — the
     only case where replacing letters inside arbitrary words is well defined.
     With formal=True, letters are replaced term-by-term in the normal form
-    and the result renormalized (the rest-frame specializations).  Every
-    word's substituted rows are expanded as a product's are, and the whole
-    result is straightened in one pass.
+    and the result renormalized (the rest-frame specializations).  Each
+    substituted letter is expanded by _expand, as * is, and the whole result
+    is straightened in one pass.
     """
     alg = e.algebra
     values = {}
@@ -597,19 +603,15 @@ def substitute(e, mapping, formal=False):
     budget = _term_cap()
     raw = {}
     for word, coeff in e._terms.items():
-        rows = {(): coeff._terms}  # word[:k] with its letters substituted: {word: raw map}
+        rows = {(0,): coeff._terms}  # word[:k] with its letters substituted: {key: raw map}
         for letter in word:
             value = values.get(letter)
             if value is None:
-                rows = {w + (letter,): c for w, c in rows.items()}
-                continue
-            grown = {}
-            for w1, c1 in rows.items():
-                for w2, c2 in value._terms.items():
-                    _mac(grown.setdefault(w1 + w2, {}), c1, c2._terms)
-            rows = grown
-        for w, c in rows.items():
-            _add_into(raw.setdefault(_key(w), {}), c)
+                rows = {(k[0] - 1,) + k[1:] + (-letter,): c for k, c in rows.items()}
+            else:
+                rows = _expand(rows, value)
+        for k, c in rows.items():
+            _add_into(raw.setdefault(k, {}), c)
     return UEAElement(alg, _normalize(alg, raw, budget))
 
 
@@ -627,28 +629,25 @@ def rename_element(e, target, mapping=None):
     """Carry an element into another algebra by generator name.
 
     mapping: optional {old name: new name}; unmapped names must exist in the
-    target as-is.  The result is re-normalized under the target's basis
-    order and brackets.
+    target as-is, and one UEAError lists, sorted, every name that does not.
+    The result is re-normalized under the target's basis order and brackets.
     """
     mapping = mapping or {}
     src = e.algebra.generators
     named = [(tuple(mapping.get(src[k], src[k]) for k in word), coeff)
              for word, coeff in e._terms.items()]
-    try:
-        return _from_words(target, named)
-    except AlgebraError:
-        missing = next(m for m in ([n for n in names if n not in target.generators]
-                                   for names, _ in named) if m)
-        raise UEAError(
-            "cannot rename into %r: unknown generator(s) %s" % (target.name, missing)
-        ) from None
+    missing = sorted({n for names, _ in named for n in names} - set(target.generators))
+    if missing:
+        raise UEAError("cannot rename into %r: unknown generator(s) %s" % (target.name, missing))
+    return _from_words(target, _indexed(target, named))
 
 
 def weyl_word(algebra, names, coeff=None):
     """Weyl (symmetric) ordering of one monomial: average over all
     arrangements of its letters.  Depends only on the multiset of letters.
     """
-    return _from_words(algebra, [(names, Scalar.one() if coeff is None else coeff)], weyl=True)
+    coeff = Scalar.one() if coeff is None else coeff
+    return _from_words(algebra, _indexed(algebra, [(names, coeff)]), weyl=True)
 
 
 def weyl_symmetrize(e):
@@ -657,4 +656,4 @@ def weyl_symmetrize(e):
     This is the usual vector-space symmetrization read through the PBW
     basis, so it is well defined on elements (normal forms are unique).
     """
-    return _from_words(e.algebra, e.terms(), weyl=True)
+    return _from_words(e.algebra, e._terms.items(), weyl=True)

@@ -405,6 +405,27 @@ def test_validate_bad_symbols_exit_2_with_one_line(symbols, capsys, tmp_path):
     assert err == "error: scalar symbols of 'su2ish' must be distinct and not 'i'\n"
 
 
+def test_validate_a_file_with_many_symbols(tmp_path):
+    # One coefficient sums n symbols.  A child process validates each file, so
+    # their symbols stay out of this one's registry, whose limit is 1,024 fields:
+    # the 6 defaults and 1,018 more.
+    def validate(n):
+        symbols = ["s%d" % k for k in range(n)]
+        brackets = [{"a": "A", "b": "B", "result": [{"coeff": "+".join(symbols), "gen": "C"}]}]
+        path = tmp_path / ("many%d.json" % n)
+        path.write_text(json.dumps(dict(GOOD_ALGEBRA, symbols=symbols, brackets=brackets)))
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        return subprocess.run([sys.executable, "-m", "lieq", "validate", str(path)], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    done = validate(1000)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "su2ish: ok (3 generators, antisymmetry and Jacobi hold)\n"
+    over = validate(1019)
+    assert (over.returncode, over.stdout) == (2, "")
+    assert over.stderr == "error: too many symbols: at most 1024 distinct symbols per process\n"
+
+
 def test_validate_reports_a_bad_coefficient_before_a_pair_given_twice(capsys, tmp_path):
     # entries are parsed for shape and coefficients before names and pairs are checked
     brackets = GOOD_ALGEBRA["brackets"][:1] + GOOD_ALGEBRA["brackets"] + [

@@ -1,6 +1,7 @@
 """Exact coefficient ring: Gaussian-rational Laurent polynomials."""
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lieq.algebra import LieAlgebra
 from lieq.catalog import catalog
-from lieq.scalars import Scalar, ScalarError, _add_into, _freeze, _mac
+from lieq.scalars import _FIELDS, _NAMES, Scalar, ScalarError, _add_into, _decode, _freeze, _mac
 from lieq.uea import UEAElement
 
 
@@ -276,6 +277,36 @@ def test_pole_bound_and_late_symbols():
     assert late.mul_power("aa_late", -1) == before and late.min_degree("aa_late") == 1
 
 
+def test_queries_on_an_unmet_symbol_register_no_field():
+    s = Scalar.symbol("c") * Scalar.symbol("eps", -1) + Scalar.i()
+    count = len(_NAMES)
+    assert Scalar.one().limit0("zz_query1") == Scalar.one() and s.limit0("zz_query1") == s
+    assert s.min_degree("zz_query2") == 0 and Scalar.zero().min_degree("zz_query2") is None
+    assert len(_NAMES) == count and "zz_query1" not in _FIELDS and "zz_query2" not in _FIELDS
+
+
+def _decode_field_by_field(mono):
+    """_decode as it was: one shift per field, up to the monomial's top field."""
+    out = []
+    for name in _NAMES:
+        if not mono:
+            break
+        exp = ((mono + 2**32) & (2**33 - 1)) - 2**32
+        if exp:
+            out.append((name, exp))
+        mono = (mono - exp) >> 128
+    return tuple(sorted(out))
+
+
+def test_decode_jumps_to_each_symbol_the_monomial_holds():
+    fields = range(len(_NAMES))
+    exps = (1, -1, 2, -6, 7, 2**31, 2**32 - 1, -2**32, -2**32 + 1, 3 << 20)
+    rng = random.Random(128)
+    for _ in range(3000):
+        mono = sum(rng.choice(exps) << (128 * k) for k in rng.sample(fields, rng.randint(0, 4)))
+        assert _decode(mono) == _decode_field_by_field(mono), mono
+
+
 @pytest.mark.parametrize("shift", [2**33, 2**127, 2**128, 2**128 + 3, 2**300],
                          ids=["2^33", "2^127", "2^128", "2^128+3", "2^300"])
 def test_a_shift_too_large_for_any_exponent_is_out_of_range(shift):
@@ -291,24 +322,31 @@ def test_a_shift_too_large_for_any_exponent_is_out_of_range(shift):
     assert widest == Scalar.symbol("eps", 2**32 - 1)
 
 
-# The check runs in a child process, so its 2,000 extra fields stay out of this
-# one's registry.  Field 2006 is past the last registered field.
+# The check runs in a child process, so its 1,018 extra fields, which fill the
+# registry to its limit, stay out of this one's registry.  Field 1024 is past
+# the last registered field.
 _WIDE_REGISTRY_CHECK = textwrap.dedent("""
     import random
     from lieq import scalars
     from lieq.scalars import Scalar, ScalarError, _checked, _field
 
-    for k in range(2000):
+    for k in range(1018):
         _field("extra%d" % k)
-    assert len(scalars._NAMES) == 2006
+    assert len(scalars._NAMES) == 1024 == scalars._MAX_FIELDS
+    try:
+        _field("one_too_many")
+        raise AssertionError("a field past the limit was registered")
+    except ScalarError as e:
+        assert str(e) == "too many symbols: at most 1024 distinct symbols per process"
+    assert len(scalars._NAMES) == 1024 and "one_too_many" not in scalars._FIELDS
     B = 2**32
-    bias = sum(B << (128 * k) for k in range(2006))
-    outside = ~sum((2 * B - 1) << (128 * k) for k in range(2006))
+    bias = sum(B << (128 * k) for k in range(1024))
+    outside = ~sum((2 * B - 1) << (128 * k) for k in range(1024))
 
     def full_width(terms):
         return not any(mono and (mono + bias) & outside for mono in terms)
 
-    fields = (0, 1, 5, 6, 7, 1000, 2004, 2005, 2006)
+    fields = (0, 1, 5, 6, 7, 500, 1022, 1023, 1024)
     exps = (1, -1, 7, B - 1, -B, B, -B - 1, 2**40, -2**40, 2**126, -2**127)
     monos = [e << (128 * k) for k in fields for e in exps]
     rng = random.Random(5)
@@ -326,10 +364,10 @@ _WIDE_REGISTRY_CHECK = textwrap.dedent("""
             assert full_width(terms) and made._terms == terms, terms
             kept += 1
     assert 100 < kept < len(monos)
-    top = Scalar.symbol("extra1999", B - 1)
-    assert top.min_degree("extra1999") == B - 1 and str(top) == "extra1999^4294967295"
+    top = Scalar.symbol("extra1017", B - 1)
+    assert top.min_degree("extra1017") == B - 1 and str(top) == "extra1017^4294967295"
     try:
-        top * Scalar.symbol("extra1999")
+        top * Scalar.symbol("extra1017")
     except ScalarError:
         print("ok")
 """)

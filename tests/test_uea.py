@@ -2,10 +2,13 @@
 
 import gc
 import itertools
+import random
 import time
 from fractions import Fraction
 
 import pytest
+from test_properties import SYMBOLIC
+from test_zero_bracket_swaps import jacobi_breaking
 
 from lieq import uea
 from lieq.algebra import AlgebraError
@@ -453,9 +456,10 @@ def test_rename_element():
     boosts = {"KGx": "KPx", "KGy": "KPy", "KGz": "KPz"}
     hkx = rename_element(UEAElement.word(GC, ("H", "KGx")), poi, boosts)
     assert hkx == UEAElement.word(poi, ("H", "KPx"))
-    with pytest.raises(UEAError, match=r"^cannot rename into 'poincare': "
-                       r"unknown generator\(s\) \['KGx'\]$"):
-        rename_element(e, poi)  # KGx and M have no image in poincare
+    for held in (e, UEAElement(GC, dict(reversed(e._terms.items())))):
+        with pytest.raises(UEAError, match=r"^cannot rename into 'poincare': "
+                           r"unknown generator\(s\) \['KGx', 'M'\]$"):
+            rename_element(held, poi)  # KGx and M have no image in poincare
     with pytest.raises(AlgebraError, match=r"^unknown generator 'Q' in algebra 'poincare'$"):
         UEAElement.from_terms(poi, {("H",): I, ("Q", "H"): I})
 
@@ -483,3 +487,64 @@ def test_casimir_check_of_a_long_word_grows_quadratically():
             assert (check.ok, check.witness, check.residue) == (False, "Jy", want)
         best[n] = min(times)
     assert best[1200] / best[600] < 6, best
+
+
+# -- term maps are unordered; names enter in one place ---------------------------
+
+
+@pytest.mark.parametrize("coeff", [2, None, Fraction(1, 2)], ids=["int", "None", "Fraction"])
+def test_a_coefficient_that_is_not_a_scalar_is_blamed_on_its_word(coeff):
+    blame = r"^coefficient of word \('H', 'Px'\) must be a Scalar, got %s$" % (
+        r"Fraction\(1, 2\)" if isinstance(coeff, Fraction) else coeff)
+    for terms in ({("H", "Px"): coeff}, {("Jx",): ONE, ("Px",): I, ("H", "Px"): coeff}):
+        with pytest.raises(UEAError, match=blame):
+            UEAElement.from_terms(POI, terms)
+    if coeff is not None:  # word and weyl_word read a None coefficient as one
+        with pytest.raises(UEAError, match=blame):
+            UEAElement.word(POI, ("H", "Px"), coeff)
+        with pytest.raises(UEAError, match=blame):
+            weyl_word(POI, ("H", "Px"), coeff)
+    assert UEAElement.word(POI, ("H", "Px"), None) == UEAElement.word(POI, ("H", "Px"), ONE)
+
+
+def test_elements_from_the_same_terms_in_any_order_are_equal():
+    # neither straightening nor a constructor sorts the term map, so equality,
+    # hashing and printing must not read its order
+    e = (gen(POI, "KPx") + gen(POI, "Px") * I + gen(POI, "Jy")) ** 3
+    s = Scalar.symbol("c") + Scalar.symbol("m", 2) * I + Scalar.rational(1, 3)
+    e = e * s
+    items = list(e._terms.items())
+    named = e.terms()
+    rng = random.Random(1978)
+    for _ in range(5):
+        rng.shuffle(items)
+        for other in (UEAElement(POI, dict(items)),
+                      UEAElement.from_terms(POI, dict(rng.sample(named, len(named))))):
+            assert other == e and hash(other) == hash(e)
+            assert str(other) == str(e) and other.terms() == named
+    flipped = Scalar(dict(reversed(s._terms.items())))
+    assert list(flipped._terms) != list(s._terms)
+    assert flipped == s and hash(flipped) == hash(s)
+    assert str(flipped) == str(s) and flipped.items() == s.items()
+
+
+def _by_names(e, weyl=False):
+    """normal_form, or weyl_symmetrize, through generator names: each term's
+    names indexed again, as both once did."""
+    if weyl:
+        return sum((weyl_word(e.algebra, names, c) for names, c in e.terms()),
+                   UEAElement.zero(e.algebra))
+    return UEAElement.from_terms(e.algebra, dict(e.terms()))
+
+
+def test_normal_form_and_weyl_symmetrize_match_the_name_based_path():
+    rng = random.Random(5381)
+    for alg in (POI, GC, SYMBOLIC, jacobi_breaking()):
+        for _ in range(15):
+            # words as given, not straightened, so normal_form has work to do
+            terms = {tuple(rng.randrange(alg.dim) for _ in range(rng.randint(0, 4))):
+                     Scalar.rational(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+                     for _ in range(rng.randint(1, 4))}
+            e = UEAElement(alg, terms)
+            assert normal_form(e) == _by_names(e), alg.name
+            assert weyl_symmetrize(e) == _by_names(e, weyl=True), alg.name
