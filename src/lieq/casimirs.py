@@ -139,9 +139,9 @@ def casimir_variant(name, label, variant):
     """One candidate ordering of the quartic invariant (label must be a C4)."""
     if label not in _labels(name) or not label.startswith("C4"):
         raise AlgebraError("no ordering variants for %s in %r" % (label, name))
-    alg, kin = catalog(name), _TABLES[name]
     if variant == "factored":
-        return _element(alg, _words(kin, label))
+        return casimir_entries(name)[label]
+    alg, kin = catalog(name), _TABLES[name]
     for weyl, signs in _PRINTED.items():
         if variant in signs:
             base, cross = _c4_pieces(alg, kin, weyl)

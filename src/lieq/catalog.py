@@ -138,12 +138,17 @@ def algebra_to_json(alg):
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _json_doc(text, what):
+    """json.loads(text); a failure raises AlgebraError "<what> is not valid JSON: ..."."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:  # also too-deep nesting, too-long integers
+        raise AlgebraError("%s is not valid JSON: %s" % (what, e)) from None
+
+
 def algebra_from_json(text):
     """Parse the algebra-file format; coefficient strings use the scalar grammar."""
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as e:  # also too-deep nesting, too-long integers
-        raise AlgebraError("algebra file is not valid JSON: %s" % e) from None
+    doc = _json_doc(text, "algebra file")
     if not isinstance(doc, dict):
         raise AlgebraError("algebra file must be a JSON object")
     missing = {"name", "generators"} - set(doc)

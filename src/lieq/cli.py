@@ -6,7 +6,6 @@ LIEQ_TERM_CAP environment variable overrides the rewriting term budget.
 """
 
 import argparse
-import json
 import sys
 import warnings
 from functools import cache
@@ -14,7 +13,7 @@ from pathlib import Path
 
 from lieq.algebra import AlgebraError
 from lieq.casimirs import casimir_catalog, casimir_entries
-from lieq.catalog import CATALOG_NAMES, algebra_from_json, catalog
+from lieq.catalog import CATALOG_NAMES, _json_doc, algebra_from_json, catalog
 from lieq.contraction import (
     ContractionError,
     DivergentContraction,
@@ -56,17 +55,9 @@ def _read_text(path):
         raise AlgebraError("cannot read %s: %s" % (path, e)) from None
 
 
-def _load_json(path):
-    text = _read_text(path)
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as e:  # also too-deep nesting, too-long integers
-        raise AlgebraError("%s is not valid JSON: %s" % (path, e)) from None
-
-
 def _load_map(path, value_type, what):
     """A JSON object from generator names to value_type values (bools rejected)."""
-    doc = _load_json(path)
+    doc = _json_doc(_read_text(path), path)
     if not isinstance(doc, dict) or not all(
         isinstance(k, str) and isinstance(v, value_type) and not isinstance(v, bool)
         for k, v in doc.items()

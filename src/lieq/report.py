@@ -91,6 +91,11 @@ class _Builder:
     def add(self, name, ok, detail="", residue=None):
         self.checks.append(Check(name, "pass" if ok else "fail", detail, residue))
 
+    def add_match(self, name, got, want, rename, detail):
+        """A row for tables_equal(got, want, rename); a failing row names the first mismatch."""
+        ok, diff = tables_equal(got, want, rename)
+        self.add(name, ok, detail if ok else "first mismatch at [%s, %s]" % diff[0].pair_a)
+
     @cached_property
     def studies(self):
         """One ordering study per Casimir group; steps[-1] is each entry's verdict.
@@ -188,11 +193,9 @@ def _check_contraction(b):
         "[KPx', Px'] = i*(eps^2*Hb' + M')",
     )
     b.pe_contracted = contract(peb, STD_PE_MAP)
-    ok, diff = tables_equal(b.pe_contracted, catalog("galilei_central"), STD_PE_RENAME)
-    detail = "all brackets agree under the standard renaming"
-    if not ok:
-        detail = "first mismatch at [%s, %s]" % diff[0].pair_a
-    b.add("contraction lands on the central extension", ok, detail)
+    b.add_match("contraction lands on the central extension", b.pe_contracted,
+                catalog("galilei_central"), STD_PE_RENAME,
+                "all brackets agree under the standard renaming")
 
 
 def _check_casimir_contraction(b):
@@ -235,12 +238,9 @@ def _check_traditional(b):
 
 
 def _check_full_groups(b):
-    con = contract(catalog("full_relativistic"), STD_FULL_MAP)
-    ok, diff = tables_equal(con, catalog("full_nonrelativistic"), STD_FULL_RENAME)
-    detail = "charge sector rides along with exponent 0"
-    if not ok:
-        detail = "first mismatch at [%s, %s]" % diff[0].pair_a
-    b.add("full-group contraction", ok, detail)
+    b.add_match("full-group contraction", contract(catalog("full_relativistic"), STD_FULL_MAP),
+                catalog("full_nonrelativistic"), STD_FULL_RENAME,
+                "charge sector rides along with exponent 0")
 
 
 def _check_mhi(b):

@@ -14,22 +14,22 @@ or Fractions (never floats or strings), and ``items()``, ``constant_pair()``
 and ``str`` give (re, im) Fraction pairs.
 
 Each monomial is one packed int, private to this module.  Every symbol owns a
-128-bit field, assigned once and never moved (``DEFAULT_SYMBOLS`` first, in
-order, then other names as they first appear, at most _MAX_FIELDS in all;
-a query such as limit0 or min_degree on a name never met assigns none), and
-exponent e of the symbol in field k adds ``e << (128*k)``.  The fields are
-balanced digits with no bias, so the constant monomial is 0, a monomial
-product is one integer addition, and a new field leaves every existing code
-unchanged.  Every stored
-exponent lies in [-2^32, 2^32), checked wherever a product becomes a Scalar
-by an add-and-mask test over the default fields and, for a monomial that fails
-it, one as wide as its own top field; a larger one raises ScalarError.  The
-kernel adds monomials unchecked in between, and cannot overflow a field: each
-product adds less than 2^32 in magnitude to every field, so carrying into the
-next field (at 2^127) would take 2^95 products.  mul_power rejects a shift
-of 2^33 or more outright, since no exponent stays in range under it and the
-test could miss the carry of one near 2^127.  ``items()``, ``str`` and
-``symbols()`` decode to sorted ``((symbol, exp), ...)`` tuples.
+128-bit field at a bit offset assigned once and never moved (``DEFAULT_SYMBOLS``
+first, in order, then other names as they first appear; a query such as
+limit0 on a name never met assigns none), and exponent e at offset s adds
+``e << s``.  The fields are balanced digits with no bias, so the constant
+monomial is 0, a monomial product is one integer addition, and a new field
+leaves every existing code unchanged.  One reader, _exponent, gives a field's
+exponent as its whole balanced digit.  Every stored exponent lies in
+[-2^32, 2^32), checked wherever a product becomes a Scalar by one add-and-mask
+test over the default fields and, for a monomial that fails it, field by
+field; a larger one raises ScalarError.  The kernel adds monomials unchecked
+in between, and cannot overflow a field: each product adds less than 2^32 in
+magnitude to every field, so carrying into the next field (at 2^127) would
+take 2^95 products.  mul_power moves one field and checks only that one.  No
+table grows with _MAX_FIELDS, yet it stays at 1,024 because a later field
+widens every monomial that holds it: a key in the last field is 128 kilobits.
+``items()``, ``str`` and ``symbols()`` decode to sorted ``((symbol, exp), ...)``.
 
 Everything is immutable and kept in a unique canonical form, so ``==`` is
 exact mathematical equality and scalars can be dict keys.  Hot sums (here,
@@ -53,13 +53,14 @@ DEFAULT_SYMBOLS = ("eps", "c", "m0", "m", "w", "t")
 _UNIT = (1, 0, 1)
 
 _FIELD = 128
-_MAX_FIELDS = 1024  # _CHECKS holds two masks as wide as every field so far per field
+_MAX_FIELDS = 1024
 _BOUND = 1 << 32
 _WINDOW = 2 * _BOUND - 1
+_HALF = 1 << (_FIELD - 1)
+_DIGIT = (1 << _FIELD) - 1
 
-_FIELDS = {}  # symbol -> (bit offset of its field, _BOUND in it and every field below)
+_FIELDS = {}  # symbol -> bit offset of its field
 _NAMES = []  # field index -> symbol
-_CHECKS = []  # k -> (_BOUND in fields 0..k, every bit but the low 33 of each of fields 0..k)
 _REGISTER = threading.Lock()
 _OUT_OF_RANGE = "exponent out of range: exponents must lie in [-2^32, 2^32)"
 
@@ -76,17 +77,21 @@ def _field(name):
                 if len(_NAMES) >= _MAX_FIELDS:
                     raise ScalarError("too many symbols: at most %d distinct symbols per process"
                                       % _MAX_FIELDS)
-                shift = _FIELD * len(_NAMES)
-                bias, outside = _CHECKS[-1] if _CHECKS else (0, -1)
-                _CHECKS.append((bias + (_BOUND << shift), outside & ~(_WINDOW << shift)))
                 _NAMES.append(name)
-                _FIELDS[name] = (shift, _CHECKS[-1][0])
+                _FIELDS[name] = _FIELD * (len(_NAMES) - 1)
     return _FIELDS[name]
 
 
 for _name in DEFAULT_SYMBOLS:
     _field(_name)
-_DEFAULT_CHECK = _CHECKS[-1]
+_DEFAULT_CHECK = (sum(_BOUND << s for s in _FIELDS.values()),  # _BOUND in each default field
+                  ~sum(_WINDOW << s for s in _FIELDS.values()))  # all bits but their low 33
+
+
+def _exponent(mono, shift):
+    """The exponent at bit offset shift, read as that field's whole balanced digit;
+    half of 2^shift goes in first, so the fields below cannot borrow from it."""
+    return (((mono + (1 << shift >> 1)) >> shift) + _HALF & _DIGIT) - _HALF
 
 
 def _decode(mono):
@@ -108,22 +113,19 @@ def _decode(mono):
 def _checked(terms):
     """Scalar(terms), once every exponent is inside [-2^32, 2^32).
 
-    A monomial that passes the test over fields 0..k, for any k that is
-    registered, has every digit in range.  Conversely, if every digit is in
-    range, the top nonzero one lies in a field K with |mono| > 2^(128K - 1),
-    so the test up to the monomial's own field k = |mono|.bit_length() // 128
-    (or every registered field, if fewer) passes.  So a monomial that fails
-    the test over the default fields, as one with a later symbol does, is
-    tested again up to its own field, and no test grows with the number of
-    names ever registered.
+    A monomial that fails the add-and-mask test over the default fields, as one
+    with a later symbol does, is read field by field as _decode reads it; a
+    field past the registry fails.  No test grows with the registry.
     """
     bias, outside = _DEFAULT_CHECK
     for mono in terms:
         if mono and (mono + bias) & outside:
-            checks = _CHECKS
-            wide_bias, wide_outside = checks[min(mono.bit_length() // _FIELD, len(checks) - 1)]
-            if (mono + wide_bias) & wide_outside:
-                raise ScalarError(_OUT_OF_RANGE)
+            while mono:
+                shift = ((mono & -mono).bit_length() - 1) // _FIELD * _FIELD
+                exp = _exponent(mono, shift)
+                if shift >= _FIELD * len(_NAMES) or not -_BOUND <= exp < _BOUND:
+                    raise ScalarError(_OUT_OF_RANGE)
+                mono -= exp << shift
     return Scalar(terms)
 
 
@@ -149,8 +151,8 @@ def _eps_limit(terms, k):
 
 
 def _exact(value, kinds=(int, Fraction)):
-    """value itself if it is one of kinds: exact numbers only, never floats or strings."""
-    if not isinstance(value, kinds):
+    """value itself if it is one of kinds: exact numbers only, never bools, floats or strings."""
+    if not isinstance(value, kinds) or isinstance(value, bool):
         raise ScalarError("expected %s, got %r" % (" or ".join(k.__name__ for k in kinds), value))
     return value
 
@@ -324,7 +326,7 @@ class Scalar:
         return _checked(terms)
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ScalarError("scalar power must be a nonnegative integer")
         # repeated squaring: the ring is commutative, so any grouping gives the same product
         out, square = Scalar.one(), self
@@ -369,8 +371,8 @@ class Scalar:
             return None
         if sym not in _FIELDS:
             return 0
-        shift, low = _FIELDS[sym]
-        return min((mono + low) >> shift & _WINDOW for mono in self._terms) - _BOUND
+        shift = _FIELDS[sym]
+        return min(_exponent(mono, shift) for mono in self._terms)
 
     def limit0(self, sym=LAURENT_SYMBOL):
         """Evaluate at sym -> 0: drop positive powers, keep degree-0 terms.
@@ -379,13 +381,13 @@ class Scalar:
         """
         if sym not in _FIELDS:
             return self
-        shift, low = _FIELDS[sym]
+        shift = _FIELDS[sym]
         terms = {}
         for mono, coeff in self._terms.items():
-            digit = (mono + low) >> shift & _WINDOW
-            if digit < _BOUND:
+            exp = _exponent(mono, shift)
+            if exp < 0:
                 raise ScalarError("pole in %r: cannot take the limit of %s" % (sym, self))
-            if digit == _BOUND:
+            if not exp:
                 terms[mono] = coeff
         return Scalar(terms)
 
@@ -396,11 +398,13 @@ class Scalar:
         if k < 0 and sym != LAURENT_SYMBOL and self and self.min_degree(sym) + k < 0:
             raise ScalarError(
                 "negative exponent on %r: only %r may carry poles" % (sym, LAURENT_SYMBOL))
-        if self and not -2 * _BOUND < k < 2 * _BOUND:
-            # no exponent stays in range; a shift this large could carry into the next field unseen
-            raise ScalarError(_OUT_OF_RANGE)
-        k <<= _field(sym)[0]
-        return _checked({mono + k: coeff for mono, coeff in self._terms.items()})
+        shift = _field(sym)
+        terms = {}
+        for mono, coeff in self._terms.items():
+            if not -_BOUND <= _exponent(mono, shift) + k < _BOUND:
+                raise ScalarError(_OUT_OF_RANGE)
+            terms[mono + (k << shift)] = coeff
+        return Scalar(terms)
 
     def substitute(self, mapping):
         """Simultaneously replace symbols by Scalar values (nonnegative powers only)."""

@@ -297,7 +297,7 @@ def _expand(rows, element):
 def _coerce_scalar(value):
     if isinstance(value, Scalar):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return Scalar.rational(value)
     return None
 
@@ -405,7 +405,7 @@ class UEAElement:
         return self * scalar
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise UEAError("element power must be a nonnegative integer")
         if n == 0:
             return UEAElement.unit(self.algebra)

@@ -82,6 +82,13 @@ MUTANTS = [
      "out.append((tuple(sorted(alg._gen_index(n) for n in names)), coeff))"),
     ("symbol_limit_one_over", "src/lieq/scalars.py",
      "if len(_NAMES) >= _MAX_FIELDS:", "if len(_NAMES) > _MAX_FIELDS:"),
+    ("exponent_reader_no_half_offset", "src/lieq/scalars.py",
+     "((mono + (1 << shift >> 1)) >> shift)", "(mono >> shift)"),
+    ("mul_power_unchecked_for_negative_k", "src/lieq/scalars.py",
+     "if not -_BOUND <= _exponent(mono, shift) + k < _BOUND:",
+     "if k > 0 and not -_BOUND <= _exponent(mono, shift) + k < _BOUND:"),
+    ("checked_past_registry_one_over", "src/lieq/scalars.py",
+     "if shift >= _FIELD * len(_NAMES)", "if shift > _FIELD * len(_NAMES)"),
 ]
 
 

@@ -14,7 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from lieq.algebra import LieAlgebra
 from lieq.catalog import catalog
-from lieq.scalars import _FIELDS, _NAMES, Scalar, ScalarError, _add_into, _decode, _freeze, _mac
+from lieq.scalars import (
+    _FIELDS, _NAMES, Scalar, ScalarError, _add_into, _decode, _exponent, _freeze, _mac)
 from lieq.uea import UEAElement
 
 
@@ -199,9 +200,18 @@ def test_additive_and_multiplicative_identity(x):
     lambda: Scalar.symbol("c") ** -1,
     lambda: Scalar.symbol("c") ** 1.5,
     lambda: (Scalar.one() + Scalar.symbol("eps", -1)).substitute({"eps": Scalar.one()}),
+    lambda: Scalar.from_int(True),
+    lambda: Scalar.rational(True, 2),
+    lambda: Scalar.rational(1, True),
+    lambda: Scalar.gaussian(False, 1),
+    lambda: Scalar.symbol("c", True),
+    lambda: Scalar.one().mul_power("eps", True),
+    lambda: Scalar.symbol("c") ** True,
 ], ids=["gaussian-float", "gaussian-float-im", "gaussian-str", "from_int-float",
         "rational-float", "rational-zero-denominator", "symbol-float-exponent",
-        "mul_power-float-exponent", "pow-negative", "pow-float", "substitute-into-pole"])
+        "mul_power-float-exponent", "pow-negative", "pow-float", "substitute-into-pole",
+        "from_int-bool", "rational-bool", "rational-bool-denominator", "gaussian-bool",
+        "symbol-bool-exponent", "mul_power-bool-exponent", "pow-bool"])
 def test_inexact_inputs_raise(make):
     with pytest.raises(ScalarError):
         make()
@@ -307,6 +317,42 @@ def test_decode_jumps_to_each_symbol_the_monomial_holds():
         assert _decode(mono) == _decode_field_by_field(mono), mono
 
 
+def test_exponent_reads_each_field_whatever_the_fields_below_hold():
+    exps = (1, -1, 2, -6, 2**31, 2**32 - 1, -2**32, -2**32 + 1, 3 << 20)
+    rng = random.Random(127)
+    for _ in range(2000):
+        held = {k: rng.choice(exps) for k in rng.sample(range(len(_NAMES)), rng.randint(0, 4))}
+        mono = sum(e << (128 * k) for k, e in held.items())
+        for k in set(held) | {0, 1, len(_NAMES) - 1}:
+            assert _exponent(mono, _FIELDS[_NAMES[k]]) == held.get(k, 0), (mono, k)
+
+
+def test_mul_power_checks_only_the_field_it_moves():
+    def mono(**exps):
+        out = Scalar.one()
+        for sym, exp in exps.items():
+            out = out * Scalar.symbol(sym, exp)
+        return out
+
+    # every other field of the first monomial sits at a bound; only the moved field decides
+    B = 2**32
+    edge = mono(eps=-B, m=B - 1) + mono(c=3)
+    assert edge.mul_power("c", B - 4) == mono(eps=-B, m=B - 1, c=B - 4) + mono(c=B - 1)
+    assert edge.mul_power("zz_edge", B - 1) == (
+        mono(eps=-B, m=B - 1, zz_edge=B - 1) + mono(c=3, zz_edge=B - 1))
+    assert edge.mul_power("eps", B - 1) == mono(eps=-1, m=B - 1) + mono(c=3, eps=B - 1)
+    for sym, k in (("c", 2**32 - 3), ("eps", -1), ("eps", 2**32), ("m", 1),
+                   ("zz_edge", 2**32), ("w", -2**33)):
+        with pytest.raises(ScalarError) as caught:
+            edge.mul_power(sym, k)
+        assert str(caught.value) == (
+            "negative exponent on 'w': only 'eps' may carry poles" if sym == "w"
+            else "exponent out of range: exponents must lie in [-2^32, 2^32)")
+    # the pole check comes first, whatever the size of the shift
+    with pytest.raises(ScalarError, match="negative exponent on 'c'"):
+        Scalar.symbol("c").mul_power("c", -2**40)
+
+
 @pytest.mark.parametrize("shift", [2**33, 2**127, 2**128, 2**128 + 3, 2**300],
                          ids=["2^33", "2^127", "2^128", "2^128+3", "2^300"])
 def test_a_shift_too_large_for_any_exponent_is_out_of_range(shift):
@@ -373,13 +419,34 @@ _WIDE_REGISTRY_CHECK = textwrap.dedent("""
 """)
 
 
-def test_exponent_check_matches_the_full_width_check_after_many_names():
+def _run_child(code):
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", _WIDE_REGISTRY_CHECK],
-                         env=dict(os.environ, PYTHONPATH=path),
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, timeout=120)
-    assert (run.returncode, run.stdout, run.stderr) == (0, "ok\n", "")
+    return run.returncode, run.stdout, run.stderr
+
+
+def test_exponent_check_matches_the_full_width_check_after_many_names():
+    assert _run_child(_WIDE_REGISTRY_CHECK) == (0, "ok\n", "")
+
+
+# Registering a name keeps no table that grows with the registry, so filling
+# it to its limit in a child process stays small.
+_REGISTRY_MEMORY_CHECK = textwrap.dedent("""
+    import tracemalloc
+    from lieq.scalars import _field
+
+    tracemalloc.start()
+    for k in range(1018):
+        _field("extra%d" % k)
+    print(tracemalloc.get_traced_memory()[1])
+""")
+
+
+def test_filling_the_registry_keeps_no_wide_tables():
+    code, out, err = _run_child(_REGISTRY_MEMORY_CHECK)
+    assert (code, err) == (0, "") and int(out) < 2**20, out
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,7 @@ def test_c4_variants_match_the_per_monomial_reference(name, monkeypatch):
     label = next(lbl for lbl in casimirs._SPECS[name] if lbl.startswith("C4"))
     for alg in tables(rng, name):
         monkeypatch.setattr(casimirs, "catalog", lambda _name, alg=alg: alg)
+        monkeypatch.setattr(casimirs, "_CATALOG_CACHE", {})  # "factored" is the catalog entry
         for variant in C4_VARIANTS:
             got = casimir_variant(name, label, variant)
             want = ref_casimir_variant(alg, name, variant)
@@ -254,6 +255,7 @@ def test_factored_quartic_matches_the_per_word_reference_on_an_overlapping_copy(
         .with_bracket("Q", "M", {"M": one})
     assert alg.validate().jacobi
     monkeypatch.setattr(casimirs, "catalog", lambda _name: alg)
+    monkeypatch.setattr(casimirs, "_CATALOG_CACHE", {})
     for variant in C4_VARIANTS:
         got = casimir_variant("full_relativistic", "C4PE", variant)
         assert_same_element(got, ref_casimir_variant(alg, "full_relativistic", variant))

@@ -95,11 +95,24 @@ def test_commutators_match_table():
 @pytest.mark.parametrize("call, message", [
     (lambda: gen(GC, "Px") ** -1, "nonnegative integer"),
     (lambda: gen(GC, "Px") ** 1.5, "nonnegative integer"),
+    (lambda: gen(GC, "Px") ** True, "nonnegative integer"),
     (lambda: substitute(gen(GC, "M"), {"M": "m"}), "must be UEAElement or Scalar"),
-], ids=["pow_negative", "pow_float", "substitute_str"])
+    (lambda: substitute(gen(GC, "M"), {"M": True}), "must be UEAElement or Scalar"),
+], ids=["pow_negative", "pow_float", "pow_bool", "substitute_str", "substitute_bool"])
 def test_rejects_bad_input(call, message):
     with pytest.raises(UEAError, match=message):
         call()
+
+
+@pytest.mark.parametrize("factor", [True, False, 1.5], ids=["true", "false", "float"])
+def test_bools_and_floats_are_not_scalar_factors(factor):
+    # ints and Fractions are exact numbers; a bool, like a float, is not
+    px = gen(GC, "Px")
+    with pytest.raises(TypeError):
+        px * factor
+    with pytest.raises(TypeError):
+        factor * px
+    assert px * 1 == 1 * px == px
 
 
 def test_cross_algebra_operations_rejected():
