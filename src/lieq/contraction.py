@@ -35,7 +35,7 @@ import weakref
 from collections import namedtuple
 
 from lieq.algebra import LieAlgebra
-from lieq.scalars import LAURENT_SYMBOL, Scalar, _eps_limit
+from lieq.scalars import LAURENT_SYMBOL, Scalar, _eps_limit, _is_exact
 from lieq.uea import UEAElement
 
 __all__ = [
@@ -129,7 +129,7 @@ def _check_map(algebra, exponents):
             "(missing %r, extra %r)" % (missing, extra)
         )
     for name, k in exponents.items():
-        if not isinstance(k, int) or isinstance(k, bool):
+        if not _is_exact(k, (int,)):
             raise ContractionError("exponent for %r must be an integer, got %r" % (name, k))
 
 
@@ -286,7 +286,7 @@ def contract_casimir(element, exponents, power="auto"):
     kept once the results are dropped.  Its words are the element's, still
     normal there, so it is not straightened.
     """
-    if power != "auto" and (not isinstance(power, int) or isinstance(power, bool)):
+    if power != "auto" and not _is_exact(power, (int,)):
         raise ContractionError("power must be an integer or 'auto', got %r" % (power,))
     contracted = contract(element.algebra, exponents)
     rescaled = _rescaled_words(element, exponents)

@@ -15,7 +15,7 @@ the enveloping algebra itself has no roots, and the division hiding in
 from collections import namedtuple
 
 from lieq.casimirs import casimir_catalog
-from lieq.scalars import Scalar
+from lieq.scalars import Scalar, _is_exact
 
 __all__ = [
     "MHIError",
@@ -103,7 +103,7 @@ def n_particle_labels(n):
     The mass observable carries an explicit particle-number factor, so its
     label is additive: n * m0.  States enter only through the integer n.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_exact(n, (int,)) or n < 1:
         raise MHIError("particle number must be a positive integer, got %r" % (n,))
     mass = ObservableLabel(
         "Mass", "(C2PE)^(1/2)*N", Scalar.from_int(n) * Scalar.symbol("m0")

@@ -150,9 +150,14 @@ def _eps_limit(terms, k):
     return low, kept
 
 
+def _is_exact(value, kinds=(int, Fraction)):
+    """Whether value is one of kinds: exact numbers only, never bools, floats or strings."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _exact(value, kinds=(int, Fraction)):
-    """value itself if it is one of kinds: exact numbers only, never bools, floats or strings."""
-    if not isinstance(value, kinds) or isinstance(value, bool):
+    """value itself if _is_exact(value, kinds), else ScalarError."""
+    if not _is_exact(value, kinds):
         raise ScalarError("expected %s, got %r" % (" or ".join(k.__name__ for k in kinds), value))
     return value
 
@@ -326,7 +331,7 @@ class Scalar:
         return _checked(terms)
 
     def __pow__(self, n):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        if not _is_exact(n, (int,)) or n < 0:
             raise ScalarError("scalar power must be a nonnegative integer")
         # repeated squaring: the ring is commutative, so any grouping gives the same product
         out, square = Scalar.one(), self
@@ -367,12 +372,10 @@ class Scalar:
 
     def min_degree(self, sym):
         """Lowest exponent of sym across terms (0 when absent); None if zero."""
-        if not self._terms:
-            return None
-        if sym not in _FIELDS:
-            return 0
-        shift = _FIELDS[sym]
-        return min(_exponent(mono, shift) for mono in self._terms)
+        shift = _FIELDS.get(sym)
+        if shift is None:
+            return 0 if self._terms else None
+        return min((_exponent(mono, shift) for mono in self._terms), default=None)
 
     def limit0(self, sym=LAURENT_SYMBOL):
         """Evaluate at sym -> 0: drop positive powers, keep degree-0 terms.

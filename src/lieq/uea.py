@@ -73,12 +73,11 @@ import itertools
 import math
 import os
 from collections import namedtuple
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import neg
 
 from lieq.algebra import AlgebraError
-from lieq.scalars import Scalar, _add_into, _checked, _mac, signed_sum
+from lieq.scalars import Scalar, _add_into, _checked, _is_exact, _mac, signed_sum
 
 DEFAULT_TERM_CAP = 10 ** 6
 
@@ -297,9 +296,7 @@ def _expand(rows, element):
 def _coerce_scalar(value):
     if isinstance(value, Scalar):
         return value
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return Scalar.rational(value)
-    return None
+    return Scalar.rational(value) if _is_exact(value) else None
 
 
 class UEAElement:
@@ -405,7 +402,7 @@ class UEAElement:
         return self * scalar
 
     def __pow__(self, n):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        if not _is_exact(n, (int,)) or n < 0:
             raise UEAError("element power must be a nonnegative integer")
         if n == 0:
             return UEAElement.unit(self.algebra)

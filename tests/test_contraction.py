@@ -227,6 +227,12 @@ def test_contract_casimir_rejects_a_non_int_power(element, power):
         contract_casimir(element, STD_PE_MAP, power)
 
 
+@pytest.mark.parametrize("exponent", [True, 1.0, "1"], ids=["bool", "float", "str"])
+def test_contract_rejects_a_non_int_map_exponent(exponent):
+    with pytest.raises(ContractionError, match="exponent for 'M' must be an integer"):
+        contract(PEB, dict(STD_PE_MAP, M=exponent))
+
+
 def test_a_non_int_power_is_rejected_before_any_contraction(monkeypatch):
     monkeypatch.setattr(contraction, "contract", lambda *a: pytest.fail("contracted"))
     with pytest.raises(ContractionError, match="power must be an integer"):

@@ -121,5 +121,6 @@ def test_n_particle_errors():
     for bad in (0, -1, -100):
         with pytest.raises(MHIError):
             n_particle_labels(bad)
-    with pytest.raises(MHIError):
-        n_particle_labels(2.5)
+    for bad in (2.5, True):
+        with pytest.raises(MHIError):
+            n_particle_labels(bad)

@@ -1,15 +1,17 @@
 """Write BENCH_<pr>.json: every workload's end-to-end metrics, the Tier-1 wall
 time and the layer micro-ops, each as a median with its quartiles.
 
-    python3 tools/bench_pr.py --pr <number> --runs 5 --seconds 10
+    python3 tools/bench_pr.py --pr <number>
 
 Run from anywhere; the checkout is the parent of this directory.  Each
-workload of bench/run.py runs --runs times as a subprocess (seed --seed,
---trace 0), with PYTHONDONTWRITEBYTECODE=1 so that no run leaves a
-__pycache__ that changes the next one's setup_s.  The Tier-1 suite runs
-once.  The micro-ops run in this process on lieq from src/, each repeat
-timed over enough calls to last MIN_REPEAT_S and scaled to nominal machine
-speed by the probe in bench/speed.py, as bench/run.py scales its ops.
+workload of bench/run.py runs RUNS times as a subprocess, SECONDS each
+(seed SEED, --trace 0), with PYTHONDONTWRITEBYTECODE=1 so that no run
+leaves a __pycache__ that changes the next one's setup_s.  The Tier-1
+suite runs once.  The micro-ops run in this process on lieq from src/,
+each of its REPEATS timed over enough calls to last MIN_REPEAT_S and
+scaled to nominal machine speed by the probe in bench/speed.py, as
+bench/run.py scales its ops.  These settings are constants, not options,
+so that the files of different checkouts compare.
 
 One file describes one checkout.  A claimed gain still needs alternated
 pairs of bench/run.py runs against the parent; the spreads here say how
@@ -30,6 +32,10 @@ ROOT = Path(__file__).resolve().parent.parent
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 WORKLOADS = ("report", "straighten", "tables")
+RUNS = 5
+SECONDS = 10.0
+SEED = 1
+REPEATS = 7
 MIN_REPEAT_S = 0.05
 
 
@@ -65,19 +71,19 @@ def summarize_runs(outputs):
     }
 
 
-def run_workloads(runs, seconds, seed):
+def run_workloads():
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     out = {}
     for name in WORKLOADS:
         outputs = []
-        for k in range(runs):
+        for k in range(RUNS):
             done = subprocess.run(
-                [sys.executable, "bench/run.py", "--workload", name, "--seed", str(seed),
-                 "--seconds", str(seconds), "--trace", "0"],
+                [sys.executable, "bench/run.py", "--workload", name, "--seed", str(SEED),
+                 "--seconds", str(SECONDS), "--trace", "0"],
                 cwd=ROOT, env=env, capture_output=True, text=True, check=True)
             outputs.append(done.stdout)
-            print("%s run %d of %d done" % (name, k + 1, runs), file=sys.stderr)
-        out[name] = dict(seed=seed, seconds=seconds, **summarize_runs(outputs))
+            print("%s run %d of %d done" % (name, k + 1, RUNS), file=sys.stderr)
+        out[name] = dict(seed=SEED, seconds=SECONDS, **summarize_runs(outputs))
     return out
 
 
@@ -128,7 +134,7 @@ def micro_ops():
     ]
 
 
-def time_micro_ops(repeats):
+def time_micro_ops():
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import speed
 
@@ -146,7 +152,7 @@ def time_micro_ops(repeats):
             calls *= 2
         probe.scale([wall])  # the calibration is not a repeat
         per_call = []
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             start = time.perf_counter()
             for _ in range(calls):
                 op()
@@ -158,16 +164,10 @@ def time_micro_ops(repeats):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--pr", type=int, required=True)
-    parser.add_argument("--runs", type=int, default=5, help="bench/run.py runs per workload")
-    parser.add_argument("--seconds", type=float, default=10.0, help="length of each run")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--repeats", type=int, default=7, help="repeats of each micro-op")
     args = parser.parse_args(argv)
-    if args.runs < 1 or args.repeats < 1 or args.seconds <= 0:
-        parser.error("--runs and --repeats must be at least 1, --seconds positive")
-    workloads = run_workloads(args.runs, args.seconds, args.seed)
+    workloads = run_workloads()
     tier1 = time_tier1()
-    layers, probe = time_micro_ops(args.repeats)
+    layers, probe = time_micro_ops()
     doc = {
         "pr": args.pr,
         "python": platform.python_version(),
